@@ -18,11 +18,11 @@ from pathlib import Path
 from .equilibrium import (
     BatchParams,
     MarketParams,
+    _batched_market,
     batched_equilibrium,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
-    validate_params,
 )
 from .errors import ParamError, PrivacyLabError
 from .montecarlo import (
@@ -84,15 +84,10 @@ def _market_from(args, cfg: dict) -> MarketParams:
             "missing required market parameter(s): " + ", ".join("--" + m.replace("_", "-") for m in missing)
         )
     try:
-        params = MarketParams(
-            sigma_v=float(block["sigma_v"]),
-            sigma_u=float(block["sigma_u"]),
-            sigma_eps=float(block.get("sigma_eps", 0.0)),
-            p0=float(block.get("p0", 0.0)),
-        )
+        values = [float(block.get(k, 0.0)) for k in ("sigma_v", "sigma_u", "sigma_eps", "p0")]
     except (TypeError, ValueError):
         raise UsageError(f"market parameters must be numbers, got {block!r}") from None
-    return validate_params(params)
+    return MarketParams(*values)
 
 
 def _market_dict(params: MarketParams) -> dict:
@@ -108,7 +103,10 @@ def _write_out(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, newline="\n")
+        try:
+            Path(args.output).write_text(text, newline="\n")
+        except OSError as e:
+            raise UsageError(f"cannot write --output: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -339,13 +337,12 @@ def _sim_config_from(args, cfg: dict) -> SimConfig:
         if value is not None:
             block[key] = value
     try:
-        return SimConfig(
-            n_paths=int(block.get("n_paths", 1_000_000)),
-            seed=int(block.get("seed", 42)),
-            chunk_size=int(block.get("chunk_size", DEFAULT_CHUNK_SIZE)),
-        )
+        n_paths = int(block.get("n_paths", 1_000_000))
+        seed = int(block.get("seed", 42))
+        chunk_size = int(block.get("chunk_size", DEFAULT_CHUNK_SIZE))
     except (TypeError, ValueError):
         raise UsageError(f"sim parameters must be integers, got {block!r}") from None
+    return SimConfig(n_paths=n_paths, seed=seed, chunk_size=chunk_size)
 
 
 def cmd_simulate(args) -> int:
@@ -358,13 +355,7 @@ def cmd_simulate(args) -> int:
         bp = BatchParams(params, args.tau)
         eq = batched_equilibrium(bp)
         est = simulate_batched(bp, eq, sim_cfg)
-        rescaled = MarketParams(
-            sigma_v=params.sigma_v,
-            sigma_u=params.sigma_u * math.sqrt(args.tau),
-            sigma_eps=0.0,
-            p0=params.p0,
-        )
-        w = welfare_decomposition(rescaled)
+        w = welfare_decomposition(_batched_market(bp))
         checks += [
             ("π_I", w.pi_I, est.mean_pi_I, est.se_pi_I),
             ("π_N", w.pi_N, est.mean_pi_N, est.se_pi_N),
@@ -431,7 +422,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    result = write_report_bundle(args.outdir)
+    try:
+        result = write_report_bundle(args.outdir)
+    except OSError as e:
+        raise UsageError(f"cannot write --outdir: {e}") from None
     if args.format == "json":
         payload = {"files": list(result.files), "mismatches": list(result.mismatches), "ok": result.ok}
         _write_out(args, json.dumps(payload, indent=2, sort_keys=True))

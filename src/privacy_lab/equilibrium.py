@@ -10,6 +10,11 @@ The module solves for the equilibrium pair (lambda, beta) two independent
 ways: in closed form, and numerically as the fixed point of the posterior
 projection composed with the trader's best response.  The fixed-point route
 never touches the closed form, so the two can cross-check each other.
+
+Every closed form of the model (equilibrium, welfare split, subsidy and its
+derivatives, break-even fee) comes from the one kernel `_closed_forms`; the
+welfare and report modules read their records from it.  The parameter types
+check themselves on construction, so no function re-validates its inputs.
 """
 
 from __future__ import annotations
@@ -24,15 +29,21 @@ from .errors import (
     NonFiniteInput,
     NonPositiveSigmaU,
     NonPositiveSigmaV,
+    ParamError,
 )
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 
+SQRT2 = math.sqrt(2.0)
+
+# E|X| = std * sqrt(2/pi) for a centered Gaussian X
+ABS_MOMENT_COEF = math.sqrt(2.0 / math.pi)
+
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Model primitives.
+    """Model primitives, checked on construction.
 
     sigma_v: std dev of the terminal value (currency units), > 0.
     sigma_u: std dev of the noise-trader flow (asset units), > 0.
@@ -41,12 +52,27 @@ class MarketParams:
         sees the executed flow exactly.
     p0: common prior mean of the value; only differences v - p0 enter
         the math, so any finite level (including 0 or negative) is fine.
+
+    Raises NonFiniteInput / NonPositiveSigmaV / NonPositiveSigmaU /
+    NegativeSigmaEps, each naming the offending field.  Never clamps.
     """
 
     sigma_v: float
     sigma_u: float
     sigma_eps: float = 0.0
     p0: float = 0.0
+
+    def __post_init__(self) -> None:
+        for field in ("p0", "sigma_v", "sigma_u", "sigma_eps"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise NonFiniteInput(field, value)
+        if self.sigma_v <= 0:
+            raise NonPositiveSigmaV(self.sigma_v)
+        if self.sigma_u <= 0:
+            raise NonPositiveSigmaU(self.sigma_u)
+        if self.sigma_eps < 0:
+            raise NegativeSigmaEps(self.sigma_eps)
 
 
 class SolveMethod(enum.Enum):
@@ -61,11 +87,21 @@ class Equilibrium:
     `method` records which solver produced it so reports can show
     oracle cross-checks.  Solver outputs satisfy lam * beta = 1/2; a
     deliberately perturbed copy (for off-equilibrium simulation) need not.
+    Both coefficients must be finite and > 0; a violation raises a
+    ParamError naming `lam` or `beta`.
     """
 
     lam: float
     beta: float
     method: SolveMethod
+
+    def __post_init__(self) -> None:
+        for field in ("lam", "beta"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise NonFiniteInput(field, value)
+            if value <= 0:
+                raise ParamError(field, f"{field} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,42 +111,72 @@ class BatchParams:
     base: MarketParams
     tau: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.tau, int) or self.tau < 1:
+            raise ParamError("tau", f"tau must be an integer >= 1, got {self.tau!r}")
 
-def validate_params(raw: MarketParams) -> MarketParams:
-    """Check primitives; return them unchanged or raise. Never clamps.
 
-    Raises NonFiniteInput / NonPositiveSigmaV / NonPositiveSigmaU /
-    NegativeSigmaEps, each naming the offending field.
+def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, float]:
+    """Every closed-form quantity of the equilibrium in one pass, by name, for
+    valid primitives.  The public records are projections of this dict.
+
+    With s = sqrt(sigma_u^2 + sigma_eps^2) the textbook expressions are
+    lam = sigma_v/(2s), beta = s/sigma_v, pi_I = sigma_v*s/2,
+    pi_N = -sigma_v*sigma_u^2/(2s), pi_M = -sigma_v*sigma_eps^2/(2s), and so
+    on.  They are evaluated here through s = hypot(sigma_u, sigma_eps) and
+    the ratios a = sigma_u/s, c = sigma_eps/s and g = sigma_eps/(s + sigma_u),
+    all in [0, 1], so no intermediate squares a sigma: a result comes out
+    finite whenever it and s are representable as doubles, at any magnitude
+    of the inputs.  g*sigma_eps is the rationalized gap s - sigma_u, which
+    avoids the cancellation of the naive difference at small sigma_eps.
     """
-    for field in ("p0", "sigma_v", "sigma_u", "sigma_eps"):
-        value = getattr(raw, field)
-        if not math.isfinite(value):
-            raise NonFiniteInput(field, value)
-    if raw.sigma_v <= 0:
-        raise NonPositiveSigmaV(raw.sigma_v)
-    if raw.sigma_u <= 0:
-        raise NonPositiveSigmaU(raw.sigma_u)
-    if raw.sigma_eps < 0:
-        raise NegativeSigmaEps(raw.sigma_eps)
-    return raw
-
-
-def combined_noise_std(params: MarketParams) -> float:
-    """Std dev of the non-informed part u + eps of the observed flow."""
-    return math.hypot(params.sigma_u, params.sigma_eps)
+    sv, su, se = sigma_v, sigma_u, sigma_eps
+    s = math.hypot(su, se)
+    a, c, g = su / s, se / s, se / (s + su)
+    lam = sv / (2.0 * s)
+    pi_I = 0.5 * sv * s
+    pi_N = -0.5 * sv * su * a
+    subsidy = 0.5 * sv * se * c
+    e_abs_x = s * ABS_MOMENT_COEF
+    e_abs_u = su * ABS_MOMENT_COEF
+    fee_rate = sv * c * g / (2.0 * ABS_MOMENT_COEF)
+    fee_on_informed = fee_rate * e_abs_x
+    fee_on_noise = fee_rate * e_abs_u
+    return {
+        "lam": lam,
+        "beta": s / sv,
+        "pi_I": pi_I,
+        "pi_N": pi_N,
+        "pi_M": -subsidy,
+        "subsidy": subsidy,
+        "d1": 0.5 * sv * c * (2.0 * a * a + c * c),
+        "d2": sv * a * a * (2.0 * a * a - c * c) / (2.0 * s),
+        "inflection": SQRT2 * su,
+        "low_privacy_coeff": sv / (2.0 * su),
+        "high_privacy_slope": 0.5 * sv,
+        "noise_pnl_derivative": 0.5 * sv * a * a * c,
+        "gain_informed": 0.5 * sv * se * g,
+        "gain_noise": 0.5 * sv * su * c * g,
+        "e_abs_x": e_abs_x,
+        "e_abs_u": e_abs_u,
+        "q_total": e_abs_x + e_abs_u,
+        "fee_rate": fee_rate,
+        "fee_on_informed": fee_on_informed,
+        "fee_on_noise": fee_on_noise,
+        # pi_I - fee_on_informed and pi_N - fee_on_noise, exactly: the fee
+        # takes back each type's gain over sigma_eps = 0.  The subtraction
+        # itself would cancel to nothing when sigma_eps >> sigma_u.
+        "net_pi_I": 0.5 * sv * su,
+        "net_pi_N": -0.5 * sv * su,
+    }
 
 
 def solve_closed_form(params: MarketParams) -> Equilibrium:
     """Closed-form equilibrium: lam = sigma_v / (2*sqrt(sigma_u^2 + sigma_eps^2)),
     beta = sqrt(sigma_u^2 + sigma_eps^2) / sigma_v.
     """
-    validate_params(params)
-    s = combined_noise_std(params)
-    return Equilibrium(
-        lam=params.sigma_v / (2.0 * s),
-        beta=s / params.sigma_v,
-        method=SolveMethod.CLOSED_FORM,
-    )
+    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
+    return Equilibrium(lam=forms["lam"], beta=forms["beta"], method=SolveMethod.CLOSED_FORM)
 
 
 def posterior_slope(params: MarketParams, beta: float) -> float:
@@ -156,7 +222,6 @@ def zero_profit_lambda_unconditional(params: MarketParams) -> float:
     so a rival quoting the posterior would undercut it).  No equilibrium
     claim is attached.
     """
-    validate_params(params)
     return params.sigma_v / (2.0 * params.sigma_u)
 
 
@@ -167,31 +232,30 @@ def solve_fixed_point(
 ) -> Equilibrium:
     """Solve the equilibrium numerically, independent of the closed form.
 
-    Bisects h(lam) = lam - posterior_slope(params, 1/(2*lam)) on the bracket
-    [sigma_v / (20*(sigma_u + sigma_eps + sigma_v)), 10*sigma_v / (2*sigma_u)],
-    where h is continuous and changes sign for all valid params.  `tol` is
-    relative: the result satisfies |lam - lam_true| <= tol * lam_true.
+    Works in units where sigma_v = 1 and m = max(sigma_u, sigma_eps) = 1, so
+    the noise variance n = (sigma_u/m)^2 + (sigma_eps/m)^2 lies in [1, 2]
+    at any magnitude of the inputs.  There it bisects
+    h(lam) = lam - b/(b^2 + n), with b = 1/(2*lam) the trader's best response
+    and b/(b^2 + n) the Gaussian projection slope of the value on the
+    observed flow.  h has the sign of 4*lam^2*n - 1, so it is negative at
+    lam = 1/4 and positive at lam = 1 for every n in [1, 2]: that bracket
+    holds for all valid params.  The root is rescaled by sigma_v/m.  `tol`
+    is relative: the result satisfies |lam - lam_true| <= tol * lam_true.
     """
-    validate_params(params)
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
+    m = max(params.sigma_u, params.sigma_eps)
+    noise_var = (params.sigma_u / m) ** 2 + (params.sigma_eps / m) ** 2
 
-    def h(lam: float) -> float:
-        return lam - posterior_slope(params, 1.0 / (2.0 * lam))
-
-    lo = params.sigma_v / (20.0 * (params.sigma_u + params.sigma_eps + params.sigma_v))
-    hi = 10.0 * params.sigma_v / (2.0 * params.sigma_u)
-    h_lo = h(lo)
-    if h_lo == 0.0:
-        return Equilibrium(lam=lo, beta=1.0 / (2.0 * lo), method=SolveMethod.FIXED_POINT)
-
+    lo, hi = 0.25, 1.0
     for _ in range(max_iter):
         lam = 0.5 * (lo + hi)
-        h_mid = h(lam)
+        b = 0.5 / lam
+        h_mid = lam - b / (b * b + noise_var)
         if h_mid == 0.0:
             break
-        if (h_mid > 0.0) == (h_lo > 0.0):
-            lo, h_lo = lam, h_mid
+        if h_mid < 0.0:
+            lo = lam
         else:
             hi = lam
         if hi - lo <= tol * lo:
@@ -200,24 +264,20 @@ def solve_fixed_point(
     else:
         raise NoConvergence(max_iter)
 
+    lam = lam * params.sigma_v / m
     return Equilibrium(lam=lam, beta=1.0 / (2.0 * lam), method=SolveMethod.FIXED_POINT)
 
 
-def batched_equilibrium(bp: BatchParams) -> Equilibrium:
-    """Equilibrium of the batched market: one batch clears tau periods of
-    noise flow at a single price against the exact aggregate.
+def _batched_market(bp: BatchParams) -> MarketParams:
+    """The no-privacy market with sigma_u rescaled to sigma_u*sqrt(tau): one
+    batch clears tau periods of noise flow at a single price against the
+    exact aggregate, so it has the batched market's equilibrium and welfare."""
+    base = bp.base
+    return MarketParams(sigma_v=base.sigma_v, sigma_u=base.sigma_u * math.sqrt(bp.tau), sigma_eps=0.0, p0=base.p0)
 
-    Equivalent to the no-privacy market with sigma_u rescaled to
-    sigma_u*sqrt(tau): lam = sigma_v / (2*sigma_u*sqrt(tau)),
+
+def batched_equilibrium(bp: BatchParams) -> Equilibrium:
+    """Equilibrium of the batched market: lam = sigma_v / (2*sigma_u*sqrt(tau)),
     beta = sigma_u*sqrt(tau) / sigma_v.
     """
-    if not isinstance(bp.tau, int) or bp.tau < 1:
-        raise ValueError(f"tau must be an integer >= 1, got {bp.tau!r}")
-    base = validate_params(bp.base)
-    rescaled = MarketParams(
-        sigma_v=base.sigma_v,
-        sigma_u=base.sigma_u * math.sqrt(bp.tau),
-        sigma_eps=0.0,
-        p0=base.p0,
-    )
-    return solve_closed_form(rescaled)
+    return solve_closed_form(_batched_market(bp))

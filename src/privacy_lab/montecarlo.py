@@ -30,9 +30,8 @@ from .equilibrium import (
     Equilibrium,
     MarketParams,
     informed_best_response,
-    validate_params,
 )
-from .errors import InconclusiveResolution, ResourceLimit
+from .errors import InconclusiveResolution, ParamError, ResourceLimit
 
 RNG_SCHEME = "pcg64-seedseq-v1"
 
@@ -48,19 +47,25 @@ MATERIALIZE_MAX_PATHS = 10_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Path count, seed and chunk size of a run; checked on construction,
+    raising a ParamError that names the offending field."""
+
     n_paths: int
     seed: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_paths, int) or self.n_paths < 1:
+            raise ParamError("n_paths", f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
+            raise ParamError("chunk_size", f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ParamError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
 
-def _validate_config(cfg: SimConfig) -> SimConfig:
-    if not isinstance(cfg.n_paths, int) or cfg.n_paths < 1:
-        raise ValueError(f"n_paths must be an integer >= 1, got {cfg.n_paths!r}")
-    if not isinstance(cfg.chunk_size, int) or cfg.chunk_size < 1:
-        raise ValueError(f"chunk_size must be an integer >= 1, got {cfg.chunk_size!r}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
-    return cfg
+
+def _require_paths(n: int, needed: int) -> None:
+    if n < needed:
+        raise ParamError("n_paths", f"n_paths must be >= {needed} for this estimate, got {n}")
 
 
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
@@ -331,8 +336,6 @@ def simulate(
     materialize=True beyond that raises ResourceLimit.  Deterministic given
     (seed, chunk_size); see the module docstring for the seeding scheme.
     """
-    validate_params(params)
-    _validate_config(cfg)
     if materialize is None:
         materialize = cfg.n_paths <= MATERIALIZE_MAX_PATHS
     elif materialize and cfg.n_paths > MATERIALIZE_MAX_PATHS:
@@ -368,10 +371,8 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     increments; the maker observes the exact batch aggregate and prices it at
     eq.lam, so its expected P&L is zero.
     """
-    params = validate_params(bp.base)
-    if not isinstance(bp.tau, int) or bp.tau < 1:
-        raise ValueError(f"tau must be an integer >= 1, got {bp.tau!r}")
-    _validate_config(cfg)
+    params = bp.base
+    _require_paths(cfg.n_paths, 2)
     sizes = _chunk_sizes(cfg)
 
     def worker(k: int):
@@ -412,8 +413,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
 def estimate_welfare(sample: PathSample) -> WelfareEstimate:
     """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
     s = sample.stats
-    if s.n < 2:
-        raise ValueError(f"need at least 2 paths, got {s.n}")
+    _require_paths(s.n, 2)
     return WelfareEstimate(
         mean_pi_I=s.pnl_informed.mean,
         mean_pi_N=s.pnl_noise.mean,
@@ -441,8 +441,7 @@ class SlopeEstimate:
 
 def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:
     s = sample.stats.signal_value
-    if s.n < 100:
-        raise ValueError(f"need at least 100 paths, got {s.n}")
+    _require_paths(s.n, 100)
     slope = s.c_xy / s.m2_x
     sse = s.m2_y - s.c_xy**2 / s.m2_x
     resid_var = sse / (s.n - 2)
@@ -483,8 +482,7 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
     if params is None:
         params = sample.params
     s = sample.stats.price_value
-    if s.n < 100:
-        raise ValueError(f"need at least 100 paths, got {s.n}")
+    _require_paths(s.n, 100)
     slope = s.c_xy / s.m2_x
     intercept = s.mean_y - slope * s.mean_x
     sse = s.m2_y - s.c_xy**2 / s.m2_x
@@ -550,8 +548,7 @@ def verify_best_response(
     Raises InconclusiveResolution when 3 standard errors of an adjacent-point
     profit difference exceed the curvature gap lam*step^2 between neighbors.
     """
-    validate_params(params)
-    _validate_config(cfg)
+    _require_paths(cfg.n_paths, 2)
     if n_grid < 3 or n_grid % 2 == 0:
         raise ValueError(f"n_grid must be odd and >= 3, got {n_grid!r}")
     if grid_halfwidth <= 0:

@@ -17,18 +17,19 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .equilibrium import MarketParams, solve_closed_form, validate_params
-from .welfare import (
-    SQRT2,
-    break_even_fee,
-    privacy_subsidy,
-    subsidy_analysis,
-    welfare_decomposition,
-)
+from .equilibrium import SQRT2, MarketParams, _closed_forms
+from .welfare import privacy_subsidy
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
 
-OUTPUT_KINDS = frozenset({"equilibrium", "welfare", "subsidy_analysis", "fee"})
+# ReportRow fields each output group populates
+_OUTPUT_FIELDS = {
+    "equilibrium": ("lam", "beta"),
+    "welfare": ("pi_I", "pi_N", "pi_M", "subsidy"),
+    "subsidy_analysis": ("subsidy", "d1", "d2"),
+    "fee": ("fee_rate",),
+}
+OUTPUT_KINDS = frozenset(_OUTPUT_FIELDS)
 
 # Illustrative per-day BTC/USDT calibration: ~3% daily volatility on a
 # $100k asset, and a 1,000 BTC/day noise-flow component.
@@ -55,7 +56,6 @@ class SweepSpec:
     outputs: frozenset[str] = OUTPUT_KINDS
 
     def validated(self) -> "SweepSpec":
-        validate_params(self.params_base)
         vals = tuple(float(v) for v in self.sigma_eps_values)
         if not vals:
             raise ValueError("sigma_eps_values must be non-empty")
@@ -110,22 +110,13 @@ def regime_label(sigma_eps: float, sigma_u: float) -> str:
 def sweep(spec: SweepSpec) -> list[ReportRow]:
     """One row per sigma_eps value, all closed form."""
     spec = spec.validated()
+    sv, su = spec.params_base.sigma_v, spec.params_base.sigma_u
+    fields = {f for kind in spec.outputs for f in _OUTPUT_FIELDS[kind]}
     rows = []
     for se in spec.sigma_eps_values:
-        params = validate_params(replace(spec.params_base, sigma_eps=se))
-        row = ReportRow(sigma_eps=se, note=regime_label(se, params.sigma_u))
-        if "equilibrium" in spec.outputs:
-            eq = solve_closed_form(params)
-            row = replace(row, lam=eq.lam, beta=eq.beta)
-        if "welfare" in spec.outputs:
-            w = welfare_decomposition(params)
-            row = replace(row, pi_I=w.pi_I, pi_N=w.pi_N, pi_M=w.pi_M, subsidy=-w.pi_M)
-        if "subsidy_analysis" in spec.outputs:
-            a = subsidy_analysis(params)
-            row = replace(row, subsidy=a.subsidy, d1=a.d1, d2=a.d2)
-        if "fee" in spec.outputs:
-            row = replace(row, fee_rate=break_even_fee(params).fee_rate)
-        rows.append(row)
+        forms = _closed_forms(sv, su, se)
+        values = {f: forms[f] for f in fields}
+        rows.append(ReportRow(sigma_eps=se, note=regime_label(se, su), **values))
     return rows
 
 
@@ -166,19 +157,12 @@ def table_btc(params_base: MarketParams | None = None, ratios: tuple[float, ...]
     at sigma_eps/sigma_u ratios including sqrt(2) generated symbolically."""
     if params_base is None:
         params_base = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
-    validate_params(params_base)
+    sv, su = params_base.sigma_v, params_base.sigma_u
     rows = []
     for ratio in ratios:
-        se = ratio * params_base.sigma_u
-        sub = privacy_subsidy(replace(params_base, sigma_eps=se))
-        rows.append(
-            BtcRow(
-                ratio=ratio,
-                sigma_eps=se,
-                subsidy_usd=sub,
-                fraction=sub / (params_base.sigma_v * params_base.sigma_u),
-            )
-        )
+        se = ratio * su
+        sub = _closed_forms(sv, su, se)["subsidy"]
+        rows.append(BtcRow(ratio=ratio, sigma_eps=se, subsidy_usd=sub, fraction=sub / (sv * su)))
     return BtcTable(params_base=params_base, rows=tuple(rows))
 
 
@@ -198,17 +182,15 @@ class SubsidyCurve:
 def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> SubsidyCurve:
     """Uniformly spaced samples of the subsidy over [0, sigma_eps_max],
     plus the inflection marker sqrt(2)*sigma_u."""
-    validate_params(params)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     if not (sigma_eps_max > 0 and math.isfinite(sigma_eps_max)):
         raise ValueError(f"sigma_eps_max must be finite and > 0, got {sigma_eps_max!r}")
     step = sigma_eps_max / (n_points - 1)
-    points = []
-    for i in range(n_points):
-        se = sigma_eps_max if i == n_points - 1 else i * step
-        points.append((se, privacy_subsidy(replace(params, sigma_eps=se))))
-    return SubsidyCurve(points=tuple(points), inflection=SQRT2 * params.sigma_u)
+    ses = [i * step for i in range(n_points - 1)] + [sigma_eps_max]
+    forms = [_closed_forms(params.sigma_v, params.sigma_u, se) for se in ses]
+    points = tuple((se, f["subsidy"]) for se, f in zip(ses, forms))
+    return SubsidyCurve(points=points, inflection=forms[0]["inflection"])
 
 
 def curve_to_csv(curve: SubsidyCurve) -> str:
@@ -239,7 +221,6 @@ class FeeRevenueComparison:
 def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bps: float) -> FeeRevenueComparison:
     """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
     volume against the per-period subsidy the fee must cover."""
-    validate_params(params)
     if not (daily_volume_usd > 0 and math.isfinite(daily_volume_usd)):
         raise ValueError(f"daily_volume_usd must be finite and > 0, got {daily_volume_usd!r}")
     if not (fee_bps >= 0 and math.isfinite(fee_bps)):

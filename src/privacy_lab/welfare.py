@@ -12,15 +12,9 @@ Sign convention: pi_M is the maker's (non-positive) profit; the subsidy is
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .equilibrium import MarketParams, combined_noise_std, solve_closed_form, validate_params
-
-# E|X| = std * sqrt(2/pi) for a centered Gaussian X
-ABS_MOMENT_COEF = math.sqrt(2.0 / math.pi)
-
-SQRT2 = math.sqrt(2.0)
+from .equilibrium import MarketParams, _closed_forms
 
 
 @dataclass(frozen=True)
@@ -74,19 +68,19 @@ class FeeBreakEven:
     net_pi_N: float
 
 
+def _project(record_type, params: MarketParams):
+    """A `record_type` whose fields are read from the closed forms at `params`."""
+    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
+    return record_type(**{f.name: forms[f.name] for f in fields(record_type)})
+
+
 def welfare_decomposition(params: MarketParams) -> WelfareDecomposition:
     """Closed-form per-agent expected P&L at equilibrium.
 
     pi_I = sigma_v*s/2, pi_N = -sigma_v*sigma_u^2/(2s),
     pi_M = -sigma_v*sigma_eps^2/(2s), with s = sqrt(sigma_u^2 + sigma_eps^2).
     """
-    validate_params(params)
-    s = combined_noise_std(params)
-    return WelfareDecomposition(
-        pi_I=0.5 * params.sigma_v * s,
-        pi_N=-params.sigma_v * params.sigma_u**2 / (2.0 * s),
-        pi_M=-params.sigma_v * params.sigma_eps**2 / (2.0 * s),
-    )
+    return _project(WelfareDecomposition, params)
 
 
 def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecomposition:
@@ -96,7 +90,6 @@ def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecompos
     Used to predict what a simulation with a perturbed strategy should
     report.  At the equilibrium pair this reduces to welfare_decomposition.
     """
-    validate_params(params)
     if lam <= 0 or beta <= 0:
         raise ValueError(f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
     sv2 = params.sigma_v**2
@@ -110,9 +103,7 @@ def privacy_subsidy(params: MarketParams) -> float:
     """Per-period transfer |pi_M| = sigma_v*sigma_eps^2/(2*sqrt(sigma_u^2+sigma_eps^2))
     from the protocol/LP pool to traders; zero iff sigma_eps = 0.
     """
-    validate_params(params)
-    s = combined_noise_std(params)
-    return params.sigma_v * params.sigma_eps**2 / (2.0 * s)
+    return _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)["subsidy"]
 
 
 def subsidy_analysis(params: MarketParams) -> SubsidyAnalysis:
@@ -124,17 +115,7 @@ def subsidy_analysis(params: MarketParams) -> SubsidyAnalysis:
     d1 > 0 for sigma_eps > 0, and d2 changes sign exactly at
     sigma_eps = sqrt(2)*sigma_u.
     """
-    validate_params(params)
-    sv, su, se = params.sigma_v, params.sigma_u, params.sigma_eps
-    s2 = su**2 + se**2
-    return SubsidyAnalysis(
-        subsidy=privacy_subsidy(params),
-        d1=sv * se * (2.0 * su**2 + se**2) / (2.0 * s2**1.5),
-        d2=sv * su**2 * (2.0 * su**2 - se**2) / (2.0 * s2**2.5),
-        inflection=SQRT2 * su,
-        low_privacy_coeff=sv / (2.0 * su),
-        high_privacy_slope=0.5 * sv,
-    )
+    return _project(SubsidyAnalysis, params)
 
 
 def noise_pnl_derivative(params: MarketParams) -> float:
@@ -143,9 +124,7 @@ def noise_pnl_derivative(params: MarketParams) -> float:
     Strictly positive for sigma_eps > 0: noise traders lose less as the
     maker's signal gets coarser.
     """
-    validate_params(params)
-    sv, su, se = params.sigma_v, params.sigma_u, params.sigma_eps
-    return sv * su**2 * se / (2.0 * (su**2 + se**2) ** 1.5)
+    return _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)["noise_pnl_derivative"]
 
 
 def incremental_gains(params: MarketParams) -> tuple[float, float]:
@@ -158,13 +137,8 @@ def incremental_gains(params: MarketParams) -> tuple[float, float]:
     rationalized form s - sigma_u = sigma_eps^2/(s + sigma_u), which avoids
     the cancellation the naive difference suffers for small sigma_eps.
     """
-    validate_params(params)
-    s = combined_noise_std(params)
-    # s - sigma_u == sigma_eps^2 / (s + sigma_u), exactly
-    gap = params.sigma_eps**2 / (s + params.sigma_u)
-    informed = 0.5 * params.sigma_v * gap
-    noise = params.sigma_v * params.sigma_u * gap / (2.0 * s)
-    return informed, noise
+    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
+    return forms["gain_informed"], forms["gain_noise"]
 
 
 def break_even_fee(params: MarketParams) -> FeeBreakEven:
@@ -174,23 +148,4 @@ def break_even_fee(params: MarketParams) -> FeeBreakEven:
     E|x| = (sigma_v/(2*lam))*sqrt(2/pi) and E|u| = sigma_u*sqrt(2/pi);
     the break-even rate is f = |pi_M| / (E|x| + E|u|).
     """
-    validate_params(params)
-    eq = solve_closed_form(params)
-    w = welfare_decomposition(params)
-    subsidy = -w.pi_M
-    e_abs_x = (params.sigma_v / (2.0 * eq.lam)) * ABS_MOMENT_COEF
-    e_abs_u = params.sigma_u * ABS_MOMENT_COEF
-    q_total = e_abs_x + e_abs_u
-    fee_rate = subsidy / q_total
-    fee_on_informed = fee_rate * e_abs_x
-    fee_on_noise = fee_rate * e_abs_u
-    return FeeBreakEven(
-        e_abs_x=e_abs_x,
-        e_abs_u=e_abs_u,
-        q_total=q_total,
-        fee_rate=fee_rate,
-        fee_on_informed=fee_on_informed,
-        fee_on_noise=fee_on_noise,
-        net_pi_I=w.pi_I - fee_on_informed,
-        net_pi_N=w.pi_N - fee_on_noise,
-    )
+    return _project(FeeBreakEven, params)

@@ -203,7 +203,46 @@ class TestReproducePaperCommand:
         assert payload["mismatches"] == []
 
 
+MARKET = ("--sigma-v", "1", "--sigma-u", "1")
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv,field", [
+        (("equilibrium", "--sigma-v", "0", "--sigma-u", "1"), "sigma_v"),
+        (("equilibrium", "--sigma-v", "1", "--sigma-u", "nan"), "sigma_u"),
+        (("equilibrium", *MARKET, "--p0", "inf"), "p0"),
+        (("equilibrium", *MARKET, "--output", "{tmp}/missing/out.json"), "--output"),
+        (("decompose", "--sigma-v", "1", "--sigma-u", "0"), "sigma_u"),
+        (("decompose", *MARKET, "--sigma-eps", "-1"), "sigma_eps"),
+        (("fee", "--sigma-v", "-2", "--sigma-u", "1"), "sigma_v"),
+        (("fee", "--config", "{tmp}/missing.json"), "config"),
+        (("sweep", *MARKET, "--sigma-eps-values", "1,0"), "sigma_eps_values"),
+        (("sweep", *MARKET, "--sigma-eps-values", "0,x"), "sigma-eps-values"),
+        (("sweep", *MARKET, "--sigma-eps-values", "0,1", "--outputs", "volatility"), "outputs"),
+        (("simulate", *MARKET, "--n-paths", "0"), "n_paths"),
+        (("simulate", *MARKET, "--n-paths", "1"), "n_paths"),
+        (("simulate", *MARKET, "--n-paths", "50"), "n_paths"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--seed", "-1"), "seed"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--chunk-size", "0"), "chunk_size"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--batched", "--tau", "0"), "tau"),
+        (("simulate", *MARKET, "--n-paths", "1", "--batched"), "n_paths"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--beta-scale", "-1"), "beta"),
+        (("reproduce-paper", "--outdir", "{tmp}/file"), "--outdir"),
+    ])
+    def test_bad_input_exits_two_naming_the_field(self, capsys, tmp_path, argv, field):
+        (tmp_path / "file").write_text("")
+        rc, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert rc == 2
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_huge_sigma_eps_sweep_is_finite(self, capsys):
+        rc, out, _ = run(capsys, "sweep", *MARKET, "--sigma-eps-values", "0,1e160", "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        assert all(math.isfinite(v) for r in rows for k, v in r.items() if k != "note")
+        assert math.isclose(rows[1]["subsidy"], 5e159, rel_tol=1e-15)
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

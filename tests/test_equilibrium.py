@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from privacy_lab import (
     BatchParams,
+    Equilibrium,
     MarketParams,
     NegativeSigmaEps,
     NoConvergence,
     NonFiniteInput,
     NonPositiveSigmaU,
     NonPositiveSigmaV,
+    ParamError,
     SolveMethod,
     batched_equilibrium,
     informed_best_response,
@@ -19,7 +22,6 @@ from privacy_lab import (
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
-    validate_params,
     zero_profit_lambda_unconditional,
 )
 
@@ -29,37 +31,52 @@ SQRT2 = math.sqrt(2.0)
 class TestValidation:
     def test_ok(self):
         p = MarketParams(1.0, 1.0, 0.0, p0=0.0)
-        assert validate_params(p) is p
+        assert (p.sigma_v, p.sigma_u, p.sigma_eps, p.p0) == (1.0, 1.0, 0.0, 0.0)
 
     def test_negative_p0_and_zero_sigma_eps_are_fine(self):
-        validate_params(MarketParams(2.5, 0.1, 0.0, p0=-10.0))
+        MarketParams(2.5, 0.1, 0.0, p0=-10.0)
 
     def test_zero_sigma_u(self):
         with pytest.raises(NonPositiveSigmaU) as exc:
-            validate_params(MarketParams(1.0, 0.0, 1.0))
+            MarketParams(1.0, 0.0, 1.0)
         assert exc.value.field == "sigma_u"
         assert "sigma_u" in str(exc.value)
 
     def test_negative_sigma_eps(self):
         with pytest.raises(NegativeSigmaEps) as exc:
-            validate_params(MarketParams(1.0, 1.0, -0.5))
+            MarketParams(1.0, 1.0, -0.5)
         assert exc.value.field == "sigma_eps"
 
     def test_non_positive_sigma_v(self):
         with pytest.raises(NonPositiveSigmaV):
-            validate_params(MarketParams(0.0, 1.0, 0.0))
+            MarketParams(0.0, 1.0, 0.0)
         with pytest.raises(NonPositiveSigmaV):
-            validate_params(MarketParams(-3.0, 1.0, 0.0))
+            MarketParams(-3.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("field,params", [
-        ("sigma_v", MarketParams(math.nan, 1.0, 0.0)),
-        ("sigma_u", MarketParams(1.0, math.inf, 0.0)),
-        ("sigma_eps", MarketParams(1.0, 1.0, math.nan)),
-        ("p0", MarketParams(1.0, 1.0, 0.0, p0=math.inf)),
+        ("sigma_v", (math.nan, 1.0, 0.0)),
+        ("sigma_u", (1.0, math.inf, 0.0)),
+        ("sigma_eps", (1.0, 1.0, math.nan)),
+        ("p0", (1.0, 1.0, 0.0, math.inf)),
     ])
     def test_non_finite(self, field, params):
         with pytest.raises(NonFiniteInput) as exc:
-            validate_params(params)
+            MarketParams(*params)
+        assert exc.value.field == field
+
+    def test_replace_revalidates(self):
+        with pytest.raises(NegativeSigmaEps):
+            replace(MarketParams(1.0, 1.0), sigma_eps=-1.0)
+
+    @pytest.mark.parametrize("field,args", [
+        ("lam", (math.inf, 1.0)),
+        ("lam", (0.0, 1.0)),
+        ("beta", (0.5, -1.0)),
+        ("beta", (0.5, math.nan)),
+    ])
+    def test_equilibrium_coefficients(self, field, args):
+        with pytest.raises(ParamError) as exc:
+            Equilibrium(*args, SolveMethod.CLOSED_FORM)
         assert exc.value.field == field
 
 
@@ -234,5 +251,6 @@ class TestBatchedEquilibrium:
 
     @pytest.mark.parametrize("tau", [0, -1, 2.5])
     def test_bad_tau(self, tau):
-        with pytest.raises(ValueError):
-            batched_equilibrium(BatchParams(MarketParams(1.0, 1.0), tau))
+        with pytest.raises(ParamError) as exc:
+            BatchParams(MarketParams(1.0, 1.0), tau)
+        assert exc.value.field == "tau"

@@ -8,6 +8,7 @@ from privacy_lab import (
     BatchParams,
     InconclusiveResolution,
     MarketParams,
+    ParamError,
     ResourceLimit,
     SimConfig,
     batched_equilibrium,
@@ -28,14 +29,16 @@ UNIT_EQ = solve_closed_form(UNIT)
 
 class TestConfigValidation:
     @pytest.mark.parametrize("cfg", [
-        SimConfig(0, 1),
-        SimConfig(10, -1),
-        SimConfig(10, 1, chunk_size=0),
-        SimConfig(10, 2.5),
+        ((0, 1), "n_paths"),
+        ((10, -1), "seed"),
+        ((10, 1, 0), "chunk_size"),
+        ((10, 2.5), "seed"),
     ])
     def test_bad_config(self, cfg):
-        with pytest.raises(ValueError):
-            simulate(UNIT, UNIT_EQ, cfg)
+        args, field = cfg
+        with pytest.raises(ParamError) as exc:
+            SimConfig(*args)
+        assert exc.value.field == field
 
     def test_materialize_budget(self):
         with pytest.raises(ResourceLimit):
