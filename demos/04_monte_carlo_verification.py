@@ -51,7 +51,7 @@ line("Var(p|v)", pm.resid_var_expected, pm.resid_var, pm.resid_var_se)
 
 print("\n=== off-equilibrium play: the regression tracks the projection, not lambda ===")
 perturbed = replace(eq, beta=1.2 * eq.beta)
-off = estimate_lambda_regression(simulate(params, perturbed, cfg, materialize=False))
+off = estimate_lambda_regression(simulate(params, perturbed, cfg))
 predicted = posterior_slope(params, perturbed.beta)
 line("slope at 1.2*beta", predicted, off.slope, off.se)
 print(f"  (equilibrium lambda is {eq.lam:.5f}; the estimator moved as predicted)")
@@ -69,8 +69,8 @@ for tau in (1, 4, 16):
 
 print("\n=== determinism: same seed, different thread caps ===")
 os.environ["PRIVACY_LAB_THREADS"] = "1"
-one = estimate_welfare(simulate(params, eq, cfg, materialize=False))
+one = estimate_welfare(simulate(params, eq, cfg))
 os.environ["PRIVACY_LAB_THREADS"] = "8"
-eight = estimate_welfare(simulate(params, eq, cfg, materialize=False))
+eight = estimate_welfare(simulate(params, eq, cfg))
 os.environ.pop("PRIVACY_LAB_THREADS")
 print(f"  identical estimates: {one == eight}")

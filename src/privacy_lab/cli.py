@@ -72,8 +72,15 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _block(cfg: dict, name: str) -> dict:
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise UsageError(f"config block {name!r} must be a JSON object, got {block!r}")
+    return dict(block)
+
+
 def _market_from(args, cfg: dict) -> MarketParams:
-    block = dict(cfg.get("market", {}))
+    block = _block(cfg, "market")
     for key in ("sigma_v", "sigma_u", "sigma_eps", "p0"):
         value = getattr(args, key, None)
         if value is not None:
@@ -268,7 +275,7 @@ def cmd_fee(args) -> int:
 
 
 def _sweep_spec_from(args, cfg: dict, params: MarketParams) -> SweepSpec:
-    block = dict(cfg.get("sweep", {}))
+    block = _block(cfg, "sweep")
     if args.sigma_eps_values is not None:
         try:
             block["sigma_eps_values"] = [float(v) for v in args.sigma_eps_values.split(",") if v.strip()]
@@ -278,9 +285,13 @@ def _sweep_spec_from(args, cfg: dict, params: MarketParams) -> SweepSpec:
         block["outputs"] = [v.strip() for v in args.outputs.split(",") if v.strip()]
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
-    outputs = frozenset(block.get("outputs", OUTPUT_KINDS))
     try:
-        return SweepSpec(params, tuple(float(v) for v in block["sigma_eps_values"]), outputs).validated()
+        values = tuple(float(v) for v in block["sigma_eps_values"])
+        outputs = frozenset(block.get("outputs", OUTPUT_KINDS))
+    except (TypeError, ValueError):
+        raise UsageError(f"sweep.sigma_eps_values must be numbers and sweep.outputs names, got {block!r}") from None
+    try:
+        return SweepSpec(params, values, outputs).validated()
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -331,7 +342,7 @@ def cmd_sweep(args) -> int:
 
 
 def _sim_config_from(args, cfg: dict) -> SimConfig:
-    block = dict(cfg.get("sim", {}))
+    block = _block(cfg, "sim")
     for key in ("n_paths", "seed", "chunk_size"):
         value = getattr(args, key, None)
         if value is not None:
@@ -346,6 +357,10 @@ def _sim_config_from(args, cfg: dict) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    if args.tau != 1 and not args.batched:
+        raise UsageError(f"--tau {args.tau} has no effect without --batched")
+    if args.beta_scale != 1.0 and args.batched:
+        raise UsageError(f"--beta-scale {args.beta_scale} has no effect with --batched")
     cfg_file = _load_config(args.config)
     params = _market_from(args, cfg_file)
     sim_cfg = _sim_config_from(args, cfg_file)
@@ -381,7 +396,9 @@ def cmd_simulate(args) -> int:
     results = []
     all_pass = True
     for name, expected, estimate, se in checks:
-        if se > 0:
+        if not (math.isfinite(estimate) and math.isfinite(se)):
+            z = math.inf
+        elif se > 0:
             z = abs(estimate - expected) / se
         else:
             z = 0.0 if estimate == expected else math.inf
@@ -450,10 +467,10 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-u", dest="sigma_u", type=float, default=None, help="noise-flow std dev (> 0)")
     p.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=None, help="privacy-noise std dev (>= 0)")
     p.add_argument("--p0", dest="p0", type=float, default=None, help="prior mean price (default 0)")
+    p.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
 def _add_common_flags(p: argparse.ArgumentParser, default_format: str = "human") -> None:
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--format", choices=("human", "json", "csv"), default=default_format)
     p.add_argument("--output", default=None, help="write output to this file instead of stdout")
 
@@ -493,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None)
     p.add_argument("--seed", dest="seed", type=int, default=None)
     p.add_argument("--chunk-size", dest="chunk_size", type=int, default=None)
-    p.add_argument("--beta-scale", dest="beta_scale", type=float, default=1.0, help="perturb the trader coefficient")
+    p.add_argument(
+        "--beta-scale", dest="beta_scale", type=float, default=1.0, help="perturb the trader coefficient (not with --batched)"
+    )
     p.add_argument("--batched", action="store_true", help="simulate the batched market instead")
     p.add_argument("--tau", type=int, default=1, help="batch length in periods (with --batched)")
     p.set_defaults(func=cmd_simulate)

@@ -183,10 +183,14 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
     """Slope of E[v | y_tilde] in y_tilde when the trader uses coefficient beta.
 
     The Gaussian projection gives beta*sigma_v^2 / (beta^2*sigma_v^2 +
-    sigma_u^2 + sigma_eps^2).
+    sigma_u^2 + sigma_eps^2).  With b = beta*sigma_v it is evaluated in
+    units of m = max(b, sigma_u, sigma_eps), where the three flow std devs
+    lie in [0, 1], so that no sigma is squared on its own.
     """
-    sv2 = params.sigma_v**2
-    return beta * sv2 / (beta**2 * sv2 + params.sigma_u**2 + params.sigma_eps**2)
+    b = beta * params.sigma_v
+    m = max(b, params.sigma_u, params.sigma_eps)
+    r, a, c = b / m, params.sigma_u / m, params.sigma_eps / m
+    return r * (params.sigma_v / m) / (r * r + a * a + c * c)
 
 
 def posterior_price(params: MarketParams, beta: float, y_tilde: float) -> float:

@@ -41,10 +41,6 @@ class NoConvergence(PrivacyLabError, RuntimeError):
         self.max_iter = max_iter
 
 
-class ResourceLimit(PrivacyLabError, RuntimeError):
-    """A requested materialization exceeds the configured memory budget."""
-
-
 class InconclusiveResolution(PrivacyLabError, RuntimeError):
     """Statistical error too large to resolve adjacent profit-grid points.
 

@@ -9,6 +9,11 @@ depend only on (seed, chunk_size), never on thread count or chunk execution
 order: per-chunk summaries are folded in ascending chunk index, and chunks are
 independent by construction.
 
+A run keeps only those summaries, O(1) memory at any path count.  Because
+draws within a chunk come out in path order, a length-(j+1) prefix of chunk
+k reproduces its first j+1 paths bit for bit, so `PathSample.path(i)`
+replays one chunk prefix instead of storing per-path arrays.
+
 When sigma_eps = 0 the privacy stream is skipped entirely; the value and
 noise-flow streams are unaffected because each stream is seeded on its own.
 
@@ -20,8 +25,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from .equilibrium import (
     MarketParams,
     informed_best_response,
 )
-from .errors import InconclusiveResolution, ParamError, ResourceLimit
+from .errors import InconclusiveResolution, ParamError
 
 RNG_SCHEME = "pcg64-seedseq-v1"
 
@@ -40,9 +47,6 @@ STREAM_NOISE_FLOW = 1
 STREAM_PRIVACY = 2
 
 DEFAULT_CHUNK_SIZE = 65_536
-
-# Above this path count, simulate() keeps summary statistics only.
-MATERIALIZE_MAX_PATHS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,6 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, chunk))))
 
 
-def _chunk_sizes(cfg: SimConfig) -> list[int]:
-    n, cs = cfg.n_paths, cfg.chunk_size
-    n_chunks = (n + cs - 1) // cs
-    return [min(cs, n - k * cs) for k in range(n_chunks)]
-
-
 def _thread_count(n_chunks: int) -> int:
     raw = os.environ.get("PRIVACY_LAB_THREADS", "").strip()
     cap = 0
@@ -85,22 +83,27 @@ def _thread_count(n_chunks: int) -> int:
         try:
             cap = int(raw)
         except ValueError:
-            raise ValueError(f"PRIVACY_LAB_THREADS must be an integer, got {raw!r}") from None
+            raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be an integer, got {raw!r}") from None
         if cap < 0:
-            raise ValueError(f"PRIVACY_LAB_THREADS must be >= 0, got {cap}")
+            raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be >= 0, got {cap}")
     if cap == 0:
         cap = min(os.cpu_count() or 1, 8)
     return max(1, min(cap, n_chunks))
 
 
-def _map_chunks(worker, n_chunks: int) -> list:
-    """Run `worker(k)` for every chunk, results in chunk order regardless of
-    execution order or thread count."""
-    threads = _thread_count(n_chunks)
+def _run_chunks(cfg: SimConfig, chunk):
+    """Fold `chunk(k, m)`, the summary of chunk k's m paths, over every chunk
+    of the run with `.merge`, in ascending chunk order whatever the execution
+    order or thread count."""
+    n, cs = cfg.n_paths, cfg.chunk_size
+    sizes = [min(cs, n - k * cs) for k in range((n + cs - 1) // cs)]
+    threads = _thread_count(len(sizes))
     if threads <= 1:
-        return [worker(k) for k in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_chunks)))
+        parts = [chunk(k, m) for k, m in enumerate(sizes)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(chunk, range(len(sizes)), sizes))
+    return reduce(lambda acc, part: acc.merge(part), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +121,14 @@ class RunningMoments:
     m2: float = 0.0
 
     @classmethod
-    def of(cls, a: np.ndarray) -> "RunningMoments":
+    def of(cls, a: np.ndarray, scratch: np.ndarray | None = None) -> "RunningMoments":
+        """`scratch`, an array shaped like a, holds the deviations if given."""
         n = int(a.size)
         if n == 0:
             return cls()
         mean = float(a.mean())
-        return cls(n, mean, float(((a - mean) ** 2).sum()))
+        d = np.subtract(a, mean, out=scratch)
+        return cls(n, mean, float(np.square(d, out=d).sum()))
 
     def merge(self, other: "RunningMoments") -> "RunningMoments":
         if other.n == 0:
@@ -162,13 +167,17 @@ class RunningCross:
     c_xy: float = 0.0
 
     @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray) -> "RunningCross":
+    def of(cls, x: np.ndarray, y: np.ndarray, scratch=None) -> "RunningCross":
+        """`scratch`, three arrays shaped like x, holds the deviations and their product."""
         n = int(x.size)
         if n == 0:
             return cls()
         mx, my = float(x.mean()), float(y.mean())
-        dx, dy = x - mx, y - my
-        return cls(n, mx, my, float((dx * dx).sum()), float((dy * dy).sum()), float((dx * dy).sum()))
+        dx, dy, dxy = np.empty((3, n)) if scratch is None else scratch
+        np.subtract(x, mx, out=dx)
+        np.subtract(y, my, out=dy)
+        c_xy = float(np.multiply(dx, dy, out=dxy).sum())
+        return cls(n, mx, my, float(np.square(dx, out=dx).sum()), float(np.square(dy, out=dy).sum()), c_xy)
 
     def merge(self, other: "RunningCross") -> "RunningCross":
         if other.n == 0:
@@ -191,13 +200,14 @@ class RunningCross:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Sufficient statistics for every estimator in this module."""
+    """Sufficient statistics for every estimator in this module.  The batched
+    market has no signal or price regression and leaves both crosses empty."""
 
     pnl_informed: RunningMoments
     pnl_noise: RunningMoments
     pnl_maker: RunningMoments
-    signal_value: RunningCross  # x = observed flow y_tilde, y = v - p0
-    price_value: RunningCross  # x = terminal value v, y = price p
+    signal_value: RunningCross = RunningCross()  # x = observed flow y_tilde, y = v - p0
+    price_value: RunningCross = RunningCross()  # x = terminal value v, y = price p
 
     @property
     def n(self) -> int:
@@ -211,10 +221,6 @@ class SampleStats:
             signal_value=self.signal_value.merge(other.signal_value),
             price_value=self.price_value.merge(other.price_value),
         )
-
-
-def _empty_stats() -> SampleStats:
-    return SampleStats(RunningMoments(), RunningMoments(), RunningMoments(), RunningCross(), RunningCross())
 
 
 # ---------------------------------------------------------------------------
@@ -236,44 +242,25 @@ class PathRealization:
 
 
 @dataclass(frozen=True)
-class PathArrays:
-    v: np.ndarray
-    u: np.ndarray
-    eps: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    y_tilde: np.ndarray
-    p: np.ndarray
-
-
-@dataclass(frozen=True)
 class PathSample:
-    """Output of simulate(): summary statistics plus, for small path counts,
-    the materialized per-path arrays."""
+    """Output of simulate(): the run's inputs and its summary statistics."""
 
     params: MarketParams
     eq: Equilibrium
     cfg: SimConfig
     stats: SampleStats
-    arrays: PathArrays | None
 
     @property
     def n(self) -> int:
         return self.stats.n
 
     def path(self, i: int) -> PathRealization:
-        if self.arrays is None:
-            raise ValueError("sample is summary-only; rerun simulate with materialize=True")
-        a = self.arrays
-        return PathRealization(
-            v=float(a.v[i]),
-            u=float(a.u[i]),
-            eps=float(a.eps[i]),
-            x=float(a.x[i]),
-            y=float(a.y[i]),
-            y_tilde=float(a.y_tilde[i]),
-            p=float(a.p[i]),
-        )
+        """Path i of the run, replayed from the prefix of its chunk that ends
+        at it; bit-identical to the draws the statistics were built from."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"path index {i!r} out of range for {self.n} paths")
+        k, j = divmod(i, self.cfg.chunk_size)
+        return PathRealization(*(float(a[j]) for a in _chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1)))
 
 
 @dataclass(frozen=True)
@@ -289,81 +276,73 @@ class WelfareEstimate:
     n: int
 
 
-def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int) -> PathArrays:
-    v = params.p0 + params.sigma_v * _chunk_rng(seed, STREAM_VALUE, k).standard_normal(m)
-    u = params.sigma_u * _chunk_rng(seed, STREAM_NOISE_FLOW, k).standard_normal(m)
+def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, out=None) -> np.ndarray:
+    """The first m paths of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
+    in the field order of PathRealization, of `out` or a new (7, m) array."""
+    out = np.empty((7, m)) if out is None else out
+    v, u, eps, x, y, y_tilde, p = out
+    _chunk_rng(seed, STREAM_VALUE, k).standard_normal(m, out=v)
+    _chunk_rng(seed, STREAM_NOISE_FLOW, k).standard_normal(m, out=u)
     if params.sigma_eps > 0:
-        eps = params.sigma_eps * _chunk_rng(seed, STREAM_PRIVACY, k).standard_normal(m)
+        _chunk_rng(seed, STREAM_PRIVACY, k).standard_normal(m, out=eps)
     else:
-        eps = np.zeros(m)
-    x = eq.beta * (v - params.p0)
-    y = x + u
-    y_tilde = y + eps
-    p = params.p0 + eq.lam * y_tilde
-    return PathArrays(v=v, u=u, eps=eps, x=x, y=y, y_tilde=y_tilde, p=p)
+        eps.fill(0.0)
+    out[:3] *= [[params.sigma_v], [params.sigma_u], [params.sigma_eps]]
+    v += params.p0
+    np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
+    np.add(x, u, out=y)
+    np.add(y, eps, out=y_tilde)
+    np.add(np.multiply(y_tilde, eq.lam, out=p), params.p0, out=p)
+    return out
 
 
-def _stats_of(a: PathArrays, p0: float) -> SampleStats:
-    edge = a.v - a.p
-    pnl_informed = edge * a.x
-    pnl_noise = edge * a.u
-    pnl_maker = (a.p - a.v) * a.y
+def _stats_of(paths: np.ndarray, p0: float, work=None) -> SampleStats:
+    """The chunk's summaries; `work`, if given, is an (8, m) array that
+    holds every intermediate."""
+    v, u, _, x, y, y_tilde, p = paths
+    edge, pnl_informed, pnl_noise, pnl_maker, signal_y, *scratch = np.empty((8, v.size)) if work is None else work
+    np.subtract(v, p, out=edge)
+    np.multiply(edge, x, out=pnl_informed)
+    np.multiply(edge, u, out=pnl_noise)
+    np.multiply(np.subtract(p, v, out=pnl_maker), y, out=pnl_maker)
     if __debug__:
         # path-wise zero sum is an algebraic identity, up to float rounding
-        resid = np.abs(pnl_informed + pnl_noise + pnl_maker)
-        scale = np.abs(pnl_informed) + np.abs(pnl_noise) + np.abs(pnl_maker)
-        assert bool(np.all(resid <= 1e-12 * scale + 1e-300)), "path-wise P&L did not sum to zero"
+        resid, scale, mag = scratch
+        np.abs(np.add(np.add(pnl_informed, pnl_noise, out=resid), pnl_maker, out=resid), out=resid)
+        np.add(np.abs(pnl_informed, out=scale), np.abs(pnl_noise, out=mag), out=scale)
+        np.add(scale, np.abs(pnl_maker, out=mag), out=scale)
+        np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
+        assert bool(np.all(resid <= scale)), "path-wise P&L did not sum to zero"
     return SampleStats(
-        pnl_informed=RunningMoments.of(pnl_informed),
-        pnl_noise=RunningMoments.of(pnl_noise),
-        pnl_maker=RunningMoments.of(pnl_maker),
-        signal_value=RunningCross.of(a.y_tilde, a.v - p0),
-        price_value=RunningCross.of(a.v, a.p),
+        pnl_informed=RunningMoments.of(pnl_informed, scratch[0]),
+        pnl_noise=RunningMoments.of(pnl_noise, scratch[0]),
+        pnl_maker=RunningMoments.of(pnl_maker, scratch[0]),
+        signal_value=RunningCross.of(y_tilde, np.subtract(v, p0, out=signal_y), scratch),
+        price_value=RunningCross.of(v, p, scratch),
     )
 
 
-def simulate(
-    params: MarketParams,
-    eq: Equilibrium,
-    cfg: SimConfig,
-    materialize: bool | None = None,
-) -> PathSample:
-    """Draw cfg.n_paths independent realizations of the game.
+def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSample:
+    """Draw cfg.n_paths independent realizations of the game and keep their
+    summary statistics; `path(i)` of the result replays any one of them.
 
     The maker prices at eq.lam and the trader uses eq.beta, so a perturbed
-    Equilibrium simulates off-equilibrium play.  `materialize=None` keeps the
-    per-path arrays only when n_paths <= MATERIALIZE_MAX_PATHS; forcing
-    materialize=True beyond that raises ResourceLimit.  Deterministic given
-    (seed, chunk_size); see the module docstring for the seeding scheme.
+    Equilibrium simulates off-equilibrium play.  Memory stays O(1) in
+    n_paths.  Deterministic given (seed, chunk_size); see the module
+    docstring for the seeding scheme.
     """
-    if materialize is None:
-        materialize = cfg.n_paths <= MATERIALIZE_MAX_PATHS
-    elif materialize and cfg.n_paths > MATERIALIZE_MAX_PATHS:
-        raise ResourceLimit(
-            f"materializing {cfg.n_paths} paths exceeds the budget of "
-            f"{MATERIALIZE_MAX_PATHS}; use summary-only mode"
-        )
+    # Every chunk a thread runs reuses that thread's one buffer: arrays freed
+    # chunk after chunk went back to the kernel and were faulted in again as
+    # often as the allocator's state made it, which varied from run to run.
+    local = threading.local()
 
-    sizes = _chunk_sizes(cfg)
+    def chunk(k: int, m: int) -> SampleStats:
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((15, min(cfg.chunk_size, cfg.n_paths)))
+        buf = local.buf[:, :m]
+        return _stats_of(_chunk_paths(params, eq, cfg.seed, k, m, buf[:7]), params.p0, buf[7:])
 
-    def worker(k: int):
-        arrays = _chunk_paths(params, eq, cfg.seed, k, sizes[k])
-        stats = _stats_of(arrays, params.p0)
-        return stats, (arrays if materialize else None)
-
-    results = _map_chunks(worker, len(sizes))
-
-    stats = _empty_stats()
-    for chunk_stats, _ in results:
-        stats = stats.merge(chunk_stats)
-
-    arrays = None
-    if materialize:
-        parts = [r[1] for r in results]
-        arrays = PathArrays(
-            *(np.concatenate([getattr(c, f) for c in parts]) for f in ("v", "u", "eps", "x", "y", "y_tilde", "p"))
-        )
-    return PathSample(params=params, eq=eq, cfg=cfg, stats=stats, arrays=arrays)
+    return PathSample(params=params, eq=eq, cfg=cfg, stats=_run_chunks(cfg, chunk))
 
 
 def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> WelfareEstimate:
@@ -373,10 +352,8 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     """
     params = bp.base
     _require_paths(cfg.n_paths, 2)
-    sizes = _chunk_sizes(cfg)
 
-    def worker(k: int):
-        m = sizes[k]
+    def chunk(k: int, m: int) -> SampleStats:
         v = params.p0 + params.sigma_v * _chunk_rng(cfg.seed, STREAM_VALUE, k).standard_normal(m)
         increments = params.sigma_u * _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k).standard_normal((m, bp.tau))
         u_total = increments.sum(axis=1)
@@ -384,25 +361,13 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
         y = x + u_total
         p = params.p0 + eq.lam * y
         edge = v - p
-        return (
-            RunningMoments.of(edge * x),
-            RunningMoments.of(edge * u_total),
-            RunningMoments.of((p - v) * y),
+        return SampleStats(
+            pnl_informed=RunningMoments.of(edge * x),
+            pnl_noise=RunningMoments.of(edge * u_total),
+            pnl_maker=RunningMoments.of((p - v) * y),
         )
 
-    results = _map_chunks(worker, len(sizes))
-    acc_i, acc_n, acc_m = RunningMoments(), RunningMoments(), RunningMoments()
-    for ci, cn, cm in results:
-        acc_i, acc_n, acc_m = acc_i.merge(ci), acc_n.merge(cn), acc_m.merge(cm)
-    return WelfareEstimate(
-        mean_pi_I=acc_i.mean,
-        mean_pi_N=acc_n.mean,
-        mean_pi_M=acc_m.mean,
-        se_pi_I=acc_i.se,
-        se_pi_N=acc_n.se,
-        se_pi_M=acc_m.se,
-        n=acc_i.n,
-    )
+    return _welfare_estimate(_run_chunks(cfg, chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +375,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
 # ---------------------------------------------------------------------------
 
 
-def estimate_welfare(sample: PathSample) -> WelfareEstimate:
-    """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
-    s = sample.stats
-    _require_paths(s.n, 2)
+def _welfare_estimate(s: SampleStats) -> WelfareEstimate:
     return WelfareEstimate(
         mean_pi_I=s.pnl_informed.mean,
         mean_pi_N=s.pnl_noise.mean,
@@ -423,6 +385,12 @@ def estimate_welfare(sample: PathSample) -> WelfareEstimate:
         se_pi_M=s.pnl_maker.se,
         n=s.n,
     )
+
+
+def estimate_welfare(sample: PathSample) -> WelfareEstimate:
+    """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
+    _require_paths(sample.n, 2)
+    return _welfare_estimate(sample.stats)
 
 
 @dataclass(frozen=True)
@@ -439,12 +407,27 @@ class SlopeEstimate:
     n: int
 
 
+def _square_over(a: float, b: float) -> float:
+    """a**2 / b where a**2 alone may overflow: float ** raises OverflowError
+    there.  The plain form stays wherever it does not overflow, because
+    a*(a/b) rounds differently and would move the low bits of those
+    estimates."""
+    try:
+        return a**2 / b
+    except OverflowError:
+        return a * (a / b)
+
+
+def _ols(s: RunningCross) -> tuple[float, float]:
+    """Slope of y on x and the residual variance sse/(n - 2)."""
+    _require_paths(s.n, 100)
+    sse = s.m2_y - _square_over(s.c_xy, s.m2_x)
+    return s.c_xy / s.m2_x, sse / (s.n - 2)
+
+
 def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:
     s = sample.stats.signal_value
-    _require_paths(s.n, 100)
-    slope = s.c_xy / s.m2_x
-    sse = s.m2_y - s.c_xy**2 / s.m2_x
-    resid_var = sse / (s.n - 2)
+    slope, resid_var = _ols(s)
     return SlopeEstimate(slope=slope, se=math.sqrt(resid_var / s.m2_x), n=s.n)
 
 
@@ -475,25 +458,17 @@ class PriceMomentEstimate:
 def estimate_price_moments(sample: PathSample, params: MarketParams | None = None) -> PriceMomentEstimate:
     """Regress p on v and estimate the conditional price variance.
 
-    The residual-variance standard error is the empirical std of per-path
-    squared residuals over sqrt(n) when arrays are materialized; summary-only
-    samples fall back to the Gaussian-theory value resid_var*sqrt(2/(n-2)).
+    p | v is Gaussian in the model, so the residual variance has the exact
+    standard error resid_var*sqrt(2/(n-2)).
     """
     if params is None:
         params = sample.params
     s = sample.stats.price_value
-    _require_paths(s.n, 100)
-    slope = s.c_xy / s.m2_x
+    slope, resid_var = _ols(s)
     intercept = s.mean_y - slope * s.mean_x
-    sse = s.m2_y - s.c_xy**2 / s.m2_x
-    resid_var = sse / (s.n - 2)
     slope_se = math.sqrt(resid_var / s.m2_x)
-    intercept_se = math.sqrt(resid_var * (1.0 / s.n + s.mean_x**2 / s.m2_x))
-    if sample.arrays is not None:
-        resid = sample.arrays.p - (intercept + slope * sample.arrays.v)
-        resid_var_se = RunningMoments.of(resid**2).se
-    else:
-        resid_var_se = resid_var * math.sqrt(2.0 / (s.n - 2))
+    intercept_se = math.sqrt(resid_var * (1.0 / s.n + _square_over(s.mean_x, s.m2_x)))
+    resid_std = sample.eq.lam * math.hypot(params.sigma_u, params.sigma_eps)
     lam_beta = sample.eq.lam * sample.eq.beta
     return PriceMomentEstimate(
         slope=slope,
@@ -501,10 +476,10 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
         intercept=intercept,
         intercept_se=intercept_se,
         resid_var=resid_var,
-        resid_var_se=resid_var_se,
+        resid_var_se=resid_var * math.sqrt(2.0 / (s.n - 2)),
         slope_expected=lam_beta,
         intercept_expected=params.p0 * (1.0 - lam_beta),
-        resid_var_expected=sample.eq.lam**2 * (params.sigma_u**2 + params.sigma_eps**2),
+        resid_var_expected=resid_std * resid_std,
         n=s.n,
     )
 
@@ -558,18 +533,13 @@ def verify_best_response(
     half = grid_halfwidth * abs(x_star)
     grid = x_star + np.linspace(-half, half, n_grid)
 
-    sizes = _chunk_sizes(cfg)
-
-    def worker(k: int) -> RunningMoments:
-        m = sizes[k]
+    def chunk(k: int, m: int) -> RunningMoments:
         z = params.sigma_u * _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k).standard_normal(m)
         if params.sigma_eps > 0:
             z = z + params.sigma_eps * _chunk_rng(cfg.seed, STREAM_PRIVACY, k).standard_normal(m)
         return RunningMoments.of(z)
 
-    zm = RunningMoments()
-    for part in _map_chunks(worker, len(sizes)):
-        zm = zm.merge(part)
+    zm = _run_chunks(cfg, chunk)
 
     edge = v - params.p0
     # per-path profit at candidate x is (edge - lam*x)*x - lam*x*z_i

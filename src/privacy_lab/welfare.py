@@ -12,6 +12,7 @@ Sign convention: pi_M is the maker's (non-positive) profit; the subsidy is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .equilibrium import MarketParams, _closed_forms
@@ -89,13 +90,21 @@ def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecompos
 
     Used to predict what a simulation with a perturbed strategy should
     report.  At the equilibrium pair this reduces to welfare_decomposition.
+
+    With b = beta*sigma_v, the std dev of the informed order:
+    pi_I = b*sigma_v*(1 - lam*beta), pi_N = -lam*sigma_u^2 and
+    pi_M = lam*(b^2 + sigma_u^2) - b*sigma_v, each evaluated as a product of
+    a price-scale factor (lam*.., sigma_v) and a flow-scale one (b, sigma_u,
+    hypot(b, sigma_u)), so that no sigma is squared on its own.
     """
     if lam <= 0 or beta <= 0:
         raise ValueError(f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
-    sv2 = params.sigma_v**2
-    pi_I = beta * sv2 * (1.0 - lam * beta)
-    pi_N = -lam * params.sigma_u**2
-    pi_M = lam * (beta**2 * sv2 + params.sigma_u**2) - beta * sv2
+    sv, su = params.sigma_v, params.sigma_u
+    b = beta * sv
+    flow = math.hypot(b, su)
+    pi_I = b * sv * (1.0 - lam * beta)
+    pi_N = -(lam * su) * su
+    pi_M = (lam * flow) * flow - b * sv
     return WelfareDecomposition(pi_I=pi_I, pi_N=pi_N, pi_M=pi_M)
 
 

@@ -261,7 +261,7 @@ def test_criterion_11_determinism_across_thread_caps(monkeypatch):
     cfg = SimConfig(500_000, 7, chunk_size=32_768)
 
     def run_all():
-        sample = simulate(params, eq, cfg, materialize=False)
+        sample = simulate(params, eq, cfg)
         return estimate_welfare(sample), estimate_lambda_regression(sample), estimate_price_moments(sample)
 
     monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")

@@ -10,7 +10,10 @@ SQRT2 = math.sqrt(2.0)
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:  # argparse rejects the arguments
+        rc = e.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -204,6 +207,12 @@ class TestReproducePaperCommand:
 
 
 MARKET = ("--sigma-v", "1", "--sigma-u", "1")
+CONFIGS = {
+    "market.json": {"market": 5},
+    "sim.json": {"sim": [1]},
+    "sweep.json": {"sweep": 3},
+    "sweep_values.json": {"sweep": {"sigma_eps_values": 5}},
+}
 
 
 class TestUsageErrors:
@@ -228,13 +237,42 @@ class TestUsageErrors:
         (("simulate", *MARKET, "--n-paths", "1", "--batched"), "n_paths"),
         (("simulate", *MARKET, "--n-paths", "1000", "--beta-scale", "-1"), "beta"),
         (("reproduce-paper", "--outdir", "{tmp}/file"), "--outdir"),
+        (("equilibrium", "--config", "{tmp}/market.json"), "market"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--config", "{tmp}/sim.json"), "sim"),
+        (("sweep", *MARKET, "--sigma-eps-values", "0,1", "--config", "{tmp}/sweep.json"), "sweep"),
+        (("sweep", *MARKET, "--config", "{tmp}/sweep_values.json"), "sigma_eps_values"),
+        (("reproduce-paper", "--config", "{tmp}/file", "--outdir", "{tmp}/bundle"), "--config"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--tau", "4"), "--tau"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--batched", "--beta-scale", "2"), "--beta-scale"),
+        (("PRIVACY_LAB_THREADS=lots", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
     ])
-    def test_bad_input_exits_two_naming_the_field(self, capsys, tmp_path, argv, field):
+    def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")
+        for name, cfg in CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(cfg))
+        while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         rc, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert rc == 2
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflowing moments
+    @pytest.mark.parametrize("sigmas", [
+        ("--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "1e160"),
+        ("--sigma-v", "1e160", "--sigma-u", "1"),
+        ("--sigma-v", "1", "--sigma-u", "1e-160", "--sigma-eps", "1e-160"),
+    ])
+    def test_extreme_magnitude_simulate_never_tracebacks(self, capsys, sigmas):
+        # valid inputs whose sample moments can overflow: the run reports
+        # its checks, failing those whose estimate or se is not finite
+        rc, out, err = run(capsys, "simulate", *sigmas, "--n-paths", "1000", "--format", "json")
+        assert rc in (0, 3)
+        assert "Traceback" not in err
+        for check in json.loads(out)["checks"]:
+            if not (math.isfinite(check["estimate"]) and math.isfinite(check["se"])):
+                assert check["z"] == math.inf and not check["pass"]
 
     def test_huge_sigma_eps_sweep_is_finite(self, capsys):
         rc, out, _ = run(capsys, "sweep", *MARKET, "--sigma-eps-values", "0,1e160", "--format", "json")

@@ -4,10 +4,13 @@ Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split
 and fee neutrality over sigmas spanning 200 orders of magnitude.  A
 40-digit mpmath evaluation of the textbook formulas is the reference for
 every public closed-form record, on the conftest grid and at magnitudes
-where a naive double evaluation overflows or underflows.
+where a naive double evaluation overflows or underflows; it is also the
+reference for the expected values the Monte Carlo checks are judged against.
 """
 
 import math
+import sys
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -16,15 +19,20 @@ from hypothesis import strategies as st
 
 from privacy_lab import (
     MarketParams,
+    SimConfig,
     break_even_fee,
+    estimate_price_moments,
     incremental_gains,
     noise_pnl_derivative,
+    posterior_slope,
     privacy_subsidy,
+    simulate,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
     sweep,
     SweepSpec,
+    welfare_at,
     welfare_decomposition,
 )
 
@@ -178,3 +186,56 @@ def test_fixed_point_at_extreme_magnitudes(p):
     fp = solve_fixed_point(p)
     assert abs(mp.mpf(fp.lam) - lam) <= 1e-12 * lam
     assert fp.beta == 1.0 / (2.0 * fp.lam)
+
+
+def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
+    """welfare_at, posterior_slope and the expected residual variance of p on
+    v against 40 digits, for the maker at lam and the trader at a scaled
+    beta; a target beyond the double range must come out as inf."""
+    eq = solve_closed_form(p)
+    lam, beta = eq.lam, eq.beta * beta_scale
+    with mp.workdps(40):
+        sv, su, se, l, b = (mp.mpf(x) for x in (p.sigma_v, p.sigma_u, p.sigma_eps, lam, beta))
+        informed = b * sv * sv
+        impact = l * (b * b * sv * sv + su * su)  # lam * Var(x + u)
+        slope = informed / (b * b * sv * sv + su * su + se * se)
+        resid_var = l * l * (su * su + se * se)
+        want = {
+            "pi_I": (informed * (1 - l * b), informed + impact),
+            "pi_N": (-l * su * su, l * su * su),
+            "pi_M": (impact - informed, informed + impact),
+            "slope": (slope, slope),
+            "resid_var": (resid_var, resid_var),
+        }
+    w = welfare_at(p, lam, beta)
+    sample = simulate(p, replace(eq, beta=beta), SimConfig(100, 1))
+    got = {
+        "pi_I": w.pi_I,
+        "pi_N": w.pi_N,
+        "pi_M": w.pi_M,
+        "slope": posterior_slope(p, beta),
+        "resid_var": estimate_price_moments(sample, p).resid_var_expected,
+    }
+    for name, value in got.items():
+        target, scale = want[name]
+        if abs(target) > sys.float_info.max:
+            assert value == math.copysign(math.inf, target), (name, p)
+        else:
+            assert abs(mp.mpf(value) - target) <= REF_RTOL * scale + 2 * TINY, (name, p, value, target)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 100-path sample moments overflow
+@pytest.mark.parametrize("beta_scale", (1.0, 1.2))
+@pytest.mark.parametrize("p", (
+    MarketParams(1.0, 1.0, 1e160),
+    MarketParams(1e160, 1.0),
+    MarketParams(1.0, 1e-160, 1e-160),
+), ids=("huge_eps", "huge_v", "tiny_noise"))
+def test_simulation_targets_at_extreme_magnitudes(p, beta_scale):
+    assert_simulation_targets_match(p, beta_scale)
+
+
+def test_simulation_targets_on_grid(grid1000):
+    for p in grid1000:
+        for beta_scale in (1.0, 1.2):
+            assert_simulation_targets_match(p, beta_scale)
