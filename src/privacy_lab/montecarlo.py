@@ -18,7 +18,10 @@ When sigma_eps = 0 the privacy stream is skipped entirely; the value and
 noise-flow streams are unaffected because each stream is seeded on its own.
 
 The environment variable ``PRIVACY_LAB_THREADS`` caps how many chunks run
-concurrently (0 or unset = auto).
+concurrently (0 or unset = min(cpu count, 8)).  Runs share one
+process-wide thread pool of that size, created on first use and replaced
+when the cap changes; a forked child drops its parent's pool and builds its
+own on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import reduce
 
@@ -76,7 +79,7 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, chunk))))
 
 
-def _thread_count(n_chunks: int) -> int:
+def _thread_cap() -> int:
     raw = os.environ.get("PRIVACY_LAB_THREADS", "").strip()
     cap = 0
     if raw:
@@ -86,23 +89,81 @@ def _thread_count(n_chunks: int) -> int:
             raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be an integer, got {raw!r}") from None
         if cap < 0:
             raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = min(os.cpu_count() or 1, 8)
-    return max(1, min(cap, n_chunks))
+    return cap or min(os.cpu_count() or 1, 8)
+
+
+# One process-wide pool, sized by the thread cap and replaced when the cap
+# changes: building and joining a pool per call cost more than a small run's
+# chunks.  Guarded by _pool_lock, so a pool is never shut down between a
+# run's lookup and its submits.
+_pool_lock = threading.Lock()
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's worker threads, but the
+    # parent's pool would count them as idle and queue work for them forever.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(cap: int, fn, count: int) -> list[Future]:
+    """Submit `count` calls of fn to the shared pool of `cap` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != cap:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)  # runs what other callers queued, then exits
+            _pool = (cap, ThreadPoolExecutor(max_workers=cap, thread_name_prefix="privacy-lab-mc"))
+        return [_pool[1].submit(fn) for _ in range(count)]
 
 
 def _run_chunks(cfg: SimConfig, chunk):
     """Fold `chunk(k, m)`, the summary of chunk k's m paths, over every chunk
     of the run with `.merge`, in ascending chunk order whatever the execution
-    order or thread count."""
+    order or thread count.
+
+    Each of min(cap, chunks) pool tasks takes the next chunk index in turn
+    until none is left, so a slower thread runs fewer chunks.  If a chunk
+    raises, no task takes another chunk, and the first error is re-raised
+    once every task has returned, so no chunk work outlives the call.
+    """
     n, cs = cfg.n_paths, cfg.chunk_size
     sizes = [min(cs, n - k * cs) for k in range((n + cs - 1) // cs)]
-    threads = _thread_count(len(sizes))
-    if threads <= 1:
+    cap = _thread_cap()
+    if cap <= 1 or len(sizes) <= 1:
         parts = [chunk(k, m) for k, m in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, range(len(sizes)), sizes))
+        parts = [None] * len(sizes)
+        todo = enumerate(sizes)
+        lock = threading.Lock()
+        stop = False
+
+        def work() -> None:
+            nonlocal stop
+            while True:
+                with lock:
+                    item = None if stop else next(todo, None)
+                if item is None:
+                    return
+                k, m = item
+                try:
+                    parts[k] = chunk(k, m)
+                except BaseException:
+                    stop = True
+                    raise
+
+        futures = _submit(cap, work, min(cap, len(sizes)))
+        try:
+            wait(futures)
+        finally:
+            stop = True  # an interrupted wait leaves no task taking new chunks
+        for f in futures:
+            f.result()
     return reduce(lambda acc, part: acc.merge(part), parts)
 
 
@@ -524,10 +585,12 @@ def verify_best_response(
     profit difference exceed the curvature gap lam*step^2 between neighbors.
     """
     _require_paths(cfg.n_paths, 2)
-    if n_grid < 3 or n_grid % 2 == 0:
-        raise ValueError(f"n_grid must be odd and >= 3, got {n_grid!r}")
-    if grid_halfwidth <= 0:
-        raise ValueError(f"grid_halfwidth must be > 0, got {grid_halfwidth!r}")
+    if not math.isfinite(v):
+        raise ParamError("v", f"v must be finite, got {v!r}")
+    if not 0 < grid_halfwidth < math.inf:
+        raise ParamError("grid_halfwidth", f"grid_halfwidth must be finite and > 0, got {grid_halfwidth!r}")
+    if not isinstance(n_grid, int) or n_grid < 3 or n_grid % 2 == 0:
+        raise ParamError("n_grid", f"n_grid must be an odd integer >= 3, got {n_grid!r}")
 
     x_star = informed_best_response(eq.lam, params.p0, v)
     half = grid_halfwidth * abs(x_star)
@@ -547,7 +610,7 @@ def verify_best_response(
     ses = np.abs(eq.lam * grid) * zm.std / math.sqrt(zm.n)
     analytic = (edge - eq.lam * grid) * grid
 
-    step = float(grid[1] - grid[0]) if n_grid > 1 else 0.0
+    step = float(grid[1] - grid[0])
     if step > 0:
         se_diff = eq.lam * step * zm.std / math.sqrt(zm.n)
         gap = eq.lam * step**2

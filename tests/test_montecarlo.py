@@ -1,5 +1,12 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +28,10 @@ from privacy_lab import (
     verify_best_response,
     welfare_decomposition,
 )
+from privacy_lab import montecarlo
 from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _stats_of
 
+ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
 UNIT_EQ = solve_closed_form(UNIT)
 
@@ -73,6 +82,23 @@ class TestDeterminism:
             folded = folded.merge(part)
         assert folded == stats
 
+    def test_optimized_interpreter_gives_the_same_stats(self):
+        # the zero-sum assert, gone under -O, never feeds the results
+        cfg = SimConfig(50_000, 5, chunk_size=8192)
+        p = MarketParams(2.0, 0.7, 1.3, p0=5.0)
+        code = (
+            "from privacy_lab import MarketParams, SimConfig, simulate, solve_closed_form\n"
+            "p = MarketParams(2.0, 0.7, 1.3, p0=5.0)\n"
+            "print(repr(simulate(p, solve_closed_form(p), SimConfig(50_000, 5, chunk_size=8192)).stats))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(simulate(p, solve_closed_form(p), cfg).stats)
+
 
 class TestPathInvariants:
     def test_stored_identities_hold_exactly(self):
@@ -121,6 +147,14 @@ class TestPathInvariants:
         terms = (v - p) * x + (v - p) * u + (p - v) * y
         scale = np.abs((v - p) * x) + np.abs((v - p) * u) + np.abs((p - v) * y)
         assert np.all(np.abs(terms) <= 1e-12 * scale + 1e-300)
+
+    @pytest.mark.skipif(not __debug__, reason="the zero-sum check is an assert, removed under -O")
+    def test_broken_zero_sum_trips_the_check(self):
+        # p enters all three P&L terms alike, so it is y = x + u that must break
+        paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
+        paths[4, 5] += 1.0
+        with pytest.raises(AssertionError):
+            _stats_of(paths, 0.0)
 
     def test_observed_flow_mean_and_variance(self):
         # Var(y_tilde) = beta^2*sigma_v^2 + sigma_u^2 + sigma_eps^2 = 4 here
@@ -251,6 +285,23 @@ class TestBestResponse:
         with pytest.raises(InconclusiveResolution):
             verify_best_response(UNIT, UNIT_EQ, v=1.0, grid_halfwidth=0.5, n_grid=21, cfg=SimConfig(1000, 7))
 
+    @pytest.mark.parametrize("bad", [
+        ({"v": math.nan}, "v"),
+        ({"v": math.inf}, "v"),
+        ({"grid_halfwidth": math.nan}, "grid_halfwidth"),
+        ({"grid_halfwidth": math.inf}, "grid_halfwidth"),
+        ({"grid_halfwidth": 0.0}, "grid_halfwidth"),
+        ({"grid_halfwidth": -0.5}, "grid_halfwidth"),
+        ({"n_grid": 21.0}, "n_grid"),
+        ({"n_grid": 4}, "n_grid"),
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad[0].items()))))
+    def test_bad_input_names_the_field(self, bad):
+        kwargs, field = bad
+        args = {"v": 1.0, "grid_halfwidth": 0.5, "n_grid": 21, "cfg": SimConfig(1000, 7)} | kwargs
+        with pytest.raises(ParamError) as exc:
+            verify_best_response(UNIT, UNIT_EQ, **args)
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("n_grid", [2, 4, 1])
     def test_grid_must_be_odd(self, n_grid):
         with pytest.raises(ValueError):
@@ -282,3 +333,93 @@ class TestBatchedSimulation:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             simulate_batched(BatchParams(MarketParams(1.0, 1.0), 0), UNIT_EQ, SimConfig(100, 1))
+
+
+POOL_CFG = SimConfig(100_000, 23, chunk_size=4096)
+
+
+def _send_stats(conn):
+    conn.send(simulate(UNIT, UNIT_EQ, POOL_CFG).stats)
+    conn.close()
+
+
+class TestWorkerPool:
+    """Runs share one process-wide pool; none of that may show in the results."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        stats = simulate(UNIT, UNIT_EQ, POOL_CFG).stats  # the parent's pool exists from here on
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_stats, args=(send,))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child's simulate did not finish"
+            assert recv.recv() == stats
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_get_serial_results(self, monkeypatch):
+        cfgs = [SimConfig(60_000 + 5_000 * i, 40 + i, chunk_size=4096) for i in range(4)]
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")
+        serial = [simulate(UNIT, UNIT_EQ, cfg).stats for cfg in cfgs]
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "6")
+        results = [[] for _ in cfgs]
+
+        def call(i):
+            for _ in range(3):
+                results[i].append(simulate(UNIT, UNIT_EQ, cfgs[i]).stats)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[s] * 3 for s in serial]
+
+    def test_changing_the_cap_keeps_the_bits(self, monkeypatch):
+        runs = []
+        for cap in ("1", "6", "2", "6"):
+            monkeypatch.setenv("PRIVACY_LAB_THREADS", cap)
+            runs.append(simulate(UNIT, UNIT_EQ, POOL_CFG).stats)
+        assert runs == [runs[0]] * 4
+
+    def test_failing_chunk_stops_the_run(self, monkeypatch):
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        cfg = SimConfig(64 * 1024, 3, chunk_size=1024)
+        expected = simulate(UNIT, UNIT_EQ, cfg).stats
+        lock = threading.Lock()
+        started, running = [], [0]
+
+        def failing(params, eq, seed, k, m, out=None):
+            with lock:
+                started.append(k)
+                running[0] += 1
+            try:
+                if k == 1:
+                    raise RuntimeError("chunk 1 failed")
+                return _chunk_paths(params, eq, seed, k, m, out)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(montecarlo, "_chunk_paths", failing)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            simulate(UNIT, UNIT_EQ, cfg)
+        taken = len(started)
+        assert running[0] == 0
+        assert taken < 64  # no task took a chunk once one had failed
+        time.sleep(0.05)
+        assert len(started) == taken
+        monkeypatch.setattr(montecarlo, "_chunk_paths", _chunk_paths)
+        assert simulate(UNIT, UNIT_EQ, cfg).stats == expected
