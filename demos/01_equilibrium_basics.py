@@ -11,11 +11,9 @@ import math
 from privacy_lab import (
     MarketParams,
     informed_best_response,
-    informed_expected_profit,
-    posterior_price,
+    posterior_slope,
     solve_closed_form,
     solve_fixed_point,
-    zero_profit_lambda_unconditional,
 )
 
 params = MarketParams(sigma_v=1.0, sigma_u=1.0, sigma_eps=1.0)
@@ -34,23 +32,24 @@ for se in (0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 5.0):
     eq = solve_closed_form(MarketParams(1.0, 1.0, se))
     print(f"{se:>10.4f} {eq.lam:>10.4f} {eq.beta:>10.4f} {1.0 / eq.lam:>15.4f}")
 
-print("\n=== the maker's posterior price rule ===")
-print("zero observed flow returns the prior:",
-      posterior_price(params, beta=cf.beta, y_tilde=0.0))
-print("positive observed flow moves the quote up:",
-      f"{posterior_price(params, beta=cf.beta, y_tilde=2.0):.6f}")
+print("\n=== the maker's posterior price rule p = p0 + slope * y_tilde ===")
+slope = posterior_slope(params, beta=cf.beta)
+print(f"projection slope at the equilibrium beta: {slope:.12f} (equals lambda)")
+print("zero observed flow returns the prior:", params.p0 + slope * 0.0)
+print("positive observed flow moves the quote up:", f"{params.p0 + slope * 2.0:.6f}")
 
 print("\n=== the trader's best response is half the edge over price impact ===")
 v = 1.0
 x_star = informed_best_response(cf.lam, params.p0, v)
 print(f"v = {v}: x* = {x_star:.6f} (equals beta*(v - p0) = {cf.beta * v:.6f})")
 for x in (0.5 * x_star, x_star, 1.5 * x_star):
-    print(f"  expected profit at x = {x:7.4f}: {informed_expected_profit(cf.lam, params.p0, v, x):.6f}")
+    profit = (v - params.p0) * x - cf.lam * x**2
+    print(f"  expected profit at x = {x:7.4f}: {profit:.6f}")
 
-print("\n=== the real-flow zero-profit rule is blind to privacy noise ===")
+print("\n=== the real-flow zero-profit slope is blind to privacy noise ===")
 for se in (0.0, 1.0, 3.0):
     p = MarketParams(1.0, 1.0, se)
-    print(f"sigma_eps = {se}: zero-profit lambda = {zero_profit_lambda_unconditional(p)}"
+    print(f"sigma_eps = {se}: zero-profit lambda = {p.sigma_v / (2.0 * p.sigma_u)}"
           f"  vs equilibrium lambda = {solve_closed_form(p).lam:.4f}")
-print("(comparison only: that rule is not implementable by a maker that")
-print(" observes just the noisy signal, since its quote is not the posterior)")
+print("(comparison only: sigma_v/(2*sigma_u) breaks even against the executed")
+print(" flow, which a maker that observes just the noisy signal cannot price)")

@@ -5,46 +5,33 @@ Closed forms for the linear equilibrium, the per-agent welfare decomposition,
 the privacy subsidy (the maker's expected loss against the executed flow) and
 its break-even fee, all cross-checked by an independent fixed-point solver
 and a seeded Monte Carlo simulation of the one-period game.
+
+The closed forms need only `math`.  The Monte Carlo names (`simulate`,
+`SimConfig`, the estimators and their records) and the `montecarlo`
+submodule are resolved lazily (PEP 562): the first access to one of them
+imports `montecarlo`, and with it numpy, and stores the name in this
+module's namespace.  Importing the package, or running a closed-form
+command, never loads numpy.  `from privacy_lab import simulate` and
+`import *` work as for any other name.
 """
+
+import importlib
 
 from .equilibrium import (
     BatchParams,
     Equilibrium,
     MarketParams,
-    SolveMethod,
     batched_equilibrium,
     informed_best_response,
-    informed_expected_profit,
-    posterior_price,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
-    zero_profit_lambda_unconditional,
 )
 from .errors import (
     InconclusiveResolution,
-    NegativeSigmaEps,
     NoConvergence,
-    NonFiniteInput,
-    NonPositiveSigmaU,
-    NonPositiveSigmaV,
     ParamError,
     PrivacyLabError,
-)
-from .montecarlo import (
-    BestResponseCheck,
-    PathRealization,
-    PathSample,
-    PriceMomentEstimate,
-    SimConfig,
-    SlopeEstimate,
-    WelfareEstimate,
-    estimate_lambda_regression,
-    estimate_price_moments,
-    estimate_welfare,
-    simulate,
-    simulate_batched,
-    verify_best_response,
 )
 from .report import (
     BtcTable,
@@ -73,6 +60,36 @@ from .welfare import (
 
 __version__ = "0.1.0"
 
+_MONTECARLO_NAMES = frozenset({
+    "BestResponseCheck",
+    "PathRealization",
+    "PathSample",
+    "PriceMomentEstimate",
+    "SimConfig",
+    "SlopeEstimate",
+    "WelfareEstimate",
+    "estimate_lambda_regression",
+    "estimate_price_moments",
+    "estimate_welfare",
+    "simulate",
+    "simulate_batched",
+    "verify_best_response",
+})
+
+
+def __getattr__(name: str):
+    if name != "montecarlo" and name not in _MONTECARLO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    montecarlo = importlib.import_module(".montecarlo", __name__)
+    value = montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MONTECARLO_NAMES, "montecarlo"})
+
+
 __all__ = [
     "BatchParams",
     "BestResponseCheck",
@@ -82,11 +99,7 @@ __all__ = [
     "FeeRevenueComparison",
     "InconclusiveResolution",
     "MarketParams",
-    "NegativeSigmaEps",
     "NoConvergence",
-    "NonFiniteInput",
-    "NonPositiveSigmaU",
-    "NonPositiveSigmaV",
     "ParamError",
     "PathRealization",
     "PathSample",
@@ -95,7 +108,6 @@ __all__ = [
     "ReportRow",
     "SimConfig",
     "SlopeEstimate",
-    "SolveMethod",
     "SubsidyAnalysis",
     "SubsidyCurve",
     "SweepSpec",
@@ -109,9 +121,7 @@ __all__ = [
     "fee_revenue_comparison",
     "incremental_gains",
     "informed_best_response",
-    "informed_expected_profit",
     "noise_pnl_derivative",
-    "posterior_price",
     "posterior_slope",
     "privacy_subsidy",
     "simulate",
@@ -126,5 +136,4 @@ __all__ = [
     "welfare_at",
     "welfare_decomposition",
     "write_report_bundle",
-    "zero_profit_lambda_unconditional",
 ]

@@ -4,6 +4,9 @@ Subcommands: equilibrium, decompose, fee, sweep, simulate, reproduce-paper.
 Market parameters come from flags (--sigma-v, --sigma-u, --sigma-eps, --p0)
 or a JSON config file (--config); flags override the file.  Exit codes:
 0 success, 2 usage or validation error, 3 verification failure.
+
+Only `simulate` imports the Monte Carlo module, and with it numpy; every
+other command runs on the closed forms alone.
 """
 
 from __future__ import annotations
@@ -25,15 +28,6 @@ from .equilibrium import (
     solve_fixed_point,
 )
 from .errors import ParamError, PrivacyLabError
-from .montecarlo import (
-    DEFAULT_CHUNK_SIZE,
-    SimConfig,
-    estimate_lambda_regression,
-    estimate_price_moments,
-    estimate_welfare,
-    simulate,
-    simulate_batched,
-)
 from .report import (
     OUTPUT_KINDS,
     SweepSpec,
@@ -341,7 +335,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sim_config_from(args, cfg: dict) -> SimConfig:
+def _sim_config_from(args, cfg: dict):
+    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig
+
     block = _block(cfg, "sim")
     for key in ("n_paths", "seed", "chunk_size"):
         value = getattr(args, key, None)
@@ -357,6 +353,14 @@ def _sim_config_from(args, cfg: dict) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import (
+        estimate_lambda_regression,
+        estimate_price_moments,
+        estimate_welfare,
+        simulate,
+        simulate_batched,
+    )
+
     if args.tau != 1 and not args.batched:
         raise UsageError(f"--tau {args.tau} has no effect without --batched")
     if args.beta_scale != 1.0 and args.batched:

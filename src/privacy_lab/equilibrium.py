@@ -19,18 +19,10 @@ check themselves on construction, so no function re-validates its inputs.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    NegativeSigmaEps,
-    NoConvergence,
-    NonFiniteInput,
-    NonPositiveSigmaU,
-    NonPositiveSigmaV,
-    ParamError,
-)
+from .errors import NoConvergence, ParamError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -39,6 +31,10 @@ SQRT2 = math.sqrt(2.0)
 
 # E|X| = std * sqrt(2/pi) for a centered Gaussian X
 ABS_MOMENT_COEF = math.sqrt(2.0 / math.pi)
+
+
+def _not_finite(field: str, value: float) -> ParamError:
+    return ParamError(field, f"{field} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +49,8 @@ class MarketParams:
     p0: common prior mean of the value; only differences v - p0 enter
         the math, so any finite level (including 0 or negative) is fine.
 
-    Raises NonFiniteInput / NonPositiveSigmaV / NonPositiveSigmaU /
-    NegativeSigmaEps, each naming the offending field.  Never clamps.
+    A value that is not finite, or out of range, raises a ParamError
+    naming the offending field.  Never clamps.
     """
 
     sigma_v: float
@@ -66,40 +62,33 @@ class MarketParams:
         for field in ("p0", "sigma_v", "sigma_u", "sigma_eps"):
             value = getattr(self, field)
             if not math.isfinite(value):
-                raise NonFiniteInput(field, value)
+                raise _not_finite(field, value)
         if self.sigma_v <= 0:
-            raise NonPositiveSigmaV(self.sigma_v)
+            raise ParamError("sigma_v", f"sigma_v must be > 0, got {self.sigma_v!r}")
         if self.sigma_u <= 0:
-            raise NonPositiveSigmaU(self.sigma_u)
+            raise ParamError("sigma_u", f"sigma_u must be > 0, got {self.sigma_u!r}")
         if self.sigma_eps < 0:
-            raise NegativeSigmaEps(self.sigma_eps)
-
-
-class SolveMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    FIXED_POINT = "fixed_point"
+            raise ParamError("sigma_eps", f"sigma_eps must be >= 0, got {self.sigma_eps!r}")
 
 
 @dataclass(frozen=True)
 class Equilibrium:
     """A linear-equilibrium pair: price-impact slope and trader coefficient.
 
-    `method` records which solver produced it so reports can show
-    oracle cross-checks.  Solver outputs satisfy lam * beta = 1/2; a
-    deliberately perturbed copy (for off-equilibrium simulation) need not.
+    Solver outputs satisfy lam * beta = 1/2; a deliberately perturbed copy
+    (for off-equilibrium simulation) need not.
     Both coefficients must be finite and > 0; a violation raises a
     ParamError naming `lam` or `beta`.
     """
 
     lam: float
     beta: float
-    method: SolveMethod
 
     def __post_init__(self) -> None:
         for field in ("lam", "beta"):
             value = getattr(self, field)
             if not math.isfinite(value):
-                raise NonFiniteInput(field, value)
+                raise _not_finite(field, value)
             if value <= 0:
                 raise ParamError(field, f"{field} must be > 0, got {value!r}")
 
@@ -176,7 +165,7 @@ def solve_closed_form(params: MarketParams) -> Equilibrium:
     beta = sqrt(sigma_u^2 + sigma_eps^2) / sigma_v.
     """
     forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
-    return Equilibrium(lam=forms["lam"], beta=forms["beta"], method=SolveMethod.CLOSED_FORM)
+    return Equilibrium(lam=forms["lam"], beta=forms["beta"])
 
 
 def posterior_slope(params: MarketParams, beta: float) -> float:
@@ -193,40 +182,11 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
     return r * (params.sigma_v / m) / (r * r + a * a + c * c)
 
 
-def posterior_price(params: MarketParams, beta: float, y_tilde: float) -> float:
-    """Posterior-mean price p0 + slope * y_tilde for a conjectured beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
-    return params.p0 + posterior_slope(params, beta) * y_tilde
-
-
 def informed_best_response(lam: float, p0: float, v: float) -> float:
     """Profit-maximizing order size (v - p0) / (2*lam) given price impact lam."""
     if lam <= 0:
         raise ValueError(f"lam must be > 0, got {lam!r}")
     return (v - p0) / (2.0 * lam)
-
-
-def informed_expected_profit(lam: float, p0: float, v: float, x: float) -> float:
-    """Expected profit (v - p0)*x - lam*x^2 of an order x, conditional on v.
-
-    Strictly concave in x; the peak is at informed_best_response(lam, p0, v).
-    """
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam!r}")
-    return (v - p0) * x - lam * x**2
-
-
-def zero_profit_lambda_unconditional(params: MarketParams) -> float:
-    """Price-impact slope sigma_v / (2*sigma_u) that breaks even against the
-    *executed* flow, independent of sigma_eps.
-
-    Exposed for comparison output only: a maker that sees only the noisy
-    signal cannot implement this rule (its quote is not the posterior mean,
-    so a rival quoting the posterior would undercut it).  No equilibrium
-    claim is attached.
-    """
-    return params.sigma_v / (2.0 * params.sigma_u)
 
 
 def solve_fixed_point(
@@ -269,7 +229,7 @@ def solve_fixed_point(
         raise NoConvergence(max_iter)
 
     lam = lam * params.sigma_v / m
-    return Equilibrium(lam=lam, beta=1.0 / (2.0 * lam), method=SolveMethod.FIXED_POINT)
+    return Equilibrium(lam=lam, beta=1.0 / (2.0 * lam))
 
 
 def _batched_market(bp: BatchParams) -> MarketParams:

@@ -13,26 +13,6 @@ class ParamError(PrivacyLabError, ValueError):
         self.field = field
 
 
-class NonPositiveSigmaV(ParamError):
-    def __init__(self, value):
-        super().__init__("sigma_v", f"sigma_v must be > 0, got {value!r}")
-
-
-class NonPositiveSigmaU(ParamError):
-    def __init__(self, value):
-        super().__init__("sigma_u", f"sigma_u must be > 0, got {value!r}")
-
-
-class NegativeSigmaEps(ParamError):
-    def __init__(self, value):
-        super().__init__("sigma_eps", f"sigma_eps must be >= 0, got {value!r}")
-
-
-class NonFiniteInput(ParamError):
-    def __init__(self, field: str, value):
-        super().__init__(field, f"{field} must be finite, got {value!r}")
-
-
 class NoConvergence(PrivacyLabError, RuntimeError):
     """Iterative solver exhausted its iteration budget."""
 

@@ -582,7 +582,9 @@ def verify_best_response(
     standard error follows exactly from the accumulated moments of z.
 
     Raises InconclusiveResolution when 3 standard errors of an adjacent-point
-    profit difference exceed the curvature gap lam*step^2 between neighbors.
+    profit difference exceed the curvature gap lam*step^2 between neighbors,
+    and a ParamError naming grid_halfwidth when the grid around x* would
+    reach beyond the double range.
     """
     _require_paths(cfg.n_paths, 2)
     if not math.isfinite(v):
@@ -594,6 +596,11 @@ def verify_best_response(
 
     x_star = informed_best_response(eq.lam, params.p0, v)
     half = grid_halfwidth * abs(x_star)
+    if not math.isfinite(abs(x_star) + 2.0 * half):
+        raise ParamError(
+            "grid_halfwidth",
+            f"grid_halfwidth={grid_halfwidth!r} around x*={x_star!r} spans beyond the double range",
+        )
     grid = x_star + np.linspace(-half, half, n_grid)
 
     def chunk(k: int, m: int) -> RunningMoments:

@@ -8,21 +8,14 @@ from privacy_lab import (
     BatchParams,
     Equilibrium,
     MarketParams,
-    NegativeSigmaEps,
     NoConvergence,
-    NonFiniteInput,
-    NonPositiveSigmaU,
-    NonPositiveSigmaV,
     ParamError,
-    SolveMethod,
     batched_equilibrium,
     informed_best_response,
-    informed_expected_profit,
-    posterior_price,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
-    zero_profit_lambda_unconditional,
+    welfare_decomposition,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -37,21 +30,23 @@ class TestValidation:
         MarketParams(2.5, 0.1, 0.0, p0=-10.0)
 
     def test_zero_sigma_u(self):
-        with pytest.raises(NonPositiveSigmaU) as exc:
+        with pytest.raises(ParamError) as exc:
             MarketParams(1.0, 0.0, 1.0)
         assert exc.value.field == "sigma_u"
-        assert "sigma_u" in str(exc.value)
+        assert str(exc.value) == "sigma_u must be > 0, got 0.0"
 
     def test_negative_sigma_eps(self):
-        with pytest.raises(NegativeSigmaEps) as exc:
+        with pytest.raises(ParamError) as exc:
             MarketParams(1.0, 1.0, -0.5)
         assert exc.value.field == "sigma_eps"
+        assert str(exc.value) == "sigma_eps must be >= 0, got -0.5"
 
     def test_non_positive_sigma_v(self):
-        with pytest.raises(NonPositiveSigmaV):
-            MarketParams(0.0, 1.0, 0.0)
-        with pytest.raises(NonPositiveSigmaV):
-            MarketParams(-3.0, 1.0, 0.0)
+        for sigma_v in (0.0, -3.0):
+            with pytest.raises(ParamError) as exc:
+                MarketParams(sigma_v, 1.0, 0.0)
+            assert exc.value.field == "sigma_v"
+            assert str(exc.value) == f"sigma_v must be > 0, got {sigma_v!r}"
 
     @pytest.mark.parametrize("field,params", [
         ("sigma_v", (math.nan, 1.0, 0.0)),
@@ -60,13 +55,15 @@ class TestValidation:
         ("p0", (1.0, 1.0, 0.0, math.inf)),
     ])
     def test_non_finite(self, field, params):
-        with pytest.raises(NonFiniteInput) as exc:
+        with pytest.raises(ParamError) as exc:
             MarketParams(*params)
         assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field} must be finite, got ")
 
     def test_replace_revalidates(self):
-        with pytest.raises(NegativeSigmaEps):
+        with pytest.raises(ParamError) as exc:
             replace(MarketParams(1.0, 1.0), sigma_eps=-1.0)
+        assert exc.value.field == "sigma_eps"
 
     @pytest.mark.parametrize("field,args", [
         ("lam", (math.inf, 1.0)),
@@ -76,7 +73,7 @@ class TestValidation:
     ])
     def test_equilibrium_coefficients(self, field, args):
         with pytest.raises(ParamError) as exc:
-            Equilibrium(*args, SolveMethod.CLOSED_FORM)
+            Equilibrium(*args)
         assert exc.value.field == field
 
 
@@ -85,7 +82,6 @@ class TestClosedForm:
         eq = solve_closed_form(MarketParams(1.0, 1.0, 0.0))
         assert eq.lam == 0.5
         assert eq.beta == 1.0
-        assert eq.method is SolveMethod.CLOSED_FORM
 
     def test_unit_market_values(self):
         eq = solve_closed_form(MarketParams(1.0, 1.0, 1.0))
@@ -124,7 +120,6 @@ class TestFixedPoint:
             lam_cf = solve_closed_form(p).lam
             fp = solve_fixed_point(p)
             assert abs(fp.lam - lam_cf) / lam_cf <= 1e-12
-            assert fp.method is SolveMethod.FIXED_POINT
 
     def test_unit_market(self):
         fp = solve_fixed_point(MarketParams(1.0, 1.0, 1.0), tol=1e-12)
@@ -154,22 +149,15 @@ class TestFixedPoint:
 
 
 class TestPosteriorPrice:
-    def test_zero_signal_returns_prior(self):
-        for p0 in [0.0, 100.0, -7.5]:
-            p = MarketParams(1.3, 0.8, 0.4, p0=p0)
-            assert posterior_price(p, beta=1.0, y_tilde=0.0) == p0
-
+    # the maker quotes p = p0 + posterior_slope(params, beta) * y_tilde
     def test_unit_case(self):
-        assert posterior_price(MarketParams(1.0, 1.0, 0.0), beta=1.0, y_tilde=1.0) == 0.5
+        assert posterior_slope(MarketParams(1.0, 1.0, 0.0), beta=1.0) == 0.5
 
     def test_shifted_case(self):
-        p = MarketParams(1.0, 1.0, 1.0, p0=100.0)
-        got = posterior_price(p, beta=SQRT2, y_tilde=2.0)
-        assert math.isclose(got, 100.70710678118655, rel_tol=1e-14)
-
-    def test_rejects_non_positive_beta(self):
-        with pytest.raises(ValueError):
-            posterior_price(MarketParams(1.0, 1.0, 0.0), beta=0.0, y_tilde=1.0)
+        # the prior mean shifts the quote, not its slope
+        for p0 in [0.0, 100.0, -7.5]:
+            got = posterior_slope(MarketParams(1.0, 1.0, 1.0, p0=p0), beta=SQRT2)
+            assert math.isclose(got, 0.35355339059327373, rel_tol=1e-14)
 
     def test_slope_at_equilibrium_beta_equals_lam(self, grid1000):
         # pricing consistency: the projection slope at the equilibrium
@@ -189,16 +177,18 @@ class TestInformedTrader:
         got = informed_best_response(0.35355339059327373, 0.0, 1.0)
         assert math.isclose(got, SQRT2, rel_tol=1e-14)
 
-    def test_profit_values(self):
-        assert informed_expected_profit(0.5, 0.0, 1.0, 0.0) == 0.0
-        assert informed_expected_profit(0.5, 0.0, 1.0, 1.0) == 0.5
-        assert informed_expected_profit(0.5, 0.0, 1.0, 2.0) == 0.0
+    def test_profit_values(self, grid1000):
+        # the best response earns (v - p0)^2 / (4*lam) given v; averaged over
+        # v that is sigma_v^2 / (4*lam), the closed-form informed profit
+        for p in grid1000[:200]:
+            lam = solve_closed_form(p).lam
+            pi_I = welfare_decomposition(p).pi_I
+            assert math.isclose(pi_I, p.sigma_v**2 / (4.0 * lam), rel_tol=1e-13)
 
     def test_rejects_non_positive_lam(self):
-        with pytest.raises(ValueError):
-            informed_best_response(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            informed_expected_profit(-1.0, 0.0, 1.0, 1.0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                informed_best_response(lam, 0.0, 1.0)
 
     def test_profit_peaks_at_grid_point_nearest_best_response(self):
         rng = np.random.default_rng(7)
@@ -210,21 +200,16 @@ class TestInformedTrader:
             width = max(1.0, abs(x_star))
             offset = rng.uniform(-0.3, 0.3) * width
             grid = np.linspace(x_star - width + offset, x_star + width + offset, 10_001)
-            profits = [informed_expected_profit(lam, p0, v, float(x)) for x in grid]
+            profits = (v - p0) * grid - lam * grid**2  # expected profit of order x given v
             assert int(np.argmax(profits)) == int(np.argmin(np.abs(grid - x_star)))
 
 
 class TestZeroProfitRule:
-    def test_independent_of_sigma_eps(self):
-        assert zero_profit_lambda_unconditional(MarketParams(1.0, 1.0, 3.0)) == 0.5
-        assert zero_profit_lambda_unconditional(MarketParams(1.0, 1.0, 0.0)) == 0.5
-
-    def test_scale(self):
-        assert zero_profit_lambda_unconditional(MarketParams(3000.0, 1000.0, 500.0)) == 1.5
-
     def test_coincides_with_equilibrium_when_no_coarsening(self):
+        # sigma_v / (2*sigma_u) breaks even against the executed flow; with
+        # no privacy noise the maker sees that flow, and it is the equilibrium
         p = MarketParams(2.7, 0.4, 0.0)
-        assert zero_profit_lambda_unconditional(p) == solve_closed_form(p).lam
+        assert solve_closed_form(p).lam == p.sigma_v / (2.0 * p.sigma_u)
 
 
 class TestBatchedEquilibrium:

@@ -292,6 +292,8 @@ class TestBestResponse:
         ({"grid_halfwidth": math.inf}, "grid_halfwidth"),
         ({"grid_halfwidth": 0.0}, "grid_halfwidth"),
         ({"grid_halfwidth": -0.5}, "grid_halfwidth"),
+        ({"grid_halfwidth": 1e308, "v": 10.0}, "grid_halfwidth"),  # grid_halfwidth*|x*| overflows
+        ({"grid_halfwidth": 1.2e308}, "grid_halfwidth"),  # finite half-width, but the span overflows
         ({"n_grid": 21.0}, "n_grid"),
         ({"n_grid": 4}, "n_grid"),
     ], ids=lambda bad: "{}={}".format(*next(iter(bad[0].items()))))

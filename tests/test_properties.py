@@ -1,7 +1,8 @@
 """Identities of the closed forms, and their accuracy at any magnitude.
 
-Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split
-and fee neutrality over sigmas spanning 200 orders of magnitude.  A
+Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split,
+fee neutrality, the informed trader's best response and the no-privacy
+price impact over sigmas spanning 200 orders of magnitude.  A
 40-digit mpmath evaluation of the textbook formulas is the reference for
 every public closed-form record, on the conftest grid and at magnitudes
 where a naive double evaluation overflows or underflows; it is also the
@@ -23,6 +24,7 @@ from privacy_lab import (
     break_even_fee,
     estimate_price_moments,
     incremental_gains,
+    informed_best_response,
     noise_pnl_derivative,
     posterior_slope,
     privacy_subsidy,
@@ -100,6 +102,34 @@ def test_fee_neutrality(sv, su, se):
     # the fee on each type is exactly its gain over the no-privacy market
     assert abs(w.pi_I - fee.fee_on_informed - classical) <= 1e-14 * (w.pi_I + fee.fee_on_informed)
     assert abs(w.pi_N - fee.fee_on_noise + classical) <= 1e-14 * (classical + fee.fee_on_noise)
+
+
+@PROPERTY
+@given(magnitude, magnitude, sigma_eps, st.floats(0.01, 10.0), st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 1.0))
+def test_best_response_maximizes_profit(sv, su, se, z, sign, d):
+    # given v, an order x earns (v - p0)*x - lam*x^2 in expectation; the best
+    # response x* earns (v - p0)^2/(4*lam), more than x*(1 -+ d) for d > 0,
+    # and averaged over v that is the closed-form informed profit
+    p = MarketParams(sv, su, se)
+    lam = solve_closed_form(p).lam
+    edge = sign * z * sv  # v - p0
+
+    def profit(x):
+        return edge * x - lam * x * x
+
+    x_star = informed_best_response(lam, 0.0, edge)
+    peak = profit(x_star)
+    assert close(peak, edge * (edge / (4.0 * lam)))
+    assert peak > max(profit(x_star * (1.0 - d)), profit(x_star * (1.0 + d)))
+    assert close(welfare_decomposition(p).pi_I, sv * (sv / (4.0 * lam)))
+
+
+@PROPERTY
+@given(magnitude, magnitude)
+def test_no_privacy_price_impact_is_the_executed_flow_slope(sv, su):
+    # sigma_v/(2*sigma_u) breaks even against the executed flow; with
+    # sigma_eps = 0 the maker sees that flow, so it is the equilibrium lam
+    assert close(solve_closed_form(MarketParams(sv, su, 0.0)).lam, sv / (2.0 * su), rtol=1e-15)
 
 
 def reference(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, tuple[mp.mpf, mp.mpf]]:
