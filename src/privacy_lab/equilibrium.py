@@ -122,7 +122,7 @@ def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str,
     sv, su, se = sigma_v, sigma_u, sigma_eps
     s = math.hypot(su, se)
     a, c, g = su / s, se / s, se / (s + su)
-    lam = sv / (2.0 * s)
+    lam = 0.5 * sv / s  # halving sv, not doubling s: 2*s overflows past ~9e307
     pi_I = 0.5 * sv * s
     pi_N = -0.5 * sv * su * a
     subsidy = 0.5 * sv * se * c
@@ -139,9 +139,9 @@ def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str,
         "pi_M": -subsidy,
         "subsidy": subsidy,
         "d1": 0.5 * sv * c * (2.0 * a * a + c * c),
-        "d2": sv * a * a * (2.0 * a * a - c * c) / (2.0 * s),
+        "d2": 0.5 * sv * a * a * (2.0 * a * a - c * c) / s,
         "inflection": SQRT2 * su,
-        "low_privacy_coeff": sv / (2.0 * su),
+        "low_privacy_coeff": 0.5 * sv / su,
         "high_privacy_slope": 0.5 * sv,
         "noise_pnl_derivative": 0.5 * sv * a * a * c,
         "gain_informed": 0.5 * sv * se * g,

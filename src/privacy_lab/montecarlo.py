@@ -5,9 +5,9 @@ k = i // chunk_size and offset i % chunk_size.  Each (stream, chunk) pair owns
 an independent PCG64 generator seeded with ``SeedSequence((seed, stream, k))``;
 streams are 0 = terminal value, 1 = noise flow, 2 = privacy noise.  Within a
 chunk, draws come out of ``standard_normal`` in path order.  Results therefore
-depend only on (seed, chunk_size), never on thread count or chunk execution
-order: per-chunk summaries are folded in ascending chunk index, and chunks are
-independent by construction.
+depend only on (seed, chunk_size), never on thread count or execution order:
+per-chunk summaries are folded in ascending chunk index, and chunks and
+streams are independent by construction.
 
 A run keeps only those summaries, O(1) memory at any path count.  Because
 draws within a chunk come out in path order, a length-(j+1) prefix of chunk
@@ -17,11 +17,19 @@ replays one chunk prefix instead of storing per-path arrays.
 When sigma_eps = 0 the privacy stream is skipped entirely; the value and
 noise-flow streams are unaffected because each stream is seeded on its own.
 
-The environment variable ``PRIVACY_LAB_THREADS`` caps how many chunks run
-concurrently (0 or unset = min(cpu count, 8)).  Runs share one
-process-wide thread pool of that size, created on first use and replaced
-when the cap changes; a forked child drops its parent's pool and builds its
-own on first use.
+One runner, `_run_chunks`, serves every entry point.  Its unit of parallel
+work is one stream's draw for one chunk, so a run of a single chunk, and a
+path replay, still spread over the threads; the thread that completes a
+chunk's last draw reduces that chunk.  Each chunk in flight borrows a
+workspace, a float buffer that holds all of its rows.  Workspaces of the
+default chunk size are shared by every run in the process and reused from
+call to call; a chunk too wide for one gets its own, dropped with the chunk.
+
+The environment variable ``PRIVACY_LAB_THREADS`` caps how many draws run
+concurrently (0 or unset = min(cpu count, 8)).  Runs share one process-wide
+thread pool of that size, created on first use and replaced when the cap
+changes; a forked child drops its parent's pool and builds its own on first
+use.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -122,49 +129,88 @@ def _submit(cap: int, fn, count: int) -> list[Future]:
         return [_pool[1].submit(fn) for _ in range(count)]
 
 
-def _run_chunks(cfg: SimConfig, chunk):
-    """Fold `chunk(k, m)`, the summary of chunk k's m paths, over every chunk
-    of the run with `.merge`, in ascending chunk order whatever the execution
-    order or thread count.
+# Idle workspaces of the default size, shared by every run and guarded by
+# _pool_lock.  A run keeps at most one per thread of its cap when it
+# finishes with them: a chunk in flight always has a thread drawing or
+# reducing it, so a run never needs more.
+_WORKSPACE_ROWS = 9  # the widest chunk layout: simulate's seven path rows and two of scratch
+_WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
+_idle_workspaces: list[np.ndarray] = []
 
-    Each of min(cap, chunks) pool tasks takes the next chunk index in turn
-    until none is left, so a slower thread runs fewer chunks.  If a chunk
-    raises, no task takes another chunk, and the first error is re-raised
-    once every task has returned, so no chunk work outlives the call.
+
+def _run_chunks(chunks: list[tuple[int, int]], rows: int, draws, finish):
+    """Fold `finish(ws)`, the summary of one chunk, over `chunks`, a list of
+    (chunk index k, path count m), with `.merge` in list order whatever the
+    execution order or thread count.
+
+    ws is a (rows, m) view of the chunk's workspace.  Every `draw(ws, k)` in
+    `draws`, one per seeded stream, fills its own rows of it before `finish`
+    reads it.  Pool tasks take (chunk, draw) pairs in order, so a slower
+    thread runs fewer of them, and the task that completes a chunk's last
+    draw runs its finish.  If a draw or a finish raises, no task takes
+    another pair, and the first error is re-raised once every task has
+    returned, so no chunk work outlives the call.
     """
-    n, cs = cfg.n_paths, cfg.chunk_size
-    sizes = [min(cs, n - k * cs) for k in range((n + cs - 1) // cs)]
     cap = _thread_cap()
-    if cap <= 1 or len(sizes) <= 1:
-        parts = [chunk(k, m) for k, m in enumerate(sizes)]
-    else:
-        parts = [None] * len(sizes)
-        todo = enumerate(sizes)
-        lock = threading.Lock()
-        stop = False
+    todo = ((c, d) for c in range(len(chunks)) for d in range(len(draws)))
+    parts = [None] * len(chunks)
+    buffers = [None] * len(chunks)
+    left = [len(draws)] * len(chunks)  # draws of each chunk not yet completed
+    lock = threading.Lock()
+    stop = False
 
-        def work() -> None:
-            nonlocal stop
+    def borrow(size: int) -> np.ndarray:
+        if size > _WORKSPACE_SIZE:
+            return np.empty(size)  # dropped with its chunk
+        with _pool_lock:
+            if _idle_workspaces:
+                return _idle_workspaces.pop()
+        return np.empty(_WORKSPACE_SIZE)
+
+    def release(buf: np.ndarray) -> None:
+        with _pool_lock:
+            if buf.size == _WORKSPACE_SIZE and len(_idle_workspaces) < cap:
+                _idle_workspaces.append(buf)
+
+    def work() -> None:
+        nonlocal stop
+        try:
             while True:
                 with lock:
                     item = None if stop else next(todo, None)
+                    if item is not None and item[1] == 0:
+                        buffers[item[0]] = borrow(rows * chunks[item[0]][1])
                 if item is None:
                     return
-                k, m = item
-                try:
-                    parts[k] = chunk(k, m)
-                except BaseException:
-                    stop = True
-                    raise
+                c, d = item
+                k, m = chunks[c]
+                ws = buffers[c][: rows * m].reshape(rows, m)
+                draws[d](ws, k)
+                with lock:
+                    left[c] -= 1
+                    last = left[c] == 0
+                if last:
+                    parts[c] = finish(ws)
+                    release(buffers[c])
+        except BaseException:
+            stop = True
+            raise
 
-        futures = _submit(cap, work, min(cap, len(sizes)))
+    tasks = len(chunks) * len(draws)
+    if cap <= 1 or tasks <= 1:
+        work()
+    else:
+        futures = _submit(cap, work, min(cap, tasks))
         try:
             wait(futures)
         finally:
-            stop = True  # an interrupted wait leaves no task taking new chunks
+            stop = True  # an interrupted wait leaves no task taking new work
         for f in futures:
             f.result()
-    return reduce(lambda acc, part: acc.merge(part), parts)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total.merge(part)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +226,6 @@ class RunningMoments:
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
-
-    @classmethod
-    def of(cls, a: np.ndarray, scratch: np.ndarray | None = None) -> "RunningMoments":
-        """`scratch`, an array shaped like a, holds the deviations if given."""
-        n = int(a.size)
-        if n == 0:
-            return cls()
-        mean = float(a.mean())
-        d = np.subtract(a, mean, out=scratch)
-        return cls(n, mean, float(np.square(d, out=d).sum()))
 
     def merge(self, other: "RunningMoments") -> "RunningMoments":
         if other.n == 0:
@@ -227,19 +263,6 @@ class RunningCross:
     m2_y: float = 0.0
     c_xy: float = 0.0
 
-    @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray, scratch=None) -> "RunningCross":
-        """`scratch`, three arrays shaped like x, holds the deviations and their product."""
-        n = int(x.size)
-        if n == 0:
-            return cls()
-        mx, my = float(x.mean()), float(y.mean())
-        dx, dy, dxy = np.empty((3, n)) if scratch is None else scratch
-        np.subtract(x, mx, out=dx)
-        np.subtract(y, my, out=dy)
-        c_xy = float(np.multiply(dx, dy, out=dxy).sum())
-        return cls(n, mx, my, float(np.square(dx, out=dx).sum()), float(np.square(dy, out=dy).sum()), c_xy)
-
     def merge(self, other: "RunningCross") -> "RunningCross":
         if other.n == 0:
             return self
@@ -257,6 +280,22 @@ class RunningCross:
             m2_y=self.m2_y + other.m2_y + dy * dy * w,
             c_xy=self.c_xy + other.c_xy + dx * dy * w,
         )
+
+
+def _center(rows: np.ndarray) -> list[float]:
+    """The means of the rows of a (r, m) array, which is left holding each
+    row's deviations from its mean.  A row sum along the contiguous axis is
+    numpy's pairwise sum, the same as that of the row on its own."""
+    means = rows.sum(axis=1) / rows.shape[1]
+    rows -= means[:, None]
+    return means.tolist()
+
+
+def _row_moments(rows: np.ndarray) -> list[RunningMoments]:
+    """One summary per row of a (r, m) array, which is overwritten."""
+    means = _center(rows)
+    m2 = np.square(rows, out=rows).sum(axis=1).tolist()
+    return [RunningMoments(rows.shape[1], mean, q) for mean, q in zip(means, m2)]
 
 
 @dataclass(frozen=True)
@@ -321,7 +360,11 @@ class PathSample:
         if not 0 <= i < self.n:
             raise IndexError(f"path index {i!r} out of range for {self.n} paths")
         k, j = divmod(i, self.cfg.chunk_size)
-        return PathRealization(*(float(a[j]) for a in _chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1)))
+
+        def finish(ws: np.ndarray) -> PathRealization:
+            return PathRealization(*_assemble(ws[:, j:], self.params, self.eq).ravel().tolist())
+
+        return _run_chunks([(k, j + 1)], 7, _path_draws(self.params, self.cfg.seed), finish)
 
 
 @dataclass(frozen=True)
@@ -337,49 +380,91 @@ class WelfareEstimate:
     n: int
 
 
-def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, out=None) -> np.ndarray:
-    """The first m paths of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
-    in the field order of PathRealization, of `out` or a new (7, m) array."""
-    out = np.empty((7, m)) if out is None else out
-    v, u, eps, x, y, y_tilde, p = out
-    _chunk_rng(seed, STREAM_VALUE, k).standard_normal(m, out=v)
-    _chunk_rng(seed, STREAM_NOISE_FLOW, k).standard_normal(m, out=u)
-    if params.sigma_eps > 0:
-        _chunk_rng(seed, STREAM_PRIVACY, k).standard_normal(m, out=eps)
-    else:
+def _chunks(cfg: SimConfig) -> list[tuple[int, int]]:
+    n, cs = cfg.n_paths, cfg.chunk_size
+    return [(k, min(cs, n - k * cs)) for k in range((n + cs - 1) // cs)]
+
+
+def _draw(seed: int, stream: int, k: int, row: np.ndarray, scale: float) -> None:
+    """Fill `row` with `scale` times the first standard normals of (stream, chunk k)."""
+    _chunk_rng(seed, stream, k).standard_normal(row.size, out=row)
+    row *= scale
+
+
+def _path_draws(params: MarketParams, seed: int) -> tuple:
+    """The draws of a chunk's paths, one per seeded stream, each filling its
+    row v, u or eps of the (v, u, eps, x, y, y_tilde, p) rows."""
+
+    def value(paths, k):
+        _draw(seed, STREAM_VALUE, k, paths[0], params.sigma_v)
+        paths[0] += params.p0
+
+    def noise_flow(paths, k):
+        _draw(seed, STREAM_NOISE_FLOW, k, paths[1], params.sigma_u)
+
+    def privacy(paths, k):
+        _draw(seed, STREAM_PRIVACY, k, paths[2], params.sigma_eps)
+
+    return (value, noise_flow, privacy) if params.sigma_eps > 0 else (value, noise_flow)
+
+
+def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium) -> np.ndarray:
+    """Fill the rows x, y, y_tilde and p of `paths` from its drawn v, u and
+    eps rows; eps is zeroed first when there is no privacy stream."""
+    v, u, eps, x, y, y_tilde, p = paths
+    if params.sigma_eps == 0:
         eps.fill(0.0)
-    out[:3] *= [[params.sigma_v], [params.sigma_u], [params.sigma_eps]]
-    v += params.p0
     np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
     np.add(x, u, out=y)
     np.add(y, eps, out=y_tilde)
     np.add(np.multiply(y_tilde, eq.lam, out=p), params.p0, out=p)
-    return out
+    return paths
 
 
-def _stats_of(paths: np.ndarray, p0: float, work=None) -> SampleStats:
-    """The chunk's summaries; `work`, if given, is an (8, m) array that
-    holds every intermediate."""
-    v, u, _, x, y, y_tilde, p = paths
-    edge, pnl_informed, pnl_noise, pnl_maker, signal_y, *scratch = np.empty((8, v.size)) if work is None else work
+def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int) -> np.ndarray:
+    """The first m paths of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
+    in the field order of PathRealization, of a new (7, m) array."""
+    paths = np.empty((7, m))
+    for draw in _path_draws(params, seed):
+        draw(paths, k)
+    return _assemble(paths, params, eq)
+
+
+def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> SampleStats:
+    """The summaries of a chunk's paths, the rows of _chunk_paths, which are
+    overwritten; `work`, if given, is a (2, m) array for the rest.
+
+    The rows become, in place, (v, v - p0, pnl_noise, pnl_informed,
+    pnl_maker, y_tilde, p), reduced as one block: a row sum for the means,
+    one subtraction, the two cross products, squares and a second row sum.
+    """
+    v, u, eps, x, y, y_tilde, p = paths
+    edge, loss = work = np.empty((2, v.size)) if work is None else work
     np.subtract(v, p, out=edge)
-    np.multiply(edge, x, out=pnl_informed)
-    np.multiply(edge, u, out=pnl_noise)
-    np.multiply(np.subtract(p, v, out=pnl_maker), y, out=pnl_maker)
+    np.subtract(p, v, out=loss)
+    np.multiply(edge, u, out=eps)
+    np.multiply(edge, x, out=x)
+    np.multiply(loss, y, out=y)
     if __debug__:
         # path-wise zero sum is an algebraic identity, up to float rounding
-        resid, scale, mag = scratch
-        np.abs(np.add(np.add(pnl_informed, pnl_noise, out=resid), pnl_maker, out=resid), out=resid)
-        np.add(np.abs(pnl_informed, out=scale), np.abs(pnl_noise, out=mag), out=scale)
-        np.add(scale, np.abs(pnl_maker, out=mag), out=scale)
+        pnl, resid, scale, mag = paths[2:5], edge, loss, u
+        np.abs(np.add.reduce(pnl, axis=0, out=resid), out=resid)
+        np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
+        np.add(scale, np.abs(pnl[2], out=mag), out=scale)
         np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
         assert bool(np.all(resid <= scale)), "path-wise P&L did not sum to zero"
+    np.subtract(v, p0, out=u)
+    means = _center(paths)
+    np.multiply(paths[:2], paths[6:4:-1], out=work)  # (v, p) and (v - p0, y_tilde)
+    m2 = np.square(paths, out=paths).sum(axis=1).tolist()
+    c_price, c_signal = work.sum(axis=1).tolist()
+    n = v.size
     return SampleStats(
-        pnl_informed=RunningMoments.of(pnl_informed, scratch[0]),
-        pnl_noise=RunningMoments.of(pnl_noise, scratch[0]),
-        pnl_maker=RunningMoments.of(pnl_maker, scratch[0]),
-        signal_value=RunningCross.of(y_tilde, np.subtract(v, p0, out=signal_y), scratch),
-        price_value=RunningCross.of(v, p, scratch),
+        pnl_informed=RunningMoments(n, means[3], m2[3]),
+        pnl_noise=RunningMoments(n, means[2], m2[2]),
+        pnl_maker=RunningMoments(n, means[4], m2[4]),
+        signal_value=RunningCross(n, means[5], means[1], m2[5], m2[1], c_signal),
+        price_value=RunningCross(n, means[0], means[6], m2[0], m2[6], c_price),
     )
 
 
@@ -392,43 +477,58 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     n_paths.  Deterministic given (seed, chunk_size); see the module
     docstring for the seeding scheme.
     """
-    # Every chunk a thread runs reuses that thread's one buffer: arrays freed
-    # chunk after chunk went back to the kernel and were faulted in again as
-    # often as the allocator's state made it, which varied from run to run.
-    local = threading.local()
 
-    def chunk(k: int, m: int) -> SampleStats:
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((15, min(cfg.chunk_size, cfg.n_paths)))
-        buf = local.buf[:, :m]
-        return _stats_of(_chunk_paths(params, eq, cfg.seed, k, m, buf[:7]), params.p0, buf[7:])
+    def finish(ws: np.ndarray) -> SampleStats:
+        return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
 
-    return PathSample(params=params, eq=eq, cfg=cfg, stats=_run_chunks(cfg, chunk))
+    stats = _run_chunks(_chunks(cfg), _WORKSPACE_ROWS, _path_draws(params, cfg.seed), finish)
+    return PathSample(params=params, eq=eq, cfg=cfg, stats=stats)
+
+
+_INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well inside a core's cache
 
 
 def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> WelfareEstimate:
     """Simulate the batched market: each batch draws one value and tau noise
     increments; the maker observes the exact batch aggregate and prices it at
     eq.lam, so its expected P&L is zero.
+
+    A chunk's rows are (x, u, y, v, p, edge), its P&L rows taking the place
+    of x, u and y; the noise flow draws its (m, tau) increments in blocks of
+    whole paths into the rows after v, which consumes the stream in the
+    same order as one (m, tau) draw.
     """
-    params = bp.base
+    params, tau = bp.base, bp.tau
     _require_paths(cfg.n_paths, 2)
 
-    def chunk(k: int, m: int) -> SampleStats:
-        v = params.p0 + params.sigma_v * _chunk_rng(cfg.seed, STREAM_VALUE, k).standard_normal(m)
-        increments = params.sigma_u * _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k).standard_normal((m, bp.tau))
-        u_total = increments.sum(axis=1)
-        x = eq.beta * (v - params.p0)
-        y = x + u_total
-        p = params.p0 + eq.lam * y
-        edge = v - p
-        return SampleStats(
-            pnl_informed=RunningMoments.of(edge * x),
-            pnl_noise=RunningMoments.of(edge * u_total),
-            pnl_maker=RunningMoments.of((p - v) * y),
-        )
+    def value(ws, k):
+        _draw(cfg.seed, STREAM_VALUE, k, ws[3], params.sigma_v)
+        ws[3] += params.p0
 
-    return _welfare_estimate(_run_chunks(cfg, chunk))
+    def noise_flow(ws, k):
+        u_total, spare = ws[1], ws[4:].reshape(-1)
+        if spare.size < tau:  # a chunk of a few paths with a long batch
+            spare = np.empty(tau)
+        step = max(1, min(spare.size, _INCREMENT_BLOCK) // tau)
+        rng = _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k)
+        for lo in range(0, u_total.size, step):
+            block = spare[: min(step, u_total.size - lo) * tau].reshape(-1, tau)
+            rng.standard_normal(out=block)
+            block *= params.sigma_u
+            block.sum(axis=1, out=u_total[lo : lo + len(block)])
+
+    def finish(ws: np.ndarray) -> SampleStats:
+        x, u, y, v, p, edge = ws[:6]
+        np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
+        np.add(x, u, out=y)
+        np.add(np.multiply(y, eq.lam, out=p), params.p0, out=p)
+        np.subtract(v, p, out=edge)
+        np.multiply(edge, x, out=x)
+        np.multiply(edge, u, out=u)
+        np.multiply(np.subtract(p, v, out=edge), y, out=y)
+        return SampleStats(*_row_moments(ws[:3]))
+
+    return _welfare_estimate(_run_chunks(_chunks(cfg), _WORKSPACE_ROWS, (value, noise_flow), finish))
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +703,19 @@ def verify_best_response(
         )
     grid = x_star + np.linspace(-half, half, n_grid)
 
-    def chunk(k: int, m: int) -> RunningMoments:
-        z = params.sigma_u * _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k).standard_normal(m)
-        if params.sigma_eps > 0:
-            z = z + params.sigma_eps * _chunk_rng(cfg.seed, STREAM_PRIVACY, k).standard_normal(m)
-        return RunningMoments.of(z)
+    def noise_flow(ws, k):
+        _draw(cfg.seed, STREAM_NOISE_FLOW, k, ws[0], params.sigma_u)
 
-    zm = _run_chunks(cfg, chunk)
+    def privacy(ws, k):
+        _draw(cfg.seed, STREAM_PRIVACY, k, ws[1], params.sigma_eps)
+
+    def finish(ws: np.ndarray) -> RunningMoments:
+        if len(ws) > 1:
+            np.add(ws[0], ws[1], out=ws[0])
+        return _row_moments(ws[:1])[0]
+
+    draws = (noise_flow, privacy) if params.sigma_eps > 0 else (noise_flow,)
+    zm = _run_chunks(_chunks(cfg), len(draws), draws, finish)
 
     edge = v - params.p0
     # per-path profit at candidate x is (edge - lam*x)*x - lam*x*z_i

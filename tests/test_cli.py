@@ -281,6 +281,16 @@ class TestUsageErrors:
         assert all(math.isfinite(v) for r in rows for k, v in r.items() if k != "note")
         assert math.isclose(rows[1]["subsidy"], 5e159, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("sigmas", [
+        ("--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "1e308"),
+        ("--sigma-v", "1", "--sigma-u", "1e308", "--sigma-eps", "1"),
+    ])
+    def test_noise_near_the_double_limit_solves(self, capsys, sigmas):
+        # 2*hypot(sigma_u, sigma_eps) overflows here, but lam = 5e-309 is a double
+        rc, out, err = run(capsys, "equilibrium", *sigmas, "--format", "json")
+        assert rc == 0, err
+        assert json.loads(out)["closed_form"]["lambda"] == 5e-309
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -15,6 +15,7 @@ from privacy_lab import (
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
+    subsidy_analysis,
     welfare_decomposition,
 )
 
@@ -93,10 +94,14 @@ class TestClosedForm:
         assert math.isclose(eq2.beta, 2.23606797749979, rel_tol=1e-15)
 
     def test_classical_limit_is_exact_for_any_scale(self):
-        for sv, su in [(1.0, 1.0), (3000.0, 1000.0), (0.002, 17.0)]:
-            eq = solve_closed_form(MarketParams(sv, su, 0.0))
+        # the last two have a subnormal lam, which must be rounded once:
+        # dividing before halving misses the last one by a subnormal ulp
+        for sv, su in [(1.0, 1.0), (3000.0, 1000.0), (0.002, 17.0), (1.0, 5e307), (0.4312389706509774, 4.192669938020125e307)]:
+            p = MarketParams(sv, su, 0.0)
+            eq = solve_closed_form(p)
             assert eq.lam == sv / (2.0 * su)
             assert eq.beta == su / sv
+            assert subsidy_analysis(p).low_privacy_coeff == sv / (2.0 * su)
 
     def test_half_revealing_identity_on_grid(self, grid1000):
         for p in grid1000:

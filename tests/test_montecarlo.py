@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -5,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -29,7 +33,7 @@ from privacy_lab import (
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
-from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _stats_of
+from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _chunk_rng, _row_moments, _stats_of
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
@@ -261,7 +265,7 @@ class TestPriceMoments:
         squares = RunningMoments()
         for k in range(4):
             v, *_, p = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            squares = squares.merge(RunningMoments.of((p - (pm.intercept + pm.slope * v)) ** 2))
+            squares = squares.merge(_row_moments((p - (pm.intercept + pm.slope * v))[None] ** 2)[0])
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
         assert abs(squares.se - pm.resid_var_se) <= 0.1 * pm.resid_var_se
 
@@ -332,6 +336,32 @@ class TestBatchedSimulation:
         plain = estimate_welfare(simulate(p, eq, cfg))
         assert batched == plain
 
+    @pytest.mark.parametrize("tau, cfg", [
+        (3, SimConfig(10_000, 61, chunk_size=4096)),
+        (12, SimConfig(70_000, 62)),
+        (50, SimConfig(9, 63, chunk_size=2)),  # fewer spare floats in a chunk's workspace than tau
+        (300, SimConfig(3_000, 64, chunk_size=1000)),  # beyond numpy's 128-wide pairwise block
+    ])
+    def test_blocked_increments_match_one_draw_per_chunk(self, tau, cfg):
+        # the reference draws each chunk's (m, tau) increments at once and sums them with numpy
+        p = MarketParams(1.3, 0.9, p0=-0.5)
+        bp = BatchParams(p, tau)
+        eq = batched_equilibrium(bp)
+        parts = []
+        for k in range(-(-cfg.n_paths // cfg.chunk_size)):
+            m = min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size)
+            v = p.p0 + p.sigma_v * _chunk_rng(cfg.seed, 0, k).standard_normal(m)
+            u = (p.sigma_u * _chunk_rng(cfg.seed, 1, k).standard_normal((m, tau))).sum(axis=1)
+            x = eq.beta * (v - p.p0)
+            y = x + u
+            price = p.p0 + eq.lam * y
+            edge = v - price
+            parts.append(_row_moments(np.array([edge * x, edge * u, (price - v) * y])))
+        folded = [functools.reduce(RunningMoments.merge, column) for column in zip(*parts)]
+        est = simulate_batched(bp, eq, cfg)
+        assert [est.mean_pi_I, est.mean_pi_N, est.mean_pi_M] == [s.mean for s in folded]
+        assert [est.se_pi_I, est.se_pi_N, est.se_pi_M] == [s.se for s in folded]
+
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             simulate_batched(BatchParams(MarketParams(1.0, 1.0), 0), UNIT_EQ, SimConfig(100, 1))
@@ -366,17 +396,32 @@ class TestWorkerPool:
         assert child.exitcode == 0
 
     def test_concurrent_callers_get_serial_results(self, monkeypatch):
-        cfgs = [SimConfig(60_000 + 5_000 * i, 40 + i, chunk_size=4096) for i in range(4)]
+        # every entry point at once, sharing the pool and its workspaces
+        noisy = MarketParams(2.0, 0.7, 1.3, p0=5.0)
+        noisy_eq = solve_closed_form(noisy)
+        bp = BatchParams(MarketParams(1.0, 1.0, p0=1.0), 5)
+        bp_eq = batched_equilibrium(bp)
+
+        def jobs(i):
+            cfg = SimConfig(60_000 + 5_000 * i, 40 + i, chunk_size=(4096, 65_536, 16_384)[i])
+            sample = simulate(noisy, noisy_eq, cfg)
+            return [
+                sample.stats,
+                sample.path(cfg.n_paths - 1 - 7 * i),
+                simulate_batched(bp, bp_eq, cfg),
+                verify_best_response(UNIT, UNIT_EQ, v=1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg).estimates.tolist(),
+            ]
+
         monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")
-        serial = [simulate(UNIT, UNIT_EQ, cfg).stats for cfg in cfgs]
+        serial = [jobs(i) for i in range(3)]
         monkeypatch.setenv("PRIVACY_LAB_THREADS", "6")
-        results = [[] for _ in cfgs]
+        results = [[] for _ in serial]
 
         def call(i):
             for _ in range(3):
-                results[i].append(simulate(UNIT, UNIT_EQ, cfgs[i]).stats)
+                results[i].append(jobs(i))
 
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cfgs))]
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(serial))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -389,6 +434,23 @@ class TestWorkerPool:
         assert not any(t.is_alive() for t in threads)
         assert results == [[s] * 3 for s in serial]
 
+    def test_wide_chunks_leave_only_shared_workspaces(self, monkeypatch):
+        idle = []
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", idle)
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        simulate(UNIT, UNIT_EQ, SimConfig(1000, 8))  # one shared workspace, room for one more
+        assert [w.size for w in idle] == [montecarlo._WORKSPACE_SIZE]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate(UNIT, UNIT_EQ, SimConfig(2**20 + 5, 8, chunk_size=2**20))
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before >= 9 * 8 * 2**20  # a wide workspace was in use
+        assert after - before < 2**20  # and none outlived the call
+        assert [w.size for w in idle] == [montecarlo._WORKSPACE_SIZE]
+
     def test_changing_the_cap_keeps_the_bits(self, monkeypatch):
         runs = []
         for cap in ("1", "6", "2", "6"):
@@ -397,31 +459,50 @@ class TestWorkerPool:
         assert runs == [runs[0]] * 4
 
     def test_failing_chunk_stops_the_run(self, monkeypatch):
+        # once from inside a stream's draw, once from inside a chunk's reduction
         monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
         cfg = SimConfig(64 * 1024, 3, chunk_size=1024)
         expected = simulate(UNIT, UNIT_EQ, cfg).stats
         lock = threading.Lock()
-        started, running = [], [0]
 
-        def failing(params, eq, seed, k, m, out=None):
+        @contextlib.contextmanager
+        def task(name, fails):
             with lock:
-                started.append(k)
+                started.append(name)
                 running[0] += 1
             try:
-                if k == 1:
-                    raise RuntimeError("chunk 1 failed")
-                return _chunk_paths(params, eq, seed, k, m, out)
+                if fails:
+                    raise RuntimeError(f"{name} failed")
+                yield
             finally:
                 with lock:
                     running[0] -= 1
 
-        monkeypatch.setattr(montecarlo, "_chunk_paths", failing)
-        with pytest.raises(RuntimeError, match="chunk 1 failed"):
-            simulate(UNIT, UNIT_EQ, cfg)
-        taken = len(started)
-        assert running[0] == 0
-        assert taken < 64  # no task took a chunk once one had failed
-        time.sleep(0.05)
-        assert len(started) == taken
-        monkeypatch.setattr(montecarlo, "_chunk_paths", _chunk_paths)
-        assert simulate(UNIT, UNIT_EQ, cfg).stats == expected
+        class Stream:
+            """A chunk's generator whose draws are watched."""
+
+            def __init__(self, seed, stream, k):
+                self.rng, self.key = _chunk_rng(seed, stream, k), (stream, k)
+
+            def standard_normal(self, *args, **kwargs):
+                with task(f"draw {self.key}", stage == "draw" and self.key == (1, 1)):
+                    return self.rng.standard_normal(*args, **kwargs)
+
+        def stats_of(*args):
+            with task("reduction", stage == "reduction" and next(reductions) == 1):
+                return _stats_of(*args)
+
+        for stage in ("draw", "reduction"):
+            started, running, reductions = [], [0], itertools.count()
+            monkeypatch.setattr(montecarlo, "_chunk_rng", Stream)
+            monkeypatch.setattr(montecarlo, "_stats_of", stats_of)
+            with pytest.raises(RuntimeError, match=f"{stage}.* failed"):
+                simulate(UNIT, UNIT_EQ, cfg)
+            taken = len(started)
+            assert running[0] == 0
+            assert taken < 64  # of 4 * 64 draws and reductions: none was taken once one had failed
+            time.sleep(0.05)
+            assert len(started) == taken
+            monkeypatch.setattr(montecarlo, "_chunk_rng", _chunk_rng)
+            monkeypatch.setattr(montecarlo, "_stats_of", _stats_of)
+            assert simulate(UNIT, UNIT_EQ, cfg).stats == expected

@@ -22,12 +22,18 @@ NOISY = MarketParams(2.0, 0.7, 1.3, p0=5.0)
 QUIET = MarketParams(1.3, 0.8, 0.0, p0=2.0)
 BATCHED = BatchParams(MarketParams(1.0, 1.0, p0=1.0), 4)
 UNIT = MarketParams(1.0, 1.0, 1.0)
+BASE = MarketParams(1.3, 0.9, p0=-0.5)
+ONE_CHUNK = SimConfig(50_000, 7)  # one default-size chunk
+THREE_CHUNKS = SimConfig(150_000, 9)  # fewer chunks than the 6-thread cap
+TAUS = (1, 7, 8, 9, 16, 17)  # either side of 8, where numpy's pairwise sum unrolls
 
 
 def hexed(obj):
     """Every field of a result dataclass, floats as float.hex."""
     if dataclasses.is_dataclass(obj):
         return {f.name: hexed(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, list):
+        return [hexed(a) for a in obj]
     if isinstance(obj, np.ndarray):
         return [float(a).hex() for a in obj]
     if isinstance(obj, float):
@@ -40,6 +46,20 @@ RUNS = {
     "quiet": lambda: simulate(QUIET, solve_closed_form(QUIET), CFG).stats,
     "batched": lambda: simulate_batched(BATCHED, batched_equilibrium(BATCHED), CFG),
     "best": lambda: verify_best_response(UNIT, solve_closed_form(UNIT), v=1.0, grid_halfwidth=0.5, n_grid=5, cfg=CFG),
+    "one_chunk": lambda: simulate(NOISY, solve_closed_form(NOISY), ONE_CHUNK).stats,
+    "one_chunk_quiet": lambda: simulate(QUIET, solve_closed_form(QUIET), SimConfig(50_000, 8)).stats,
+    "three_chunks": lambda: simulate(NOISY, solve_closed_form(NOISY), THREE_CHUNKS).stats,
+    "paths": lambda: [
+        simulate(NOISY, solve_closed_form(NOISY), THREE_CHUNKS).path(0),
+        simulate(NOISY, solve_closed_form(NOISY), THREE_CHUNKS).path(100_000),
+        simulate(QUIET, solve_closed_form(QUIET), SimConfig(50_000, 8)).path(49_999),
+    ],
+    **{
+        f"batched_tau{tau}": lambda tau=tau: simulate_batched(
+            BatchParams(BASE, tau), batched_equilibrium(BatchParams(BASE, tau)), SimConfig(70_000, 13)
+        )
+        for tau in TAUS
+    },
 }
 
 PINNED = {
@@ -127,6 +147,152 @@ PINNED = {
         "x_star": "0x1.6a09e667f3bcdp+0",
         "grid_step": "0x1.6a09e667f3bcep-2",
         "n_paths": 200000,
+    },
+    "one_chunk": {
+        "pnl_informed": {"n": 50000, "mean": "0x1.7a9f06b61dd9bp+0", "m2": "0x1.3e9aa14ca9773p+18"},
+        "pnl_noise": {"n": 50000, "mean": "-0x1.55ab3c23f538ap-2", "m2": "0x1.ada534783a21ap+15"},
+        "pnl_maker": {"n": 50000, "mean": "-0x1.253437ad208b7p+0", "m2": "0x1.439fcd28ed785p+18"},
+        "signal_value": {
+            "n": 50000,
+            "mean_x": "-0x1.8000b0a8376fbp-7",
+            "mean_y": "-0x1.665d4c5eefe16p-7",
+            "m2_x": "0x1.a4b1288667650p+17",
+            "m2_y": "0x1.840ca61d8c74cp+17",
+            "c_xy": "0x1.1c167803530b4p+17",
+        },
+        "price_value": {
+            "n": 50000,
+            "mean_x": "0x1.3f4cd159d0881p+2",
+            "mean_y": "0x1.3f7df5d4d0d15p+2",
+            "m2_x": "0x1.840ca61d8c74cp+17",
+            "m2_y": "0x1.81f4bb7da7aa2p+16",
+            "c_xy": "0x1.80d128f395d80p+16",
+        },
+    },
+    "one_chunk_quiet": {
+        "pnl_informed": {"n": 50000, "mean": "0x1.0a3dabecea704p-1", "m2": "0x1.420207083eb4bp+15"},
+        "pnl_noise": {"n": 50000, "mean": "-0x1.0bb2742b3a2c5p-1", "m2": "0x1.3f7149b333006p+15"},
+        "pnl_maker": {"n": 50000, "mean": "0x1.74c83e4fbc199p-9", "m2": "0x1.a66294a2ec8e2p+15"},
+        "signal_value": {
+            "n": 50000,
+            "mean_x": "0x1.c3194c5360fb5p-9",
+            "mean_y": "0x1.19b171e6e0187p-10",
+            "m2_x": "0x1.eec769a908de8p+15",
+            "m2_y": "0x1.47e7c1c49aba2p+16",
+            "c_xy": "0x1.90e63484ed512p+15",
+        },
+        "price_value": {
+            "n": 50000,
+            "mean_x": "0x1.0023362e3cdc1p+1",
+            "mean_y": "0x1.005ba12380efbp+1",
+            "m2_x": "0x1.47e7c1c49aba1p+16",
+            "m2_y": "0x1.46a1a4c096daep+15",
+            "c_xy": "0x1.45bb0aac00d1ep+15",
+        },
+    },
+    "three_chunks": {
+        "pnl_informed": {"n": 150000, "mean": "0x1.79d3948bf9254p+0", "m2": "0x1.dc41a8c14737fp+19"},
+        "pnl_noise": {"n": 150000, "mean": "-0x1.4f8c6d2674c8fp-2", "m2": "0x1.3b63e591de084p+17"},
+        "pnl_maker": {"n": 150000, "mean": "-0x1.25f079425bf2fp+0", "m2": "0x1.e43a84dddd051p+19"},
+        "signal_value": {
+            "n": 150000,
+            "mean_x": "0x1.fd0faceb518ecp-10",
+            "mean_y": "-0x1.90a31a0acb403p-11",
+            "m2_x": "0x1.3eeba21ea2f5bp+19",
+            "m2_y": "0x1.252a9d9c41967p+19",
+            "c_xy": "0x1.b1528c08bb3e6p+18",
+        },
+        "price_value": {
+            "n": 150000,
+            "mean_x": "0x1.3ff37ae72fa9bp+2",
+            "mean_y": "0x1.40158c79f1d15p+2",
+            "m2_x": "0x1.252a9d9c41967p+19",
+            "m2_y": "0x1.24966a755ac9fp+18",
+            "c_xy": "0x1.257ba58f9bcaep+18",
+        },
+    },
+    "paths": [
+        {
+            "v": "0x1.b279474feec56p+1",
+            "u": "0x1.1b88c39882459p-1",
+            "eps": "-0x1.2fe4a10f7dd00p+1",
+            "x": "-0x1.2f74b48a70ffcp+0",
+            "y": "-0x1.4360a57c5fb9fp-1",
+            "y_tilde": "-0x1.80bcca6e95be8p+1",
+            "p": "0x1.7b6c43c79da0ep+1",
+        },
+        {
+            "v": "0x1.a9c594bd42038p+2",
+            "u": "-0x1.cc8fe28816967p-2",
+            "eps": "-0x1.787c5571ad3aap+0",
+            "x": "0x1.3857237570f44p+0",
+            "y": "0x1.8a6655a6d69d4p-1",
+            "y_tilde": "-0x1.6692553c83d80p-1",
+            "p": "0x1.21a4a10d0e3afp+2",
+        },
+        {
+            "v": "0x1.89f160daf771ap+1",
+            "u": "-0x1.0e1e9c5248325p+1",
+            "eps": "0x0.0p+0",
+            "x": "0x1.538d3d2eafdcap-1",
+            "y": "-0x1.72769a0d38765p+0",
+            "y_tilde": "-0x1.72769a0d38765p+0",
+            "p": "0x1.a5ff45aa843fcp-1",
+        },
+    ],
+    "batched_tau1": {
+        "mean_pi_I": "0x1.2c8f5c96179f4p-1",
+        "mean_pi_N": "-0x1.2c7f0fc0c8e3fp-1",
+        "mean_pi_M": "-0x1.04cd54ebb4f48p-13",
+        "se_pi_I": "0x1.f3cf824351f1fp-9",
+        "se_pi_N": "0x1.fb082423948a1p-9",
+        "se_pi_M": "0x1.235c79a6335c9p-8",
+        "n": 70000,
+    },
+    "batched_tau7": {
+        "mean_pi_I": "0x1.8e9a2e4f2dcf9p+0",
+        "mean_pi_N": "-0x1.8f105e9644a03p+0",
+        "mean_pi_M": "0x1.d8c11c5b42672p-10",
+        "se_pi_I": "0x1.4f7cf25b5ef84p-7",
+        "se_pi_N": "0x1.4f710904f1945p-7",
+        "se_pi_M": "0x1.8333d5297550fp-7",
+        "n": 70000,
+    },
+    "batched_tau8": {
+        "mean_pi_I": "0x1.aa330c88b2264p+0",
+        "mean_pi_N": "-0x1.acddc4c738ed5p+0",
+        "mean_pi_M": "0x1.555c1f436390bp-7",
+        "se_pi_I": "0x1.64ce4e890ebb1p-7",
+        "se_pi_N": "0x1.65990ebdc62a7p-7",
+        "se_pi_M": "0x1.9ae3354b8699ap-7",
+        "n": 70000,
+    },
+    "batched_tau9": {
+        "mean_pi_I": "0x1.c153597fd1ba3p+0",
+        "mean_pi_N": "-0x1.c18b4fb1c53a1p+0",
+        "mean_pi_M": "0x1.bfb18f9bff42cp-11",
+        "se_pi_I": "0x1.78b88d3a25d59p-7",
+        "se_pi_N": "0x1.79a09c773a703p-7",
+        "se_pi_M": "0x1.b3d2498ece604p-7",
+        "n": 70000,
+    },
+    "batched_tau16": {
+        "mean_pi_I": "0x1.2d3a330d65285p+1",
+        "mean_pi_N": "-0x1.29fdbd9a78ecap+1",
+        "mean_pi_M": "-0x1.9e3ab9761dd92p-6",
+        "se_pi_I": "0x1.f5c5b7251c0a8p-7",
+        "se_pi_N": "0x1.f285a3db41a03p-7",
+        "se_pi_M": "0x1.213316ee08de2p-6",
+        "n": 70000,
+    },
+    "batched_tau17": {
+        "mean_pi_I": "0x1.358043bcfe521p+1",
+        "mean_pi_N": "-0x1.32aa947a0eb9bp+1",
+        "mean_pi_M": "-0x1.6ad7a177cc2a9p-6",
+        "se_pi_I": "0x1.02d52b6822434p-6",
+        "se_pi_N": "0x1.01d94b797e299p-6",
+        "se_pi_M": "0x1.296caa4bccad3p-6",
+        "n": 70000,
     },
 }
 

@@ -132,6 +132,25 @@ def test_no_privacy_price_impact_is_the_executed_flow_slope(sv, su):
     assert close(solve_closed_form(MarketParams(sv, su, 0.0)).lam, sv / (2.0 * su), rtol=1e-15)
 
 
+@PROPERTY
+@given(
+    st.floats(0.0, 100.0).map(lambda e: 10.0**e),
+    st.floats(300.0, math.log10(1.7e308)).map(lambda e: 10.0**e),
+    magnitude,
+    st.booleans(),
+)
+def test_halved_forms_near_the_double_limit(sv, big, small, big_privacy):
+    # 2*hypot(sigma_u, sigma_eps) and 2*sigma_u overflow past ~9e307; the
+    # forms that halve a ratio by them must not
+    p = MarketParams(sv, small, big) if big_privacy else MarketParams(sv, big, small)
+    ref = reference(p.sigma_v, p.sigma_u, p.sigma_eps)
+    eq, analysis = solve_closed_form(p), subsidy_analysis(p)
+    got = {"lam": eq.lam, "beta": eq.beta, "d2": analysis.d2, "low_privacy_coeff": analysis.low_privacy_coeff}
+    for name, value in got.items():
+        want, scale = ref[name]
+        assert abs(mp.mpf(value) - want) <= REF_RTOL * scale + 2 * TINY, (name, p, value, want)
+
+
 def reference(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, tuple[mp.mpf, mp.mpf]]:
     """Textbook closed forms in 40 digits, as name -> (value, scale); the
     scale of a difference of terms is the size of those terms."""
