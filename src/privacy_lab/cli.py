@@ -5,6 +5,10 @@ Market parameters come from flags (--sigma-v, --sigma-u, --sigma-eps, --p0)
 or a JSON config file (--config); flags override the file.  Exit codes:
 0 success, 2 usage or validation error, 3 verification failure.
 
+Each command computes its records and hands them to `_emit`, which writes
+them in the chosen --format through the renderer in `report`: JSON of the
+records' fields, CSV of a header and rows, or the command's human template.
+
 Only `simulate` imports the Monte Carlo module, and with it numpy; every
 other command runs on the closed forms alone.
 """
@@ -14,41 +18,61 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .equilibrium import (
-    BatchParams,
-    MarketParams,
-    _batched_market,
-    batched_equilibrium,
-    posterior_slope,
-    solve_closed_form,
-    solve_fixed_point,
-)
+from .equilibrium import BatchParams, MarketParams, _batched_market, batched_equilibrium, posterior_slope
+from .equilibrium import solve_closed_form, solve_fixed_point
 from .errors import ParamError, PrivacyLabError
-from .report import (
-    OUTPUT_KINDS,
-    SweepSpec,
-    format_float,
-    sweep,
-    sweep_to_csv,
-    write_report_bundle,
-)
+from .report import OUTPUT_KINDS, SWEEP_CSV_COLUMNS, SweepSpec, _record, _sweep_cells, _to_csv, _to_json, sweep
+from .report import write_report_bundle
 from .welfare import break_even_fee, subsidy_analysis, welfare_at, welfare_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
+# Human layouts, one str.format template per command.
+_EQUILIBRIUM_TEXT = """\
+λ (closed form)  = {cf.lam:.6g}
+β (closed form)  = {cf.beta:.6g}
+λ (fixed point)  = {fp.lam:.6g}
+β (fixed point)  = {fp.beta:.6g}
+λ·β              = {lam_beta:.6g}
+oracle discrepancy |λ_fp − λ_cf|/λ_cf = {disc:.3g}"""
+_DECOMPOSE_TEXT = """\
+π_I = {w.pi_I:.6g}
+π_N = {w.pi_N:.6g}
+π_M = {w.pi_M:.6g}
+|π_M| (privacy subsidy) = {a.subsidy:.6g}{per_period}
+∂|π_M|/∂σε = {a.d1:.6g}   ∂²|π_M|/∂σε² = {a.d2:.6g}
+inflection σε* = {a.inflection:.6g}
+break-even fee f = {fee.fee_rate:.6g}   (Q = {fee.q_total:.6g})
+E|x| = {fee.e_abs_x:.6g}   E|u| = {fee.e_abs_u:.6g}
+fee on informed = {fee.fee_on_informed:.6g}   fee on noise = {fee.fee_on_noise:.6g}
+net π_I = {fee.net_pi_I:.6g}   net π_N = {fee.net_pi_N:.6g}"""
+_FEE_TEXT = """\
+E|x| = {fee.e_abs_x:.6g}
+E|u| = {fee.e_abs_u:.6g}
+Q    = {fee.q_total:.6g}
+f    = {fee.fee_rate:.6g}
+fee on informed = {fee.fee_on_informed:.6g}
+fee on noise    = {fee.fee_on_noise:.6g}
+net π_I = {fee.net_pi_I:.6g}
+net π_N = {fee.net_pi_N:.6g}"""
+_CHECK_TEXT = (
+    "{name:<{width}}  expected {expected:>12.6g}  estimate {estimate:>12.6g}  se {se:>10.6g}  z {z:5.2f}  {ok}"
+)
+
+# A flag value that starts with "-" is a value, not an option, when it is a
+# number: argparse alone accepts only "-1" and "-1.5", not "-1.5e-06" or "-inf".
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
 
 class UsageError(Exception):
     pass
-
-
-def _f6(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _load_config(path: str | None) -> dict:
@@ -66,44 +90,53 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _block(cfg: dict, name: str) -> dict:
+def _is_number(v) -> bool:
+    """A JSON number that float() takes: not true or false, nor an integer past the double range."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+# The keys of each config block, each with the check its value must pass and
+# the name of that check's kind; a flag of the same name overrides the key.
+_NUMBER = (_is_number, "a number")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_MARKET_KEYS = {"sigma_v": _NUMBER, "sigma_u": _NUMBER, "sigma_eps": _NUMBER, "p0": _NUMBER}
+_SIM_KEYS = {"n_paths": _INTEGER, "seed": _INTEGER, "chunk_size": _INTEGER}
+_SWEEP_KEYS = {
+    "sigma_eps_values": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "outputs": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of names"),
+}
+
+
+def _block(args, cfg: dict, name: str, keys: dict) -> dict:
+    """Config block `name` with the flags given merged over it, each value checked."""
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise UsageError(f"config block {name!r} must be a JSON object, got {block!r}")
-    return dict(block)
+    block = {**block, **{k: v for k in keys if (v := getattr(args, k, None)) is not None}}
+    for key, (check, kind) in keys.items():
+        if key in block and not check(block[key]):
+            raise UsageError(f"{name}.{key} must be {kind}, got {block[key]!r}")
+    return block
 
 
 def _market_from(args, cfg: dict) -> MarketParams:
-    block = _block(cfg, "market")
-    for key in ("sigma_v", "sigma_u", "sigma_eps", "p0"):
-        value = getattr(args, key, None)
-        if value is not None:
-            block[key] = value
+    block = _block(args, cfg, "market", _MARKET_KEYS)
     missing = [k for k in ("sigma_v", "sigma_u") if k not in block]
     if missing:
-        raise UsageError(
-            "missing required market parameter(s): " + ", ".join("--" + m.replace("_", "-") for m in missing)
-        )
-    try:
-        values = [float(block.get(k, 0.0)) for k in ("sigma_v", "sigma_u", "sigma_eps", "p0")]
-    except (TypeError, ValueError):
-        raise UsageError(f"market parameters must be numbers, got {block!r}") from None
-    return MarketParams(*values)
+        flags = ", ".join("--" + m.replace("_", "-") for m in missing)
+        raise UsageError(f"missing required market parameter(s): {flags}")
+    return MarketParams(*(float(block.get(k, 0.0)) for k in _MARKET_KEYS))
 
 
-def _market_dict(params: MarketParams) -> dict:
-    return {
-        "sigma_v": params.sigma_v,
-        "sigma_u": params.sigma_u,
-        "sigma_eps": params.sigma_eps,
-        "p0": params.p0,
-    }
-
-
-def _write_out(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "output", None):
+def _emit(args, payload: dict, human: str, header=(), rows=()) -> None:
+    """Write the result in args.format to --output, or else to stdout."""
+    if (fmt := args.format) == "json":
+        text = _to_json(payload)
+    elif fmt == "csv":
+        text = _to_csv(header, rows)
+    else:
+        text = human + "\n"
+    if args.output:
         try:
             Path(args.output).write_text(text, newline="\n")
         except OSError as e:
@@ -112,270 +145,106 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _grouped(x: float) -> str:
-    return f"{x:,.0f}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_equilibrium(args) -> int:
-    params = _market_from(args, _load_config(args.config))
+def cmd_equilibrium(args, cfg: dict) -> int:
+    params = _market_from(args, cfg)
     cf = solve_closed_form(params)
     fp = solve_fixed_point(params)
     disc = abs(fp.lam - cf.lam) / cf.lam
-    if args.format == "json":
-        payload = {
-            "market": _market_dict(params),
-            "closed_form": {"lambda": cf.lam, "beta": cf.beta},
-            "fixed_point": {"lambda": fp.lam, "beta": fp.beta},
-            "relative_discrepancy": disc,
-        }
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        lines = [
-            "method,lambda,beta",
-            f"closed_form,{format_float(cf.lam)},{format_float(cf.beta)}",
-            f"fixed_point,{format_float(fp.lam)},{format_float(fp.beta)}",
-        ]
-        _write_out(args, "\n".join(lines))
-    else:
-        lines = [
-            f"λ (closed form)  = {_f6(cf.lam)}",
-            f"β (closed form)  = {_f6(cf.beta)}",
-            f"λ (fixed point)  = {_f6(fp.lam)}",
-            f"β (fixed point)  = {_f6(fp.beta)}",
-            f"λ·β              = {_f6(cf.lam * cf.beta)}",
-            f"oracle discrepancy |λ_fp − λ_cf|/λ_cf = {disc:.3g}",
-        ]
-        _write_out(args, "\n".join(lines))
+    payload = {"market": params, "closed_form": cf, "fixed_point": fp, "relative_discrepancy": disc}
+    human = _EQUILIBRIUM_TEXT.format(cf=cf, fp=fp, lam_beta=cf.lam * cf.beta, disc=disc)
+    rows = [("closed_form", cf.lam, cf.beta), ("fixed_point", fp.lam, fp.beta)]
+    _emit(args, payload, human, ("method", "lambda", "beta"), rows)
     return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    params = _market_from(args, _load_config(args.config))
+def cmd_decompose(args, cfg: dict) -> int:
+    params = _market_from(args, cfg)
     w = welfare_decomposition(params)
     a = subsidy_analysis(params)
     fee = break_even_fee(params)
-    if args.format == "json":
-        payload = {
-            "market": _market_dict(params),
-            "welfare": {"pi_I": w.pi_I, "pi_N": w.pi_N, "pi_M": w.pi_M},
-            "subsidy": a.subsidy,
-            "subsidy_analysis": {
-                "d1": a.d1,
-                "d2": a.d2,
-                "inflection": a.inflection,
-                "low_privacy_coeff": a.low_privacy_coeff,
-                "high_privacy_slope": a.high_privacy_slope,
-            },
-            "fee": {
-                "e_abs_x": fee.e_abs_x,
-                "e_abs_u": fee.e_abs_u,
-                "q_total": fee.q_total,
-                "fee_rate": fee.fee_rate,
-                "fee_on_informed": fee.fee_on_informed,
-                "fee_on_noise": fee.fee_on_noise,
-                "net_pi_I": fee.net_pi_I,
-                "net_pi_N": fee.net_pi_N,
-            },
-        }
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        names = (
-            ("pi_I", w.pi_I),
-            ("pi_N", w.pi_N),
-            ("pi_M", w.pi_M),
-            ("subsidy", a.subsidy),
-            ("d1", a.d1),
-            ("d2", a.d2),
-            ("inflection", a.inflection),
-            ("e_abs_x", fee.e_abs_x),
-            ("e_abs_u", fee.e_abs_u),
-            ("q_total", fee.q_total),
-            ("fee_rate", fee.fee_rate),
-            ("fee_on_informed", fee.fee_on_informed),
-            ("fee_on_noise", fee.fee_on_noise),
-            ("net_pi_I", fee.net_pi_I),
-            ("net_pi_N", fee.net_pi_N),
-        )
-        lines = ["quantity,value"] + [f"{k},{format_float(v)}" for k, v in names]
-        _write_out(args, "\n".join(lines))
-    else:
-        subsidy_line = f"|π_M| (privacy subsidy) = {_f6(a.subsidy)}"
-        if a.subsidy >= 1e4:
-            subsidy_line += f"  (≈ {_grouped(a.subsidy)} per period)"
-        lines = [
-            f"π_I = {_f6(w.pi_I)}",
-            f"π_N = {_f6(w.pi_N)}",
-            f"π_M = {_f6(w.pi_M)}",
-            subsidy_line,
-            f"∂|π_M|/∂σε = {_f6(a.d1)}   ∂²|π_M|/∂σε² = {_f6(a.d2)}",
-            f"inflection σε* = {_f6(a.inflection)}",
-            f"break-even fee f = {_f6(fee.fee_rate)}   (Q = {_f6(fee.q_total)})",
-            f"E|x| = {_f6(fee.e_abs_x)}   E|u| = {_f6(fee.e_abs_u)}",
-            f"fee on informed = {_f6(fee.fee_on_informed)}   fee on noise = {_f6(fee.fee_on_noise)}",
-            f"net π_I = {_f6(fee.net_pi_I)}   net π_N = {_f6(fee.net_pi_N)}",
-        ]
-        _write_out(args, "\n".join(lines))
+    payload = {
+        "market": params,
+        "welfare": w,
+        "subsidy": a.subsidy,
+        "subsidy_analysis": _record(a, drop=("subsidy",)),
+        "fee": fee,
+    }
+    per_period = f"  (≈ {a.subsidy:,.0f} per period)" if a.subsidy >= 1e4 else ""
+    rows = {**_record(w), **_record(a, drop=("low_privacy_coeff", "high_privacy_slope")), **_record(fee)}
+    human = _DECOMPOSE_TEXT.format(w=w, a=a, fee=fee, per_period=per_period)
+    _emit(args, payload, human, ("quantity", "value"), rows.items())
     return EXIT_OK
 
 
-def cmd_fee(args) -> int:
-    params = _market_from(args, _load_config(args.config))
+def cmd_fee(args, cfg: dict) -> int:
+    params = _market_from(args, cfg)
     fee = break_even_fee(params)
-    if args.format == "json":
-        payload = {
-            "market": _market_dict(params),
-            "fee": {
-                "e_abs_x": fee.e_abs_x,
-                "e_abs_u": fee.e_abs_u,
-                "q_total": fee.q_total,
-                "fee_rate": fee.fee_rate,
-                "fee_on_informed": fee.fee_on_informed,
-                "fee_on_noise": fee.fee_on_noise,
-                "net_pi_I": fee.net_pi_I,
-                "net_pi_N": fee.net_pi_N,
-            },
-        }
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        pairs = (
-            ("e_abs_x", fee.e_abs_x),
-            ("e_abs_u", fee.e_abs_u),
-            ("q_total", fee.q_total),
-            ("fee_rate", fee.fee_rate),
-            ("fee_on_informed", fee.fee_on_informed),
-            ("fee_on_noise", fee.fee_on_noise),
-            ("net_pi_I", fee.net_pi_I),
-            ("net_pi_N", fee.net_pi_N),
-        )
-        _write_out(args, "\n".join(["quantity,value"] + [f"{k},{format_float(v)}" for k, v in pairs]))
-    else:
-        lines = [
-            f"E|x| = {_f6(fee.e_abs_x)}",
-            f"E|u| = {_f6(fee.e_abs_u)}",
-            f"Q    = {_f6(fee.q_total)}",
-            f"f    = {_f6(fee.fee_rate)}",
-            f"fee on informed = {_f6(fee.fee_on_informed)}",
-            f"fee on noise    = {_f6(fee.fee_on_noise)}",
-            f"net π_I = {_f6(fee.net_pi_I)}",
-            f"net π_N = {_f6(fee.net_pi_N)}",
-        ]
-        _write_out(args, "\n".join(lines))
+    _emit(args, {"market": params, "fee": fee}, _FEE_TEXT.format(fee=fee), ("quantity", "value"), _record(fee).items())
     return EXIT_OK
 
 
-def _sweep_spec_from(args, cfg: dict, params: MarketParams) -> SweepSpec:
-    block = _block(cfg, "sweep")
-    if args.sigma_eps_values is not None:
-        try:
-            block["sigma_eps_values"] = [float(v) for v in args.sigma_eps_values.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError(f"--sigma-eps-values must be comma-separated numbers, got {args.sigma_eps_values!r}") from None
-    if args.outputs is not None:
-        block["outputs"] = [v.strip() for v in args.outputs.split(",") if v.strip()]
+def _sweep_line(r) -> str:
+    cells = [f"σε = {r.sigma_eps:.6g}"]
+    if r.lam is not None:
+        cells += [f"λ = {r.lam:.6g}", f"β = {r.beta:.6g}"]
+    if r.subsidy is not None:
+        cells.append(f"|π_M| = {r.subsidy:.6g}")
+    if r.fee_rate is not None:
+        cells.append(f"f = {r.fee_rate:.6g}")
+    cells.append(r.note)
+    return "   ".join(cells)
+
+
+def cmd_sweep(args, cfg: dict) -> int:
+    params = _market_from(args, cfg)
+    block = _block(args, cfg, "sweep", _SWEEP_KEYS)
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
     try:
-        values = tuple(float(v) for v in block["sigma_eps_values"])
-        outputs = frozenset(block.get("outputs", OUTPUT_KINDS))
-    except (TypeError, ValueError):
-        raise UsageError(f"sweep.sigma_eps_values must be numbers and sweep.outputs names, got {block!r}") from None
-    try:
-        return SweepSpec(params, values, outputs).validated()
+        spec = SweepSpec(params, tuple(block["sigma_eps_values"]), frozenset(block.get("outputs", OUTPUT_KINDS)))
+        spec = spec.validated()
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params = _market_from(args, cfg)
-    spec = _sweep_spec_from(args, cfg, params)
     rows = sweep(spec)
-    if args.format == "json":
-        payload = {
-            "market": _market_dict(params),
-            "sweep": {"sigma_eps_values": list(spec.sigma_eps_values), "outputs": sorted(spec.outputs)},
-            "rows": [
-                {
-                    "sigma_eps": r.sigma_eps,
-                    "lambda": r.lam,
-                    "beta": r.beta,
-                    "pi_I": r.pi_I,
-                    "pi_N": r.pi_N,
-                    "pi_M": r.pi_M,
-                    "subsidy": r.subsidy,
-                    "d1": r.d1,
-                    "d2": r.d2,
-                    "fee_rate": r.fee_rate,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-        }
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "human":
-        lines = []
-        for r in rows:
-            cells = [f"σε = {_f6(r.sigma_eps)}"]
-            if r.lam is not None:
-                cells += [f"λ = {_f6(r.lam)}", f"β = {_f6(r.beta)}"]
-            if r.subsidy is not None:
-                cells.append(f"|π_M| = {_f6(r.subsidy)}")
-            if r.fee_rate is not None:
-                cells.append(f"f = {_f6(r.fee_rate)}")
-            cells.append(r.note)
-            lines.append("   ".join(cells))
-        _write_out(args, "\n".join(lines))
-    else:
-        _write_out(args, sweep_to_csv(rows))
+    payload = {
+        "market": params,
+        "sweep": {"sigma_eps_values": spec.sigma_eps_values, "outputs": sorted(spec.outputs)},
+        "rows": rows,
+    }
+    _emit(args, payload, "\n".join(map(_sweep_line, rows)), SWEEP_CSV_COLUMNS, map(_sweep_cells, rows))
     return EXIT_OK
 
 
-def _sim_config_from(args, cfg: dict):
-    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig
-
-    block = _block(cfg, "sim")
-    for key in ("n_paths", "seed", "chunk_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            block[key] = value
-    try:
-        n_paths = int(block.get("n_paths", 1_000_000))
-        seed = int(block.get("seed", 42))
-        chunk_size = int(block.get("chunk_size", DEFAULT_CHUNK_SIZE))
-    except (TypeError, ValueError):
-        raise UsageError(f"sim parameters must be integers, got {block!r}") from None
-    return SimConfig(n_paths=n_paths, seed=seed, chunk_size=chunk_size)
+def _z(expected: float, estimate: float, se: float) -> float:
+    if not (math.isfinite(estimate) and math.isfinite(se)):
+        return math.inf
+    if se > 0:
+        return abs(estimate - expected) / se
+    return 0.0 if estimate == expected else math.inf
 
 
-def cmd_simulate(args) -> int:
-    from .montecarlo import (
-        estimate_lambda_regression,
-        estimate_price_moments,
-        estimate_welfare,
-        simulate,
-        simulate_batched,
-    )
+def cmd_simulate(args, cfg: dict) -> int:
+    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig, estimate_lambda_regression, estimate_price_moments
+    from .montecarlo import estimate_welfare, simulate, simulate_batched
 
     if args.tau != 1 and not args.batched:
         raise UsageError(f"--tau {args.tau} has no effect without --batched")
     if args.beta_scale != 1.0 and args.batched:
         raise UsageError(f"--beta-scale {args.beta_scale} has no effect with --batched")
-    cfg_file = _load_config(args.config)
-    params = _market_from(args, cfg_file)
-    sim_cfg = _sim_config_from(args, cfg_file)
+    params = _market_from(args, cfg)
+    sim = _block(args, cfg, "sim", _SIM_KEYS)
+    sim_cfg = SimConfig(sim.get("n_paths", 1_000_000), sim.get("seed", 42), sim.get("chunk_size", DEFAULT_CHUNK_SIZE))
 
-    checks: list[tuple[str, float, float, float]] = []  # (name, expected, estimate, se)
     if args.batched:
         bp = BatchParams(params, args.tau)
-        eq = batched_equilibrium(bp)
-        est = simulate_batched(bp, eq, sim_cfg)
+        est = simulate_batched(bp, batched_equilibrium(bp), sim_cfg)
         w = welfare_decomposition(_batched_market(bp))
-        checks += [
+        checks = [
             ("π_I", w.pi_I, est.mean_pi_I, est.se_pi_I),
             ("π_N", w.pi_N, est.mean_pi_N, est.se_pi_N),
             ("π_M", w.pi_M, est.mean_pi_M, est.se_pi_M),
@@ -388,7 +257,7 @@ def cmd_simulate(args) -> int:
         w = welfare_at(params, sim_eq.lam, sim_eq.beta)
         slope = estimate_lambda_regression(sample)
         pm = estimate_price_moments(sample, params)
-        checks += [
+        checks = [
             ("π_I", w.pi_I, west.mean_pi_I, west.se_pi_I),
             ("π_N", w.pi_N, west.mean_pi_N, west.se_pi_N),
             ("π_M", w.pi_M, west.mean_pi_M, west.se_pi_M),
@@ -398,66 +267,38 @@ def cmd_simulate(args) -> int:
         ]
 
     results = []
-    all_pass = True
     for name, expected, estimate, se in checks:
-        if not (math.isfinite(estimate) and math.isfinite(se)):
-            z = math.inf
-        elif se > 0:
-            z = abs(estimate - expected) / se
-        else:
-            z = 0.0 if estimate == expected else math.inf
-        ok = z <= 3.0
-        all_pass &= ok
-        results.append({"name": name, "expected": expected, "estimate": estimate, "se": se, "z": z, "pass": ok})
+        z = _z(expected, estimate, se)
+        results.append({"name": name, "expected": expected, "estimate": estimate, "se": se, "z": z, "pass": z <= 3.0})
+    all_pass = all(r["pass"] for r in results)
 
-    if args.format == "json":
-        payload = {
-            "market": _market_dict(params),
-            "sim": {"n_paths": sim_cfg.n_paths, "seed": sim_cfg.seed, "chunk_size": sim_cfg.chunk_size},
-            "batched": bool(args.batched),
-            "tau": args.tau,
-            "beta_scale": args.beta_scale,
-            "checks": results,
-            "all_pass": all_pass,
-        }
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        lines = ["name,expected,estimate,se,z,pass"]
-        for r in results:
-            lines.append(
-                f"{r['name']},{format_float(r['expected'])},{format_float(r['estimate'])},"
-                f"{format_float(r['se'])},{format_float(r['z'])},{str(r['pass']).lower()}"
-            )
-        _write_out(args, "\n".join(lines))
-    else:
-        width = max(len(r["name"]) for r in results)
-        lines = []
-        for r in results:
-            lines.append(
-                f"{r['name']:<{width}}  expected {_f6(r['expected']):>12}  estimate {_f6(r['estimate']):>12}"
-                f"  se {_f6(r['se']):>10}  z {r['z']:5.2f}  {'PASS' if r['pass'] else 'FAIL'}"
-            )
-        lines.append("all checks passed" if all_pass else "SOME CHECKS FAILED")
-        _write_out(args, "\n".join(lines))
+    payload = {
+        "market": params,
+        "sim": sim_cfg,
+        "batched": args.batched,
+        "tau": args.tau,
+        "beta_scale": args.beta_scale,
+        "checks": results,
+        "all_pass": all_pass,
+    }
+    width = max(len(r["name"]) for r in results)
+    lines = [_CHECK_TEXT.format(**r, width=width, ok="PASS" if r["pass"] else "FAIL") for r in results]
+    lines.append("all checks passed" if all_pass else "SOME CHECKS FAILED")
+    _emit(args, payload, "\n".join(lines), tuple(results[0]), [r.values() for r in results])
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def cmd_reproduce_paper(args) -> int:
+def cmd_reproduce_paper(args, cfg: dict) -> int:
     try:
         result = write_report_bundle(args.outdir)
     except OSError as e:
         raise UsageError(f"cannot write --outdir: {e}") from None
-    if args.format == "json":
-        payload = {"files": list(result.files), "mismatches": list(result.mismatches), "ok": result.ok}
-        _write_out(args, json.dumps(payload, indent=2, sort_keys=True))
+    lines = [f"wrote {f}" for f in result.files]
+    if result.ok:
+        lines.append("all artifacts verified against pinned expected values")
     else:
-        lines = [f"wrote {f}" for f in result.files]
-        if result.ok:
-            lines.append("all artifacts verified against pinned expected values")
-        else:
-            lines.append("MISMATCHES:")
-            lines += [f"  {m}" for m in result.mismatches]
-        _write_out(args, "\n".join(lines))
+        lines += ["MISMATCHES:", *(f"  {m}" for m in result.mismatches)]
+    _emit(args, {**_record(result), "ok": result.ok}, "\n".join(lines))
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
@@ -466,17 +307,14 @@ def cmd_reproduce_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_market_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-v", dest="sigma_v", type=float, default=None, help="value std dev (> 0)")
-    p.add_argument("--sigma-u", dest="sigma_u", type=float, default=None, help="noise-flow std dev (> 0)")
-    p.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=None, help="privacy-noise std dev (>= 0)")
-    p.add_argument("--p0", dest="p0", type=float, default=None, help="prior mean price (default 0)")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
+def _comma_list(kind):
+    def parse(text: str) -> list:
+        try:
+            return [kind(v.strip()) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be a comma-separated list, got {text!r}") from None
 
-
-def _add_common_flags(p: argparse.ArgumentParser, default_format: str = "human") -> None:
-    p.add_argument("--format", choices=("human", "json", "csv"), default=default_format)
-    p.add_argument("--output", default=None, help="write output to this file instead of stdout")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,59 +323,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium, welfare and fee analysis of a market maker pricing privacy-noised order flow",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("equilibrium", help="closed-form equilibrium with fixed-point oracle cross-check")
-    _add_market_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("decompose", help="welfare decomposition, subsidy and break-even fee")
-    _add_market_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("fee", help="break-even fee record")
-    _add_market_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_fee)
-
-    p = sub.add_parser("sweep", help="sweep sigma_eps and emit report rows")
-    _add_market_flags(p)
-    _add_common_flags(p, default_format="csv")
-    p.add_argument("--sigma-eps-values", dest="sigma_eps_values", default=None, help="comma-separated sigma_eps grid")
-    p.add_argument("--outputs", default=None, help="comma-separated subset of equilibrium,welfare,subsidy_analysis,fee")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="Monte Carlo verification against the closed forms")
-    _add_market_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    p.add_argument("--seed", dest="seed", type=int, default=None)
-    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=None)
-    p.add_argument(
-        "--beta-scale", dest="beta_scale", type=float, default=1.0, help="perturb the trader coefficient (not with --batched)"
+    commands = (
+        ("equilibrium", cmd_equilibrium, "closed-form equilibrium with fixed-point oracle cross-check"),
+        ("decompose", cmd_decompose, "welfare decomposition, subsidy and break-even fee"),
+        ("fee", cmd_fee, "break-even fee record"),
+        ("sweep", cmd_sweep, "sweep sigma_eps and emit report rows"),
+        ("simulate", cmd_simulate, "Monte Carlo verification against the closed forms"),
+        ("reproduce-paper", cmd_reproduce_paper, "write and verify the reference table/figure bundle"),
     )
+    for name, func, text in commands:
+        p = sub.add_parser(name, help=text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.set_defaults(func=func)
+        if name != "reproduce-paper":  # it prints no CSV and takes no market
+            p.add_argument("--sigma-v", type=float, help="value std dev (> 0)")
+            p.add_argument("--sigma-u", type=float, help="noise-flow std dev (> 0)")
+            p.add_argument("--sigma-eps", type=float, help="privacy-noise std dev (>= 0)")
+            p.add_argument("--p0", type=float, help="prior mean price (default 0)")
+            p.add_argument("--config", help="JSON config file; flags override it")
+        formats = ("human", "json") if name == "reproduce-paper" else ("human", "json", "csv")
+        p.add_argument("--format", choices=formats, default="csv" if name == "sweep" else "human")
+        p.add_argument("--output", help="write output to this file instead of stdout")
+    sub.choices["reproduce-paper"].add_argument("--outdir", default="report_bundle")
+
+    p = sub.choices["sweep"]
+    p.add_argument("--sigma-eps-values", type=_comma_list(float), help="comma-separated sigma_eps grid")
+    p.add_argument(
+        "--outputs", type=_comma_list(str), help="comma-separated subset of equilibrium,welfare,subsidy_analysis,fee"
+    )
+
+    p = sub.choices["simulate"]
+    p.add_argument("--n-paths", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--chunk-size", type=int)
+    p.add_argument("--beta-scale", type=float, default=1.0, help="perturb the trader coefficient (not with --batched)")
     p.add_argument("--batched", action="store_true", help="simulate the batched market instead")
     p.add_argument("--tau", type=int, default=1, help="batch length in periods (with --batched)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reproduce-paper", help="write and verify the reference table/figure bundle")
-    _add_common_flags(p)
-    p.add_argument("--outdir", default="report_bundle")
-    p.set_defaults(func=cmd_reproduce_paper)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParamError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as e:
+        return args.func(args, _load_config(getattr(args, "config", None)))
+    except (ParamError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except PrivacyLabError as e:

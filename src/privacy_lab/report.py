@@ -1,26 +1,40 @@
-"""Parameter sweeps and machine-readable report artifacts.
+"""Parameter sweeps, report artifacts and the one output renderer.
 
-Emits CSV/JSON with deterministic bytes: floats carry 17 significant digits
-(round-trip exact), rows follow the input order, and no timestamps or
-environment data leak into the output.
+Every CLI output and bundle artifact is rendered here with deterministic
+bytes: floats carry 17 significant digits (round-trip exact), rows follow
+the input order, and no timestamps or environment data leak in.  JSON
+payloads hold plain values and records (dataclasses), which are written as
+objects of their fields under the keys of `_KEYS` (`lam` as `lambda`)
+through one `json.dumps(indent=2, sort_keys=True)`.  CSV goes through one
+cell formatter (None empty, bool true/false, float 17 digits) and
+`_to_csv(header, rows)`.
 
-CSV schemas
------------
-sweep:  sigma_eps,lambda,beta,pi_I,pi_N,pi_M,subsidy,d1,d2,fee_rate,note
-curve:  sigma_eps,subsidy  (+ sidecar JSON {"inflection": value})
+Bundle artifacts (`write_report_bundle`)
+----------------------------------------
+table1.csv           sigma_eps,lambda,beta,pi_I,pi_N,pi_M,subsidy,d1,d2,fee_rate,note
+                     (the sweep schema: cells of groups not swept are empty)
+table2.csv           sigma_eps_over_sigma_u,sigma_eps,subsidy_usd_per_day,fraction_of_sigma_v_sigma_u
+figure1.csv          sigma_eps,subsidy
+figure1.json         {"inflection": value} on one line
+fee_comparison.json  revenue_usd, subsidy_usd, shortfall_usd, shortfall_pct (null at zero revenue)
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .equilibrium import SQRT2, MarketParams, _closed_forms
 from .welfare import privacy_subsidy
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
+_BTC_CSV_COLUMNS = ("sigma_eps_over_sigma_u", "sigma_eps", "subsidy_usd_per_day", "fraction_of_sigma_v_sigma_u")
+
+# output keys of the record fields whose key is not the field name
+_KEYS = {"lam": "lambda"}
 
 # ReportRow fields each output group populates
 _OUTPUT_FIELDS = {
@@ -41,6 +55,33 @@ BTC_RATIOS = (0.1, 0.5, 1.0, SQRT2, 2.0)
 def format_float(x: float) -> str:
     """17 significant digits: parses back to the identical double."""
     return f"{float(x):.17g}"
+
+
+def _record(rec, drop: tuple[str, ...] = ()) -> dict:
+    """A record's fields under their output keys, in field order."""
+    return {_KEYS.get(f.name, f.name): getattr(rec, f.name) for f in fields(rec) if f.name not in drop}
+
+
+def _to_json(payload) -> str:
+    """Plain values and records, nested in dicts and lists, as indented JSON."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_record) + "\n"
+
+
+def _cell(v) -> str:
+    if type(v) is float:  # most cells: test it first
+        return f"{v:.17g}"
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format_float(v)
+
+
+def _to_csv(header, rows) -> str:
+    """A header line, then one line per row of values."""
+    return "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -120,22 +161,13 @@ def sweep(spec: SweepSpec) -> list[ReportRow]:
     return rows
 
 
+# a ReportRow's values in SWEEP_CSV_COLUMNS order
+_sweep_cells = attrgetter(*("lam" if c == "lambda" else c for c in SWEEP_CSV_COLUMNS))
+
+
 def sweep_to_csv(rows: list[ReportRow]) -> str:
     """Render sweep rows under the fixed schema; unpopulated cells are empty."""
-    field_by_column = {"lambda": "lam", **{c: c for c in SWEEP_CSV_COLUMNS if c != "lambda"}}
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for column in SWEEP_CSV_COLUMNS:
-            value = getattr(row, field_by_column[column])
-            if value is None:
-                cells.append("")
-            elif column == "note":
-                cells.append(value)
-            else:
-                cells.append(format_float(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _to_csv(SWEEP_CSV_COLUMNS, map(_sweep_cells, rows))
 
 
 @dataclass(frozen=True)
@@ -167,10 +199,7 @@ def table_btc(params_base: MarketParams | None = None, ratios: tuple[float, ...]
 
 
 def btc_table_to_csv(table: BtcTable) -> str:
-    lines = ["sigma_eps_over_sigma_u,sigma_eps,subsidy_usd_per_day,fraction_of_sigma_v_sigma_u"]
-    for r in table.rows:
-        lines.append(",".join(format_float(v) for v in (r.ratio, r.sigma_eps, r.subsidy_usd, r.fraction)))
-    return "\n".join(lines) + "\n"
+    return _to_csv(_BTC_CSV_COLUMNS, (_record(r).values() for r in table.rows))
 
 
 @dataclass(frozen=True)
@@ -194,10 +223,7 @@ def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> 
 
 
 def curve_to_csv(curve: SubsidyCurve) -> str:
-    lines = ["sigma_eps,subsidy"]
-    for se, sub in curve.points:
-        lines.append(f"{format_float(se)},{format_float(sub)}")
-    return "\n".join(lines) + "\n"
+    return _to_csv(("sigma_eps", "subsidy"), curve.points)
 
 
 def curve_sidecar_json(curve: SubsidyCurve) -> str:
@@ -229,22 +255,11 @@ def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bp
     sub = privacy_subsidy(params)
     shortfall = sub - revenue
     pct = 100.0 * shortfall / revenue if revenue > 0 else None
-    return FeeRevenueComparison(
-        revenue_usd=revenue,
-        subsidy_usd=sub,
-        shortfall_usd=shortfall,
-        shortfall_pct=pct,
-    )
+    return FeeRevenueComparison(revenue_usd=revenue, subsidy_usd=sub, shortfall_usd=shortfall, shortfall_pct=pct)
 
 
 def comparison_to_json(cmp: FeeRevenueComparison) -> str:
-    payload = {
-        "revenue_usd": cmp.revenue_usd,
-        "subsidy_usd": cmp.subsidy_usd,
-        "shortfall_usd": cmp.shortfall_usd,
-        "shortfall_pct": cmp.shortfall_pct,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _to_json(cmp)
 
 
 # ---------------------------------------------------------------------------

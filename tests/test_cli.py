@@ -58,6 +58,16 @@ class TestEquilibriumCommand:
         assert rc2 == 0
         assert json.loads(out2) == json.loads(out)
 
+    def test_simulate_json_output_round_trips_as_config(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "simulate", "--sigma-v", "2", "--sigma-u", "0.5", "--sigma-eps", "1.5", "--p0", "-3",
+                         "--n-paths", "3000", "--seed", "5", "--chunk-size", "1024", "--format", "json")
+        assert rc == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(out)
+        rc2, out2, _ = run(capsys, "simulate", "--config", str(cfg), "--format", "json")
+        assert rc2 == 0
+        assert json.loads(out2) == json.loads(out)
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"market": {"sigma_v": 1.0, "sigma_u": 1.0, "sigma_eps": 0.0}}))
@@ -212,6 +222,12 @@ CONFIGS = {
     "sim.json": {"sim": [1]},
     "sweep.json": {"sweep": 3},
     "sweep_values.json": {"sweep": {"sigma_eps_values": 5}},
+    "fractional_paths.json": {"sim": {"n_paths": 1000.9, "seed": 3}},
+    "fractional_seed.json": {"sim": {"n_paths": 1000, "seed": 3.7}},
+    "boolean_sigma.json": {"market": {"sigma_v": True, "sigma_u": 1.0}},
+    "outputs_string.json": {"sweep": {"sigma_eps_values": [0, 1], "outputs": "fee"}},
+    "huge_sigma.json": {"market": {"sigma_v": 10**400, "sigma_u": 1}},
+    "huge_values.json": {"sweep": {"sigma_eps_values": [0, 10**400]}},
 }
 
 
@@ -245,6 +261,15 @@ class TestUsageErrors:
         (("simulate", *MARKET, "--n-paths", "1000", "--tau", "4"), "--tau"),
         (("simulate", *MARKET, "--n-paths", "1000", "--batched", "--beta-scale", "2"), "--beta-scale"),
         (("PRIVACY_LAB_THREADS=lots", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
+        (("simulate", *MARKET, "--n-paths", "1000", "--beta-scale", "-1e0"), "beta"),
+        (("equilibrium", *MARKET, "--p0", "-inf"), "p0"),
+        (("simulate", *MARKET, "--config", "{tmp}/fractional_paths.json"), "n_paths"),
+        (("simulate", *MARKET, "--config", "{tmp}/fractional_seed.json"), "seed"),
+        (("equilibrium", "--config", "{tmp}/boolean_sigma.json"), "sigma_v"),
+        (("sweep", *MARKET, "--config", "{tmp}/outputs_string.json"), "outputs"),
+        (("reproduce-paper", "--outdir", "{tmp}/bundle", "--format", "csv"), "--format"),
+        (("equilibrium", "--config", "{tmp}/huge_sigma.json"), "sigma_v"),
+        (("sweep", *MARKET, "--config", "{tmp}/huge_values.json"), "sigma_eps_values"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")
@@ -290,6 +315,12 @@ class TestUsageErrors:
         rc, out, err = run(capsys, "equilibrium", *sigmas, "--format", "json")
         assert rc == 0, err
         assert json.loads(out)["closed_form"]["lambda"] == 5e-309
+
+    @pytest.mark.parametrize("value", ["-6.9e-06", "-6.90107641116476e-06", "-1E+2", "-.5"])
+    def test_negative_values_in_exponent_form(self, capsys, value):
+        rc, out, err = run(capsys, "simulate", *MARKET, "--p0", value, "--n-paths", "1000", "--format", "json")
+        assert rc == 0, err
+        assert json.loads(out)["market"]["p0"] == float(value)
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
