@@ -4,15 +4,18 @@ privacy noise on the maker's order-flow observation.
 Closed forms for the linear equilibrium, the per-agent welfare decomposition,
 the privacy subsidy (the maker's expected loss against the executed flow) and
 its break-even fee, all cross-checked by an independent fixed-point solver
-and a seeded Monte Carlo simulation of the one-period game.
+and a seeded Monte Carlo simulation of the one-period game:
+`verify_simulation` and `verify_batched` return one `Check` record per
+closed form, its estimate, standard error and z-score.
 
 The closed forms need only `math`.  The Monte Carlo names (`simulate`,
-`SimConfig`, the estimators and their records) and the `montecarlo`
-submodule are resolved lazily (PEP 562): the first access to one of them
-imports `montecarlo`, and with it numpy, and stores the name in this
-module's namespace.  Importing the package, or running a closed-form
-command, never loads numpy.  `from privacy_lab import simulate` and
-`import *` work as for any other name.
+`SimConfig`, `verify_simulation`, `verify_batched`, `Check`, the estimators
+and their records) and the `montecarlo` submodule are resolved lazily
+(PEP 562): the first access to one of them imports `montecarlo`, and with
+it numpy, and stores the name in this module's namespace.  Importing the
+package, or running a closed-form command, never loads numpy.
+`from privacy_lab import simulate` and `import *` work as for any other
+name.
 """
 
 import importlib
@@ -62,6 +65,7 @@ __version__ = "0.1.0"
 
 _MONTECARLO_NAMES = frozenset({
     "BestResponseCheck",
+    "Check",
     "PathRealization",
     "PathSample",
     "PriceMomentEstimate",
@@ -73,7 +77,9 @@ _MONTECARLO_NAMES = frozenset({
     "estimate_welfare",
     "simulate",
     "simulate_batched",
+    "verify_batched",
     "verify_best_response",
+    "verify_simulation",
 })
 
 
@@ -94,6 +100,7 @@ __all__ = [
     "BatchParams",
     "BestResponseCheck",
     "BtcTable",
+    "Check",
     "Equilibrium",
     "FeeBreakEven",
     "FeeRevenueComparison",
@@ -132,7 +139,9 @@ __all__ = [
     "subsidy_curve",
     "sweep",
     "table_btc",
+    "verify_batched",
     "verify_best_response",
+    "verify_simulation",
     "welfare_at",
     "welfare_decomposition",
     "write_report_bundle",

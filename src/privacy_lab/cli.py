@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .equilibrium import BatchParams, MarketParams, _batched_market, batched_equilibrium, posterior_slope
-from .equilibrium import solve_closed_form, solve_fixed_point
+from .equilibrium import BatchParams, MarketParams, solve_closed_form, solve_fixed_point
 from .errors import ParamError, PrivacyLabError
 from .report import OUTPUT_KINDS, SWEEP_CSV_COLUMNS, SweepSpec, _record, _sweep_cells, _to_csv, _to_json, sweep
 from .report import write_report_bundle
-from .welfare import break_even_fee, subsidy_analysis, welfare_at, welfare_decomposition
+from .welfare import break_even_fee, subsidy_analysis, welfare_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,7 +61,8 @@ fee on noise    = {fee.fee_on_noise:.6g}
 net π_I = {fee.net_pi_I:.6g}
 net π_N = {fee.net_pi_N:.6g}"""
 _CHECK_TEXT = (
-    "{name:<{width}}  expected {expected:>12.6g}  estimate {estimate:>12.6g}  se {se:>10.6g}  z {z:5.2f}  {ok}"
+    "{c.name:<{width}}  expected {c.expected:>12.6g}  estimate {c.estimate:>12.6g}  se {c.se:>10.6g}  z {c.z:5.2f}"
+    "  {ok}"
 )
 
 # A flag value that starts with "-" is a value, not an option, when it is a
@@ -205,11 +204,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     block = _block(args, cfg, "sweep", _SWEEP_KEYS)
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
-    try:
-        spec = SweepSpec(params, tuple(block["sigma_eps_values"]), frozenset(block.get("outputs", OUTPUT_KINDS)))
-        spec = spec.validated()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    spec = SweepSpec(params, tuple(block["sigma_eps_values"]), frozenset(block.get("outputs", OUTPUT_KINDS)))
+    spec = spec.validated()
     rows = sweep(spec)
     payload = {
         "market": params,
@@ -220,17 +216,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _z(expected: float, estimate: float, se: float) -> float:
-    if not (math.isfinite(estimate) and math.isfinite(se)):
-        return math.inf
-    if se > 0:
-        return abs(estimate - expected) / se
-    return 0.0 if estimate == expected else math.inf
-
-
 def cmd_simulate(args, cfg: dict) -> int:
-    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig, estimate_lambda_regression, estimate_price_moments
-    from .montecarlo import estimate_welfare, simulate, simulate_batched
+    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig, verify_batched, verify_simulation
 
     if args.tau != 1 and not args.batched:
         raise UsageError(f"--tau {args.tau} has no effect without --batched")
@@ -239,38 +226,12 @@ def cmd_simulate(args, cfg: dict) -> int:
     params = _market_from(args, cfg)
     sim = _block(args, cfg, "sim", _SIM_KEYS)
     sim_cfg = SimConfig(sim.get("n_paths", 1_000_000), sim.get("seed", 42), sim.get("chunk_size", DEFAULT_CHUNK_SIZE))
-
     if args.batched:
-        bp = BatchParams(params, args.tau)
-        est = simulate_batched(bp, batched_equilibrium(bp), sim_cfg)
-        w = welfare_decomposition(_batched_market(bp))
-        checks = [
-            ("π_I", w.pi_I, est.mean_pi_I, est.se_pi_I),
-            ("π_N", w.pi_N, est.mean_pi_N, est.se_pi_N),
-            ("π_M", w.pi_M, est.mean_pi_M, est.se_pi_M),
-        ]
+        checks = verify_batched(BatchParams(params, args.tau), sim_cfg)
     else:
         eq = solve_closed_form(params)
-        sim_eq = eq if args.beta_scale == 1.0 else replace(eq, beta=eq.beta * args.beta_scale)
-        sample = simulate(params, sim_eq, sim_cfg)
-        west = estimate_welfare(sample)
-        w = welfare_at(params, sim_eq.lam, sim_eq.beta)
-        slope = estimate_lambda_regression(sample)
-        pm = estimate_price_moments(sample, params)
-        checks = [
-            ("π_I", w.pi_I, west.mean_pi_I, west.se_pi_I),
-            ("π_N", w.pi_N, west.mean_pi_N, west.se_pi_N),
-            ("π_M", w.pi_M, west.mean_pi_M, west.se_pi_M),
-            ("λ (OLS slope)", posterior_slope(params, sim_eq.beta), slope.slope, slope.se),
-            ("E[p|v] slope", pm.slope_expected, pm.slope, pm.slope_se),
-            ("Var(p|v)", pm.resid_var_expected, pm.resid_var, pm.resid_var_se),
-        ]
-
-    results = []
-    for name, expected, estimate, se in checks:
-        z = _z(expected, estimate, se)
-        results.append({"name": name, "expected": expected, "estimate": estimate, "se": se, "z": z, "pass": z <= 3.0})
-    all_pass = all(r["pass"] for r in results)
+        checks = verify_simulation(params, replace(eq, beta=eq.beta * args.beta_scale), sim_cfg)
+    all_pass = all(c.passed for c in checks)
 
     payload = {
         "market": params,
@@ -278,13 +239,14 @@ def cmd_simulate(args, cfg: dict) -> int:
         "batched": args.batched,
         "tau": args.tau,
         "beta_scale": args.beta_scale,
-        "checks": results,
+        "checks": checks,
         "all_pass": all_pass,
     }
-    width = max(len(r["name"]) for r in results)
-    lines = [_CHECK_TEXT.format(**r, width=width, ok="PASS" if r["pass"] else "FAIL") for r in results]
+    width = max(len(c.name) for c in checks)
+    lines = [_CHECK_TEXT.format(c=c, width=width, ok="PASS" if c.passed else "FAIL") for c in checks]
     lines.append("all checks passed" if all_pass else "SOME CHECKS FAILED")
-    _emit(args, payload, "\n".join(lines), tuple(results[0]), [r.values() for r in results])
+    rows = [_record(c) for c in checks]
+    _emit(args, payload, "\n".join(lines), tuple(rows[0]), [r.values() for r in rows])
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

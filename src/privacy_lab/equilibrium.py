@@ -20,6 +20,7 @@ check themselves on construction, so no function re-validates its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import NoConvergence, ParamError
@@ -33,8 +34,22 @@ SQRT2 = math.sqrt(2.0)
 ABS_MOMENT_COEF = math.sqrt(2.0 / math.pi)
 
 
-def _not_finite(field: str, value: float) -> ParamError:
-    return ParamError(field, f"{field} must be finite, got {value!r}")
+# float first: it is the common case, and isinstance matches it without
+# consulting the numbers.Real ABC, which costs ~10x more.
+_REAL = (float, numbers.Real)
+
+
+def _is_number(value, kind=_REAL) -> bool:
+    """Whether `value` is an instance of `kind` other than a bool, which
+    Python counts as an int but which no parameter here means."""
+    return type(value) is not bool and isinstance(value, kind)
+
+
+def _check_finite(field: str, value) -> None:
+    if not _is_number(value):
+        raise ParamError(field, f"{field} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParamError(field, f"{field} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +64,9 @@ class MarketParams:
     p0: common prior mean of the value; only differences v - p0 enter
         the math, so any finite level (including 0 or negative) is fine.
 
-    A value that is not finite, or out of range, raises a ParamError
-    naming the offending field.  Never clamps.
+    A value that is not a real number (a bool is not one), not finite, or
+    out of range, raises a ParamError naming the offending field.  Never
+    clamps.
     """
 
     sigma_v: float
@@ -60,9 +76,7 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         for field in ("p0", "sigma_v", "sigma_u", "sigma_eps"):
-            value = getattr(self, field)
-            if not math.isfinite(value):
-                raise _not_finite(field, value)
+            _check_finite(field, getattr(self, field))
         if self.sigma_v <= 0:
             raise ParamError("sigma_v", f"sigma_v must be > 0, got {self.sigma_v!r}")
         if self.sigma_u <= 0:
@@ -77,7 +91,7 @@ class Equilibrium:
 
     Solver outputs satisfy lam * beta = 1/2; a deliberately perturbed copy
     (for off-equilibrium simulation) need not.
-    Both coefficients must be finite and > 0; a violation raises a
+    Both coefficients must be finite real numbers > 0; a violation raises a
     ParamError naming `lam` or `beta`.
     """
 
@@ -87,8 +101,7 @@ class Equilibrium:
     def __post_init__(self) -> None:
         for field in ("lam", "beta"):
             value = getattr(self, field)
-            if not math.isfinite(value):
-                raise _not_finite(field, value)
+            _check_finite(field, value)
             if value <= 0:
                 raise ParamError(field, f"{field} must be > 0, got {value!r}")
 
@@ -101,7 +114,7 @@ class BatchParams:
     tau: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tau, int) or self.tau < 1:
+        if not _is_number(self.tau, int) or self.tau < 1:
             raise ParamError("tau", f"tau must be an integer >= 1, got {self.tau!r}")
 
 
@@ -185,7 +198,7 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
 def informed_best_response(lam: float, p0: float, v: float) -> float:
     """Profit-maximizing order size (v - p0) / (2*lam) given price impact lam."""
     if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam!r}")
+        raise ParamError("lam", f"lam must be > 0, got {lam!r}")
     return (v - p0) / (2.0 * lam)
 
 
@@ -207,7 +220,7 @@ def solve_fixed_point(
     is relative: the result satisfies |lam - lam_true| <= tol * lam_true.
     """
     if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+        raise ParamError("tol", f"tol must be > 0, got {tol!r}")
     m = max(params.sigma_u, params.sigma_eps)
     noise_var = (params.sigma_u / m) ** 2 + (params.sigma_eps / m) ** 2
 

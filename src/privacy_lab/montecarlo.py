@@ -30,6 +30,9 @@ concurrently (0 or unset = min(cpu count, 8)).  Runs share one process-wide
 thread pool of that size, created on first use and replaced when the cap
 changes; a forked child drops its parent's pool and builds its own on first
 use.
+
+`verify_simulation` and `verify_batched` run a simulation and return its
+`Check` records: each estimate against its closed form, passed within 3 se.
 """
 
 from __future__ import annotations
@@ -42,13 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (
-    BatchParams,
-    Equilibrium,
-    MarketParams,
-    informed_best_response,
-)
+from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _is_number, batched_equilibrium
+from .equilibrium import informed_best_response, posterior_slope
 from .errors import InconclusiveResolution, ParamError
+from .welfare import WelfareDecomposition, welfare_at, welfare_decomposition
 
 RNG_SCHEME = "pcg64-seedseq-v1"
 
@@ -69,11 +69,11 @@ class SimConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_paths, int) or self.n_paths < 1:
+        if not _is_number(self.n_paths, int) or self.n_paths < 1:
             raise ParamError("n_paths", f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
+        if not _is_number(self.chunk_size, int) or self.chunk_size < 1:
             raise ParamError("chunk_size", f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_number(self.seed, int) or self.seed < 0:
             raise ParamError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -537,15 +537,8 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
 
 
 def _welfare_estimate(s: SampleStats) -> WelfareEstimate:
-    return WelfareEstimate(
-        mean_pi_I=s.pnl_informed.mean,
-        mean_pi_N=s.pnl_noise.mean,
-        mean_pi_M=s.pnl_maker.mean,
-        se_pi_I=s.pnl_informed.se,
-        se_pi_N=s.pnl_noise.se,
-        se_pi_M=s.pnl_maker.se,
-        n=s.n,
-    )
+    pnl = (s.pnl_informed, s.pnl_noise, s.pnl_maker)
+    return WelfareEstimate(*(m.mean for m in pnl), *(m.se for m in pnl), n=s.n)
 
 
 def estimate_welfare(sample: PathSample) -> WelfareEstimate:
@@ -579,17 +572,19 @@ def _square_over(a: float, b: float) -> float:
         return a * (a / b)
 
 
-def _ols(s: RunningCross) -> tuple[float, float]:
-    """Slope of y on x and the residual variance sse/(n - 2)."""
+def _ols(s: RunningCross) -> tuple[float, float, float]:
+    """Slope of y on x, its standard error and the residual variance sse/(n - 2);
+    all NaN when the spread m2_x of x underflowed to 0 (sigmas near 1e-200)."""
     _require_paths(s.n, 100)
-    sse = s.m2_y - _square_over(s.c_xy, s.m2_x)
-    return s.c_xy / s.m2_x, sse / (s.n - 2)
+    if s.m2_x == 0:
+        return math.nan, math.nan, math.nan
+    resid_var = (s.m2_y - _square_over(s.c_xy, s.m2_x)) / (s.n - 2)
+    return s.c_xy / s.m2_x, math.sqrt(resid_var / s.m2_x), resid_var
 
 
 def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:
-    s = sample.stats.signal_value
-    slope, resid_var = _ols(s)
-    return SlopeEstimate(slope=slope, se=math.sqrt(resid_var / s.m2_x), n=s.n)
+    slope, se, _ = _ols(sample.stats.signal_value)
+    return SlopeEstimate(slope=slope, se=se, n=sample.stats.signal_value.n)
 
 
 @dataclass(frozen=True)
@@ -625,10 +620,9 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
     if params is None:
         params = sample.params
     s = sample.stats.price_value
-    slope, resid_var = _ols(s)
+    slope, slope_se, resid_var = _ols(s)
     intercept = s.mean_y - slope * s.mean_x
-    slope_se = math.sqrt(resid_var / s.m2_x)
-    intercept_se = math.sqrt(resid_var * (1.0 / s.n + _square_over(s.mean_x, s.m2_x)))
+    intercept_se = math.sqrt(resid_var * (1.0 / s.n + _square_over(s.mean_x, s.m2_x))) if s.m2_x else math.nan
     resid_std = sample.eq.lam * math.hypot(params.sigma_u, params.sigma_eps)
     lam_beta = sample.eq.lam * sample.eq.beta
     return PriceMomentEstimate(
@@ -643,6 +637,57 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
         resid_var_expected=resid_std * resid_std,
         n=s.n,
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One Monte Carlo estimate against its closed-form target, passed at
+    z <= 3.  z = |estimate - expected| / se is inf when the estimate or se is
+    not finite; at se = 0 it is 0 for an exact estimate and inf otherwise."""
+
+    name: str
+    expected: float
+    estimate: float
+    se: float
+    z: float
+    passed: bool
+
+    @classmethod
+    def of(cls, name: str, expected: float, estimate: float, se: float) -> "Check":
+        finite = math.isfinite(estimate) and math.isfinite(se)
+        if finite and se > 0:
+            z = abs(estimate - expected) / se
+        else:
+            z = 0.0 if finite and estimate == expected else math.inf
+        return cls(name, expected, estimate, se, z, z <= 3.0)
+
+
+def _welfare_checks(w: WelfareDecomposition, est: WelfareEstimate) -> list[Check]:
+    return [
+        Check.of(f"π_{a}", getattr(w, f"pi_{a}"), getattr(est, f"mean_pi_{a}"), getattr(est, f"se_pi_{a}"))
+        for a in "INM"
+    ]
+
+
+def verify_simulation(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> list[Check]:
+    """Simulate play at eq, which need not be an equilibrium, and check the
+    welfare triple, the OLS λ and the moments of p given v against their closed forms."""
+    sample = simulate(params, eq, cfg)
+    checks = _welfare_checks(welfare_at(params, eq.lam, eq.beta), estimate_welfare(sample))
+    slope = estimate_lambda_regression(sample)
+    pm = estimate_price_moments(sample)
+    return checks + [
+        Check.of("λ (OLS slope)", posterior_slope(params, eq.beta), slope.slope, slope.se),
+        Check.of("E[p|v] slope", pm.slope_expected, pm.slope, pm.slope_se),
+        Check.of("Var(p|v)", pm.resid_var_expected, pm.resid_var, pm.resid_var_se),
+    ]
+
+
+def verify_batched(bp: BatchParams, cfg: SimConfig) -> list[Check]:
+    """Simulate the batched market at its equilibrium and check the welfare
+    triple against that of the equivalent one-period market."""
+    est = simulate_batched(bp, batched_equilibrium(bp), cfg)
+    return _welfare_checks(welfare_decomposition(_batched_market(bp)), est)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Every CLI output and bundle artifact is rendered here with deterministic
 bytes: floats carry 17 significant digits (round-trip exact), rows follow
 the input order, and no timestamps or environment data leak in.  JSON
 payloads hold plain values and records (dataclasses), which are written as
-objects of their fields under the keys of `_KEYS` (`lam` as `lambda`)
-through one `json.dumps(indent=2, sort_keys=True)`.  CSV goes through one
-cell formatter (None empty, bool true/false, float 17 digits) and
-`_to_csv(header, rows)`.
+objects of their fields under the keys of `_KEYS` (`lam` as `lambda`,
+`passed` as `pass`) through one `json.dumps(indent=2, sort_keys=True)`.
+CSV goes through one cell formatter (None empty, bool true/false, float 17
+digits) and `_to_csv(header, rows)`.
 
 Bundle artifacts (`write_report_bundle`)
 ----------------------------------------
@@ -27,14 +27,15 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .equilibrium import SQRT2, MarketParams, _closed_forms
+from .equilibrium import SQRT2, MarketParams, _closed_forms, _is_number
+from .errors import ParamError
 from .welfare import privacy_subsidy
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
 _BTC_CSV_COLUMNS = ("sigma_eps_over_sigma_u", "sigma_eps", "subsidy_usd_per_day", "fraction_of_sigma_v_sigma_u")
 
 # output keys of the record fields whose key is not the field name
-_KEYS = {"lam": "lambda"}
+_KEYS = {"lam": "lambda", "passed": "pass"}
 
 # ReportRow fields each output group populates
 _OUTPUT_FIELDS = {
@@ -97,19 +98,26 @@ class SweepSpec:
     outputs: frozenset[str] = OUTPUT_KINDS
 
     def validated(self) -> "SweepSpec":
-        vals = tuple(float(v) for v in self.sigma_eps_values)
+        """This spec with the values as a tuple of floats and the outputs as a
+        frozenset, or a ParamError naming `sigma_eps_values` or `outputs`."""
+        for v in self.sigma_eps_values:
+            if not _is_number(v):
+                raise ParamError("sigma_eps_values", f"sigma_eps values must be real numbers, got {v!r}")
+        vals = tuple(map(float, self.sigma_eps_values))
         if not vals:
-            raise ValueError("sigma_eps_values must be non-empty")
+            raise ParamError("sigma_eps_values", "sigma_eps_values must be non-empty")
         for v in vals:
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"sigma_eps values must be finite and >= 0, got {v!r}")
+                raise ParamError("sigma_eps_values", f"sigma_eps values must be finite and >= 0, got {v!r}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("sigma_eps_values must be strictly increasing")
+            raise ParamError("sigma_eps_values", "sigma_eps_values must be strictly increasing")
+        if isinstance(self.outputs, str):
+            raise ParamError("outputs", f"outputs must be a collection of names, got the string {self.outputs!r}")
         unknown = set(self.outputs) - OUTPUT_KINDS
         if unknown:
-            raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {sorted(OUTPUT_KINDS)}")
+            raise ParamError("outputs", f"unknown outputs {sorted(unknown)}; valid: {sorted(OUTPUT_KINDS)}")
         if not self.outputs:
-            raise ValueError("outputs must be non-empty")
+            raise ParamError("outputs", "outputs must be non-empty")
         return SweepSpec(self.params_base, vals, frozenset(self.outputs))
 
 
@@ -212,9 +220,9 @@ def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> 
     """Uniformly spaced samples of the subsidy over [0, sigma_eps_max],
     plus the inflection marker sqrt(2)*sigma_u."""
     if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points!r}")
+        raise ParamError("n_points", f"n_points must be >= 2, got {n_points!r}")
     if not (sigma_eps_max > 0 and math.isfinite(sigma_eps_max)):
-        raise ValueError(f"sigma_eps_max must be finite and > 0, got {sigma_eps_max!r}")
+        raise ParamError("sigma_eps_max", f"sigma_eps_max must be finite and > 0, got {sigma_eps_max!r}")
     step = sigma_eps_max / (n_points - 1)
     ses = [i * step for i in range(n_points - 1)] + [sigma_eps_max]
     forms = [_closed_forms(params.sigma_v, params.sigma_u, se) for se in ses]
@@ -248,9 +256,9 @@ def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bp
     """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
     volume against the per-period subsidy the fee must cover."""
     if not (daily_volume_usd > 0 and math.isfinite(daily_volume_usd)):
-        raise ValueError(f"daily_volume_usd must be finite and > 0, got {daily_volume_usd!r}")
+        raise ParamError("daily_volume_usd", f"daily_volume_usd must be finite and > 0, got {daily_volume_usd!r}")
     if not (fee_bps >= 0 and math.isfinite(fee_bps)):
-        raise ValueError(f"fee_bps must be finite and >= 0, got {fee_bps!r}")
+        raise ParamError("fee_bps", f"fee_bps must be finite and >= 0, got {fee_bps!r}")
     revenue = daily_volume_usd * (fee_bps / 1e4)
     sub = privacy_subsidy(params)
     shortfall = sub - revenue

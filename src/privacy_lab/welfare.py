@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .equilibrium import MarketParams, _closed_forms
+from .errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecompos
     hypot(b, sigma_u)), so that no sigma is squared on its own.
     """
     if lam <= 0 or beta <= 0:
-        raise ValueError(f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
+        field = "lam" if lam <= 0 else "beta"
+        raise ParamError(field, f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
     sv, su = params.sigma_v, params.sigma_u
     b = beta * sv
     flow = math.hypot(b, su)

@@ -23,14 +23,15 @@ from privacy_lab import (
     incremental_gains,
     privacy_subsidy,
     simulate,
-    simulate_batched,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
     sweep,
     SweepSpec,
     table_btc,
+    verify_batched,
     verify_best_response,
+    verify_simulation,
     welfare_decomposition,
 )
 
@@ -56,6 +57,14 @@ MC_CONFIGS = (
 )
 MC_N = 1_000_000
 MC_SEED = 42
+
+
+def targets_match(checks, targets):
+    """Each check's expected value equals its independently computed target,
+    to 1e-12 relative, or absolute for a zero target."""
+    return len(checks) == len(targets) and all(
+        math.isclose(c.expected, t, rel_tol=1e-12, abs_tol=1e-12 if t == 0 else 0.0) for c, t in zip(checks, targets)
+    )
 
 
 def report(num, desc, ok, detail=""):
@@ -183,22 +192,12 @@ def test_criterion_07_monte_carlo_verification():
     for params in MC_CONFIGS:
         t0 = time.perf_counter()
         eq = solve_closed_form(params)
-        sample = simulate(params, eq, SimConfig(MC_N, MC_SEED))
-        west = estimate_welfare(sample)
-        reg = estimate_lambda_regression(sample)
-        pm = estimate_price_moments(sample, params)
+        checks = verify_simulation(params, eq, SimConfig(MC_N, MC_SEED))
         w = welfare_decomposition(params)
-        checks = (
-            (w.pi_I, west.mean_pi_I, west.se_pi_I),
-            (w.pi_N, west.mean_pi_N, west.se_pi_N),
-            (w.pi_M, west.mean_pi_M, west.se_pi_M),
-            (eq.lam, reg.slope, reg.se),
-            (0.5, pm.slope, pm.slope_se),
-            (params.sigma_v**2 / 4.0, pm.resid_var, pm.resid_var_se),
-        )
-        worst_z = max(abs(est - expected) / se for expected, est, se in checks)
+        ok &= targets_match(checks, (w.pi_I, w.pi_N, w.pi_M, eq.lam, 0.5, params.sigma_v**2 / 4.0))
+        worst_z = max(c.z for c in checks)
         elapsed = time.perf_counter() - t0
-        ok &= worst_z <= 3.0 and elapsed < 10.0
+        ok &= worst_z <= 3.0 and all(c.passed for c in checks) and elapsed < 10.0
         details.append(f"z<={worst_z:.2f} in {elapsed:.1f}s")
     report(7, "MC welfare/slope/price checks within 3 se at n=1e6 for 4 configs", ok, "; ".join(details))
 
@@ -209,15 +208,15 @@ def test_criterion_08_batched_variant():
     details = []
     for tau in (1, 4, 16):
         bp = BatchParams(base, tau)
-        eq = batched_equilibrium(bp)
-        ok &= eq.lam == base.sigma_v / (2.0 * (base.sigma_u * math.sqrt(tau)))
-        est = simulate_batched(bp, eq, SimConfig(MC_N, MC_SEED))
-        z_maker = abs(est.mean_pi_M) / est.se_pi_M
+        ok &= batched_equilibrium(bp).lam == base.sigma_v / (2.0 * (base.sigma_u * math.sqrt(tau)))
+        checks = verify_batched(bp, SimConfig(MC_N, MC_SEED))
         target_informed = 0.5 * base.sigma_v * base.sigma_u * math.sqrt(tau)
-        z_informed = abs(est.mean_pi_I - target_informed) / est.se_pi_I
-        ok &= z_maker <= 3.0 and z_informed <= 3.0
-        details.append(f"tau={tau}: z_M={z_maker:.2f}, z_I={z_informed:.2f}")
-    report(8, "batched market: pi_M ~ 0, pi_I ~ sigma_v*sigma_u*sqrt(tau)/2, exact lam", ok, "; ".join(details))
+        ok &= targets_match(checks, (target_informed, -target_informed, 0.0))
+        ok &= all(c.z <= 3.0 and c.passed for c in checks)
+        informed, noise, maker = checks
+        details.append(f"tau={tau}: z_M={maker.z:.2f}, z_I={informed.z:.2f}, z_N={noise.z:.2f}")
+    report(8, "batched market: pi_M ~ 0, pi_I = -pi_N ~ sigma_v*sigma_u*sqrt(tau)/2, exact lam", ok,
+           "; ".join(details))
 
 
 def test_criterion_09_best_response_argmax():
@@ -262,11 +261,15 @@ def test_criterion_11_determinism_across_thread_caps(monkeypatch):
 
     def run_all():
         sample = simulate(params, eq, cfg)
-        return estimate_welfare(sample), estimate_lambda_regression(sample), estimate_price_moments(sample)
+        return (
+            (estimate_welfare(sample), estimate_lambda_regression(sample), estimate_price_moments(sample)),
+            verify_simulation(params, eq, cfg),
+            verify_batched(BatchParams(params, 4), cfg),
+        )
 
     monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")
     serial = run_all()
     monkeypatch.setenv("PRIVACY_LAB_THREADS", "6")
     threaded = run_all()
     ok = serial == threaded
-    report(11, "identical estimates for thread caps 1 and 6 at the same seed", ok)
+    report(11, "identical estimates and checks for thread caps 1 and 6 at the same seed", ok)

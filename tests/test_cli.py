@@ -288,10 +288,12 @@ class TestUsageErrors:
         ("--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "1e160"),
         ("--sigma-v", "1e160", "--sigma-u", "1"),
         ("--sigma-v", "1", "--sigma-u", "1e-160", "--sigma-eps", "1e-160"),
+        ("--sigma-v", "1e-200", "--sigma-u", "1e-200"),
     ])
     def test_extreme_magnitude_simulate_never_tracebacks(self, capsys, sigmas):
-        # valid inputs whose sample moments can overflow: the run reports
-        # its checks, failing those whose estimate or se is not finite
+        # valid inputs whose sample moments can overflow, or underflow to a
+        # regressor without spread: the run reports its checks, failing
+        # those whose estimate or se is not finite
         rc, out, err = run(capsys, "simulate", *sigmas, "--n-paths", "1000", "--format", "json")
         assert rc in (0, 3)
         assert "Traceback" not in err

@@ -10,12 +10,16 @@ from privacy_lab import (
     MarketParams,
     NoConvergence,
     ParamError,
+    SimConfig,
     batched_equilibrium,
+    fee_revenue_comparison,
     informed_best_response,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
+    subsidy_curve,
+    welfare_at,
     welfare_decomposition,
 )
 
@@ -75,6 +79,37 @@ class TestValidation:
     def test_equilibrium_coefficients(self, field, args):
         with pytest.raises(ParamError) as exc:
             Equilibrium(*args)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("make,args,field", [
+        (MarketParams, ("1", 1), "sigma_v"),
+        (MarketParams, (1, 1, None), "sigma_eps"),
+        (MarketParams, (True, 1), "sigma_v"),
+        (MarketParams, (1, 1, 0, False), "p0"),
+        (Equilibrium, ("1", 1), "lam"),
+        (Equilibrium, (True, 1), "lam"),
+        (SimConfig, (True, 1), "n_paths"),
+        (SimConfig, (10, False), "seed"),
+        (BatchParams, (MarketParams(1, 1), True), "tau"),
+    ])
+    def test_non_numbers_and_bools_are_rejected(self, make, args, field):
+        with pytest.raises(ParamError) as exc:
+            make(*args)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("func,args,field", [
+        (welfare_at, (MarketParams(1, 1), 0.0, 1.0), "lam"),
+        (welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta"),
+        (informed_best_response, (0.0, 0.0, 1.0), "lam"),
+        (solve_fixed_point, (MarketParams(1, 1), 0.0), "tol"),
+        (subsidy_curve, (MarketParams(1, 1), 1.0, 1), "n_points"),
+        (subsidy_curve, (MarketParams(1, 1), math.inf, 3), "sigma_eps_max"),
+        (fee_revenue_comparison, (MarketParams(1, 1), 0.0, 10.0), "daily_volume_usd"),
+        (fee_revenue_comparison, (MarketParams(1, 1), 1e9, -1.0), "fee_bps"),
+    ])
+    def test_function_arguments_name_their_field(self, func, args, field):
+        with pytest.raises(ParamError) as exc:
+            func(*args)
         assert exc.value.field == field
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from privacy_lab import (
     BatchParams,
+    Check,
     InconclusiveResolution,
     MarketParams,
     ParamError,
@@ -268,6 +269,24 @@ class TestPriceMoments:
             squares = squares.merge(_row_moments((p - (pm.intercept + pm.slope * v))[None] ** 2)[0])
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
         assert abs(squares.se - pm.resid_var_se) <= 0.1 * pm.resid_var_se
+
+
+class TestCheck:
+    @pytest.mark.parametrize("expected,estimate,se,z", [
+        (1.0, 1.5, 0.25, 2.0),
+        (1.0, math.nan, 0.25, math.inf),
+        (1.0, math.inf, 0.25, math.inf),
+        (1.0, 1.5, math.inf, math.inf),
+        (1.0, 1.0, 0.0, 0.0),
+        (1.0, 1.5, 0.0, math.inf),
+    ])
+    def test_z_rule(self, expected, estimate, se, z):
+        check = Check.of("x", expected, estimate, se)
+        assert check.z == z and check.passed == (z <= 3.0)
+
+    def test_gate_is_three_standard_errors(self):
+        assert Check.of("x", 0.0, 3.0, 1.0).passed
+        assert not Check.of("x", 0.0, 3.0 + 1e-12, 1.0).passed
 
 
 class TestBestResponse:
