@@ -12,9 +12,13 @@ projection composed with the trader's best response.  The fixed-point route
 never touches the closed form, so the two can cross-check each other.
 
 Every closed form of the model (equilibrium, welfare split, subsidy and its
-derivatives, break-even fee) comes from the one kernel `_closed_forms`; the
-welfare and report modules read their records from it.  The parameter types
-check themselves on construction, so no function re-validates its inputs.
+derivatives, break-even fee) comes from the one kernel `_closed_forms`.  It
+returns a plain tuple whose positions are named by `FORMS`, and every record
+of this, the welfare and the report module is read from that tuple by
+position, through an `operator.itemgetter` built once at import
+(`_forms_getter`).  The parameter types check themselves on construction, so
+no function re-validates its inputs; a function's own scalar arguments are
+checked where it takes them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import NoConvergence, ParamError
 
@@ -48,7 +53,11 @@ def _is_number(value, kind=_REAL) -> bool:
 def _check_finite(field: str, value) -> None:
     if not _is_number(value):
         raise ParamError(field, f"{field} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int (or fraction) past the double range
+        raise ParamError(field, f"{field} must lie within the double range") from None
+    if not finite:
         raise ParamError(field, f"{field} must be finite, got {value!r}")
 
 
@@ -118,9 +127,44 @@ class BatchParams:
             raise ParamError("tau", f"tau must be an integer >= 1, got {self.tau!r}")
 
 
-def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, float]:
-    """Every closed-form quantity of the equilibrium in one pass, by name, for
-    valid primitives.  The public records are projections of this dict.
+# The name of each closed form, in the order `_closed_forms` returns them.
+FORMS = (
+    "lam",
+    "beta",
+    "pi_I",
+    "pi_N",
+    "pi_M",
+    "subsidy",
+    "d1",
+    "d2",
+    "inflection",
+    "low_privacy_coeff",
+    "high_privacy_slope",
+    "noise_pnl_derivative",
+    "gain_informed",
+    "gain_noise",
+    "e_abs_x",
+    "e_abs_u",
+    "q_total",
+    "fee_rate",
+    "fee_on_informed",
+    "fee_on_noise",
+    "net_pi_I",
+    "net_pi_N",
+)
+
+
+def _forms_getter(*names: str) -> itemgetter:
+    """A getter of the closed forms `names` from a `_closed_forms` tuple: the
+    one value for one name, a tuple of them in `names` order for several."""
+    return itemgetter(*map(FORMS.index, names))
+
+
+def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> tuple[float, ...]:
+    """Every closed-form quantity of the equilibrium in one pass, for valid
+    primitives, as a plain tuple in the order of the names in `FORMS`.  The
+    public records read their fields from it by position, through getters
+    built once by `_forms_getter`.
 
     With s = sqrt(sigma_u^2 + sigma_eps^2) the textbook expressions are
     lam = sigma_v/(2s), beta = s/sigma_v, pi_I = sigma_v*s/2,
@@ -144,41 +188,43 @@ def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str,
     fee_rate = sv * c * g / (2.0 * ABS_MOMENT_COEF)
     fee_on_informed = fee_rate * e_abs_x
     fee_on_noise = fee_rate * e_abs_u
-    return {
-        "lam": lam,
-        "beta": s / sv,
-        "pi_I": pi_I,
-        "pi_N": pi_N,
-        "pi_M": -subsidy,
-        "subsidy": subsidy,
-        "d1": 0.5 * sv * c * (2.0 * a * a + c * c),
-        "d2": 0.5 * sv * a * a * (2.0 * a * a - c * c) / s,
-        "inflection": SQRT2 * su,
-        "low_privacy_coeff": 0.5 * sv / su,
-        "high_privacy_slope": 0.5 * sv,
-        "noise_pnl_derivative": 0.5 * sv * a * a * c,
-        "gain_informed": 0.5 * sv * se * g,
-        "gain_noise": 0.5 * sv * su * c * g,
-        "e_abs_x": e_abs_x,
-        "e_abs_u": e_abs_u,
-        "q_total": e_abs_x + e_abs_u,
-        "fee_rate": fee_rate,
-        "fee_on_informed": fee_on_informed,
-        "fee_on_noise": fee_on_noise,
-        # pi_I - fee_on_informed and pi_N - fee_on_noise, exactly: the fee
-        # takes back each type's gain over sigma_eps = 0.  The subtraction
-        # itself would cancel to nothing when sigma_eps >> sigma_u.
-        "net_pi_I": 0.5 * sv * su,
-        "net_pi_N": -0.5 * sv * su,
-    }
+    return (
+        lam,
+        s / sv,  # beta
+        pi_I,
+        pi_N,
+        -subsidy,  # pi_M
+        subsidy,
+        0.5 * sv * c * (2.0 * a * a + c * c),  # d1
+        0.5 * sv * a * a * (2.0 * a * a - c * c) / s,  # d2
+        SQRT2 * su,  # inflection
+        0.5 * sv / su,  # low_privacy_coeff
+        0.5 * sv,  # high_privacy_slope
+        0.5 * sv * a * a * c,  # noise_pnl_derivative
+        0.5 * sv * se * g,  # gain_informed
+        0.5 * sv * su * c * g,  # gain_noise
+        e_abs_x,
+        e_abs_u,
+        e_abs_x + e_abs_u,  # q_total
+        fee_rate,
+        fee_on_informed,
+        fee_on_noise,
+        # net_pi_I and net_pi_N: pi_I - fee_on_informed and pi_N - fee_on_noise,
+        # exactly.  The fee takes back each type's gain over sigma_eps = 0; the
+        # subtraction itself would cancel to nothing when sigma_eps >> sigma_u.
+        0.5 * sv * su,
+        -0.5 * sv * su,
+    )
+
+
+_lam_beta = _forms_getter("lam", "beta")
 
 
 def solve_closed_form(params: MarketParams) -> Equilibrium:
     """Closed-form equilibrium: lam = sigma_v / (2*sqrt(sigma_u^2 + sigma_eps^2)),
     beta = sqrt(sigma_u^2 + sigma_eps^2) / sigma_v.
     """
-    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
-    return Equilibrium(lam=forms["lam"], beta=forms["beta"])
+    return Equilibrium(*_lam_beta(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)))
 
 
 def posterior_slope(params: MarketParams, beta: float) -> float:
@@ -197,6 +243,8 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
 
 def informed_best_response(lam: float, p0: float, v: float) -> float:
     """Profit-maximizing order size (v - p0) / (2*lam) given price impact lam."""
+    for field, value in (("lam", lam), ("p0", p0), ("v", v)):
+        _check_finite(field, value)
     if lam <= 0:
         raise ParamError("lam", f"lam must be > 0, got {lam!r}")
     return (v - p0) / (2.0 * lam)
@@ -219,6 +267,7 @@ def solve_fixed_point(
     holds for all valid params.  The root is rescaled by sigma_v/m.  `tol`
     is relative: the result satisfies |lam - lam_true| <= tol * lam_true.
     """
+    _check_finite("tol", tol)
     if tol <= 0:
         raise ParamError("tol", f"tol must be > 0, got {tol!r}")
     m = max(params.sigma_u, params.sigma_eps)

@@ -6,8 +6,10 @@ the input order, and no timestamps or environment data leak in.  JSON
 payloads hold plain values and records (dataclasses), which are written as
 objects of their fields under the keys of `_KEYS` (`lam` as `lambda`,
 `passed` as `pass`) through one `json.dumps(indent=2, sort_keys=True)`.
-CSV goes through one cell formatter (None empty, bool true/false, float 17
-digits) and `_to_csv(header, rows)`.
+CSV goes through `_to_csv(header, rows)`, which writes each row by one "%"
+template made for its sequence of cell types (float 17 digits, str as is,
+None empty); a row holding any other cell type goes through the one cell
+formatter `_cell` (also bool true/false), with the same text.
 
 Bundle artifacts (`write_report_bundle`)
 ----------------------------------------
@@ -22,14 +24,13 @@ fee_comparison.json  revenue_usd, subsidy_usd, shortfall_usd, shortfall_pct (nul
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .equilibrium import SQRT2, MarketParams, _closed_forms, _is_number
+from .equilibrium import FORMS, SQRT2, MarketParams, _check_finite, _closed_forms, _forms_getter, _is_number
 from .errors import ParamError
-from .welfare import privacy_subsidy
+from .welfare import _subsidy, privacy_subsidy
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
 _BTC_CSV_COLUMNS = ("sigma_eps_over_sigma_u", "sigma_eps", "subsidy_usd_per_day", "fraction_of_sigma_v_sigma_u")
@@ -51,6 +52,8 @@ OUTPUT_KINDS = frozenset(_OUTPUT_FIELDS)
 BTC_SIGMA_V_USD = 3000.0
 BTC_SIGMA_U_BTC = 1000.0
 BTC_RATIOS = (0.1, 0.5, 1.0, SQRT2, 2.0)
+
+_inflection = _forms_getter("inflection")
 
 
 def format_float(x: float) -> str:
@@ -80,9 +83,37 @@ def _cell(v) -> str:
     return format_float(v)
 
 
+# The "%" piece of each cell type whose `_cell` text one "%" conversion
+# writes: a float at 17 digits, a str as it is, and None as "%.0s", the empty
+# cut of "None".
+_PIECES = {float: "%.17g", str: "%s", type(None): "%.0s"}
+
+
+def _template(types: tuple) -> str:
+    """The "%" template of a row whose cells have these exact `types`, or ""
+    when some cell type has no piece and the row goes through `_cell`."""
+    pieces = tuple(map(_PIECES.get, types))
+    return "" if None in pieces else ",".join(pieces)
+
+
 def _to_csv(header, rows) -> str:
-    """A header line, then one line per row of values."""
-    return "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+    """A header line, then one line per row of values.
+
+    A row is written by one "%" template, made once per call for each
+    sequence of cell types met; a row with a cell of another type (bool,
+    int) is written cell by cell through `_cell`.  Both give the same text.
+    """
+    lines = [",".join(header)]
+    templates: dict[tuple, str] = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = _template(types)
+        lines.append(template % row if template else ",".join(map(_cell, row)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -101,14 +132,13 @@ class SweepSpec:
         """This spec with the values as a tuple of floats and the outputs as a
         frozenset, or a ParamError naming `sigma_eps_values` or `outputs`."""
         for v in self.sigma_eps_values:
-            if not _is_number(v):
-                raise ParamError("sigma_eps_values", f"sigma_eps values must be real numbers, got {v!r}")
+            _check_finite("sigma_eps_values", v)
         vals = tuple(map(float, self.sigma_eps_values))
         if not vals:
             raise ParamError("sigma_eps_values", "sigma_eps_values must be non-empty")
         for v in vals:
-            if not math.isfinite(v) or v < 0:
-                raise ParamError("sigma_eps_values", f"sigma_eps values must be finite and >= 0, got {v!r}")
+            if v < 0:
+                raise ParamError("sigma_eps_values", f"sigma_eps values must be >= 0, got {v!r}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ParamError("sigma_eps_values", "sigma_eps_values must be strictly increasing")
         if isinstance(self.outputs, str):
@@ -156,17 +186,23 @@ def regime_label(sigma_eps: float, sigma_u: float) -> str:
     return "far high-privacy"
 
 
+# ReportRow's value fields, which follow sigma_eps and note; each is the
+# closed form of the same name
+_ROW_FORMS = tuple(f.name for f in fields(ReportRow))[2:]
+# a kernel tuple extended by this has None at position len(FORMS)
+_UNSET = (None,)
+
+
 def sweep(spec: SweepSpec) -> list[ReportRow]:
     """One row per sigma_eps value, all closed form."""
     spec = spec.validated()
     sv, su = spec.params_base.sigma_v, spec.params_base.sigma_u
-    fields = {f for kind in spec.outputs for f in _OUTPUT_FIELDS[kind]}
-    rows = []
-    for se in spec.sigma_eps_values:
-        forms = _closed_forms(sv, su, se)
-        values = {f: forms[f] for f in fields}
-        rows.append(ReportRow(sigma_eps=se, note=regime_label(se, su), **values))
-    return rows
+    populated = {f for kind in spec.outputs for f in _OUTPUT_FIELDS[kind]}
+    values = itemgetter(*(FORMS.index(f) if f in populated else len(FORMS) for f in _ROW_FORMS))
+    return [
+        ReportRow(se, regime_label(se, su), *values(_closed_forms(sv, su, se) + _UNSET))
+        for se in spec.sigma_eps_values
+    ]
 
 
 # a ReportRow's values in SWEEP_CSV_COLUMNS order
@@ -201,7 +237,7 @@ def table_btc(params_base: MarketParams | None = None, ratios: tuple[float, ...]
     rows = []
     for ratio in ratios:
         se = ratio * su
-        sub = _closed_forms(sv, su, se)["subsidy"]
+        sub = _subsidy(_closed_forms(sv, su, se))
         rows.append(BtcRow(ratio=ratio, sigma_eps=se, subsidy_usd=sub, fraction=sub / (sv * su)))
     return BtcTable(params_base=params_base, rows=tuple(rows))
 
@@ -219,15 +255,16 @@ class SubsidyCurve:
 def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> SubsidyCurve:
     """Uniformly spaced samples of the subsidy over [0, sigma_eps_max],
     plus the inflection marker sqrt(2)*sigma_u."""
-    if n_points < 2:
-        raise ParamError("n_points", f"n_points must be >= 2, got {n_points!r}")
-    if not (sigma_eps_max > 0 and math.isfinite(sigma_eps_max)):
-        raise ParamError("sigma_eps_max", f"sigma_eps_max must be finite and > 0, got {sigma_eps_max!r}")
+    if not _is_number(n_points, int) or n_points < 2:
+        raise ParamError("n_points", f"n_points must be an integer >= 2, got {n_points!r}")
+    _check_finite("sigma_eps_max", sigma_eps_max)
+    if sigma_eps_max <= 0:
+        raise ParamError("sigma_eps_max", f"sigma_eps_max must be > 0, got {sigma_eps_max!r}")
     step = sigma_eps_max / (n_points - 1)
     ses = [i * step for i in range(n_points - 1)] + [sigma_eps_max]
     forms = [_closed_forms(params.sigma_v, params.sigma_u, se) for se in ses]
-    points = tuple((se, f["subsidy"]) for se, f in zip(ses, forms))
-    return SubsidyCurve(points=points, inflection=forms[0]["inflection"])
+    points = tuple(zip(ses, map(_subsidy, forms)))
+    return SubsidyCurve(points=points, inflection=_inflection(forms[0]))
 
 
 def curve_to_csv(curve: SubsidyCurve) -> str:
@@ -255,10 +292,12 @@ class FeeRevenueComparison:
 def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bps: float) -> FeeRevenueComparison:
     """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
     volume against the per-period subsidy the fee must cover."""
-    if not (daily_volume_usd > 0 and math.isfinite(daily_volume_usd)):
-        raise ParamError("daily_volume_usd", f"daily_volume_usd must be finite and > 0, got {daily_volume_usd!r}")
-    if not (fee_bps >= 0 and math.isfinite(fee_bps)):
-        raise ParamError("fee_bps", f"fee_bps must be finite and >= 0, got {fee_bps!r}")
+    _check_finite("daily_volume_usd", daily_volume_usd)
+    _check_finite("fee_bps", fee_bps)
+    if daily_volume_usd <= 0:
+        raise ParamError("daily_volume_usd", f"daily_volume_usd must be > 0, got {daily_volume_usd!r}")
+    if fee_bps < 0:
+        raise ParamError("fee_bps", f"fee_bps must be >= 0, got {fee_bps!r}")
     revenue = daily_volume_usd * (fee_bps / 1e4)
     sub = privacy_subsidy(params)
     shortfall = sub - revenue

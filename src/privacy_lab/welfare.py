@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .equilibrium import MarketParams, _closed_forms
+from .equilibrium import MarketParams, _check_finite, _closed_forms, _forms_getter
 from .errors import ParamError
 
 
@@ -70,10 +70,19 @@ class FeeBreakEven:
     net_pi_N: float
 
 
+# a getter of each record's fields, in field order, from a `_closed_forms` tuple
+_RECORD_FORMS = {
+    record: _forms_getter(*(f.name for f in fields(record)))
+    for record in (WelfareDecomposition, SubsidyAnalysis, FeeBreakEven)
+}
+_subsidy = _forms_getter("subsidy")
+_noise_pnl_derivative = _forms_getter("noise_pnl_derivative")
+_gains = _forms_getter("gain_informed", "gain_noise")
+
+
 def _project(record_type, params: MarketParams):
     """A `record_type` whose fields are read from the closed forms at `params`."""
-    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
-    return record_type(**{f.name: forms[f.name] for f in fields(record_type)})
+    return record_type(*_RECORD_FORMS[record_type](_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)))
 
 
 def welfare_decomposition(params: MarketParams) -> WelfareDecomposition:
@@ -98,6 +107,8 @@ def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecompos
     a price-scale factor (lam*.., sigma_v) and a flow-scale one (b, sigma_u,
     hypot(b, sigma_u)), so that no sigma is squared on its own.
     """
+    _check_finite("lam", lam)
+    _check_finite("beta", beta)
     if lam <= 0 or beta <= 0:
         field = "lam" if lam <= 0 else "beta"
         raise ParamError(field, f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
@@ -114,7 +125,7 @@ def privacy_subsidy(params: MarketParams) -> float:
     """Per-period transfer |pi_M| = sigma_v*sigma_eps^2/(2*sqrt(sigma_u^2+sigma_eps^2))
     from the protocol/LP pool to traders; zero iff sigma_eps = 0.
     """
-    return _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)["subsidy"]
+    return _subsidy(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps))
 
 
 def subsidy_analysis(params: MarketParams) -> SubsidyAnalysis:
@@ -135,7 +146,7 @@ def noise_pnl_derivative(params: MarketParams) -> float:
     Strictly positive for sigma_eps > 0: noise traders lose less as the
     maker's signal gets coarser.
     """
-    return _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)["noise_pnl_derivative"]
+    return _noise_pnl_derivative(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps))
 
 
 def incremental_gains(params: MarketParams) -> tuple[float, float]:
@@ -148,8 +159,7 @@ def incremental_gains(params: MarketParams) -> tuple[float, float]:
     rationalized form s - sigma_u = sigma_eps^2/(s + sigma_u), which avoids
     the cancellation the naive difference suffers for small sigma_eps.
     """
-    forms = _closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)
-    return forms["gain_informed"], forms["gain_noise"]
+    return _gains(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps))
 
 
 def break_even_fee(params: MarketParams) -> FeeBreakEven:

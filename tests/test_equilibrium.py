@@ -91,6 +91,8 @@ class TestValidation:
         (SimConfig, (True, 1), "n_paths"),
         (SimConfig, (10, False), "seed"),
         (BatchParams, (MarketParams(1, 1), True), "tau"),
+        (MarketParams, (10**400, 1), "sigma_v"),
+        (Equilibrium, (10**400, 1), "lam"),
     ])
     def test_non_numbers_and_bools_are_rejected(self, make, args, field):
         with pytest.raises(ParamError) as exc:
@@ -106,6 +108,12 @@ class TestValidation:
         (subsidy_curve, (MarketParams(1, 1), math.inf, 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), 0.0, 10.0), "daily_volume_usd"),
         (fee_revenue_comparison, (MarketParams(1, 1), 1e9, -1.0), "fee_bps"),
+        (welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam"),
+        (solve_fixed_point, (MarketParams(1, 1), math.nan), "tol"),
+        (subsidy_curve, (MarketParams(1, 1), 5.0, 2.5), "n_points"),
+        (subsidy_curve, (MarketParams(1, 1), "5", 3), "sigma_eps_max"),
+        (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
+        (informed_best_response, ("1", 0.0, 1.0), "lam"),
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:

@@ -2,7 +2,8 @@
 
 Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split,
 fee neutrality, the informed trader's best response and the no-privacy
-price impact over sigmas spanning 200 orders of magnitude.  A
+price impact over sigmas spanning 200 orders of magnitude, and that every
+sweep row holds the point functions' values bit for bit.  A
 40-digit mpmath evaluation of the textbook formulas is the reference for
 every public closed-form record, on the conftest grid and at magnitudes
 where a naive double evaluation overflows or underflows; it is also the
@@ -37,6 +38,7 @@ from privacy_lab import (
     welfare_at,
     welfare_decomposition,
 )
+from privacy_lab.report import regime_label
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -149,6 +151,52 @@ def test_halved_forms_near_the_double_limit(sv, big, small, big_privacy):
     for name, value in got.items():
         want, scale = ref[name]
         assert abs(mp.mpf(value) - want) <= REF_RTOL * scale + 2 * TINY, (name, p, value, want)
+
+
+# the ReportRow fields each sweep output group populates
+SWEEP_GROUPS = {
+    "equilibrium": ("lam", "beta"),
+    "welfare": ("pi_I", "pi_N", "pi_M", "subsidy"),
+    "subsidy_analysis": ("subsidy", "d1", "d2"),
+    "fee": ("fee_rate",),
+}
+
+
+@PROPERTY
+@given(
+    magnitude,
+    magnitude,
+    st.lists(sigma_eps, min_size=1, max_size=6, unique=True),
+    st.sets(st.sampled_from(sorted(SWEEP_GROUPS)), min_size=1),
+)
+def test_sweep_rows_equal_the_point_records(sv, su, values, outputs):
+    # sweep picks each row's fields from the kernel tuple by position; every
+    # populated field must be the point functions' value, bit for bit
+    spec = SweepSpec(MarketParams(sv, su), tuple(sorted(values)), frozenset(outputs))
+    populated = {f for kind in outputs for f in SWEEP_GROUPS[kind]}
+    rows = sweep(spec)
+    assert [row.sigma_eps for row in rows] == sorted(values)
+    for row in rows:
+        p = MarketParams(sv, su, row.sigma_eps)
+        eq, welfare, analysis, fee = solve_closed_form(p), welfare_decomposition(p), subsidy_analysis(p), break_even_fee(p)
+        want = {
+            "lam": eq.lam,
+            "beta": eq.beta,
+            "pi_I": welfare.pi_I,
+            "pi_N": welfare.pi_N,
+            "pi_M": welfare.pi_M,
+            "subsidy": analysis.subsidy,
+            "d1": analysis.d1,
+            "d2": analysis.d2,
+            "fee_rate": fee.fee_rate,
+        }
+        assert row.note == regime_label(row.sigma_eps, su)
+        for name, value in want.items():
+            got = getattr(row, name)
+            if name in populated:
+                assert got.hex() == value.hex(), (name, p)
+            else:
+                assert got is None, (name, outputs)
 
 
 def reference(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, tuple[mp.mpf, mp.mpf]]:

@@ -1,7 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privacy_lab import (
     MarketParams,
@@ -14,8 +17,12 @@ from privacy_lab import (
     table_btc,
     write_report_bundle,
 )
+from privacy_lab.equilibrium import FORMS, _closed_forms
 from privacy_lab.report import (
     SWEEP_CSV_COLUMNS,
+    ReportRow,
+    _cell,
+    _to_csv,
     btc_table_to_csv,
     curve_sidecar_json,
     curve_to_csv,
@@ -23,6 +30,7 @@ from privacy_lab.report import (
     regime_label,
     sweep_to_csv,
 )
+from privacy_lab.welfare import FeeBreakEven, SubsidyAnalysis, WelfareDecomposition
 
 SQRT2 = math.sqrt(2.0)
 UNIT = MarketParams(1.0, 1.0)
@@ -60,7 +68,7 @@ class TestSweep:
         (row,) = sweep(SweepSpec(UNIT, (1.0,), frozenset({"fee"})))
         assert row.fee_rate is not None and row.lam is None
 
-    @pytest.mark.parametrize("values", [(), (1.0, 1.0), (2.0, 1.0), (-1.0,), (math.nan,), (True, 2.0), ("0.5",)])
+    @pytest.mark.parametrize("values", [(), (1.0, 1.0), (2.0, 1.0), (-1.0,), (math.nan,), (True, 2.0), ("0.5",), (0, 10**400)])
     def test_bad_grids_rejected(self, values):
         with pytest.raises(ParamError) as exc:
             sweep(SweepSpec(UNIT, values))
@@ -76,6 +84,13 @@ class TestSweep:
         with pytest.raises(ParamError) as exc:
             sweep(SweepSpec(UNIT, (1.0,), outputs))
         assert exc.value.field == "outputs"
+
+    def test_every_record_field_is_a_named_closed_form(self):
+        # the records read their fields from the kernel tuple by these names
+        assert len(set(FORMS)) == len(FORMS) == len(_closed_forms(1.0, 1.0, 1.0))
+        for record in (WelfareDecomposition, SubsidyAnalysis, FeeBreakEven, ReportRow):
+            for f in fields(record):
+                assert f.name in FORMS or (record is ReportRow and f.name in ("sigma_eps", "note")), (record, f.name)
 
 
 class TestCsvEmission:
@@ -101,6 +116,32 @@ class TestCsvEmission:
         by_col = dict(zip(SWEEP_CSV_COLUMNS, cells))
         assert by_col["pi_I"] == "" and by_col["fee_rate"] == ""
         assert by_col["lambda"] != ""
+
+    MIXED_ROWS = (
+        (1.5, None, "a b", True, 3),
+        (None, 2.0, "100%", False, -7),
+        (0.1, 5e-324, -0.0, math.inf, -math.nan),
+        (None, None, None),
+        (1.0, None, "note"),
+        (None, 1.0, "note"),
+        (1.0, None, "note"),
+        ("only",),
+        (),
+        [2.5, None],
+        {"a": 1.0, "b": "x"}.values(),
+    )
+
+    def test_to_csv_matches_the_per_cell_reference(self):
+        # the "%" template of each cell-type sequence against _cell, with the
+        # None pattern changing from row to row within one call
+        want = "\n".join(["h1,h2", *(",".join(map(_cell, row)) for row in self.MIXED_ROWS)]) + "\n"
+        assert _to_csv(("h1", "h2"), self.MIXED_ROWS) == want
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.lists(st.lists(st.one_of(st.floats(), st.none(), st.text(max_size=4), st.booleans(), st.integers()))))
+    def test_to_csv_matches_the_per_cell_reference_on_any_rows(self, rows):
+        want = "\n".join(["h", *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+        assert _to_csv(("h",), rows) == want
 
     def test_format_float_is_round_trip_exact(self):
         for x in (0.1, 1 / 3, 0.35355339059327373, 1.0607e6, 5e-324):
