@@ -2,8 +2,9 @@
 
 Subcommands: equilibrium, decompose, fee, sweep, simulate, reproduce-paper.
 Market parameters come from flags (--sigma-v, --sigma-u, --sigma-eps, --p0)
-or a JSON config file (--config); flags override the file.  Exit codes:
-0 success, 2 usage or validation error, 3 verification failure.
+or a JSON config file (--config); flags override the file.  Values go to the
+parameter types as read, and those check them.  Exit codes: 0 success,
+2 usage or validation error, 3 verification failure.
 
 Each command computes its records and hands them to `_emit`, which writes
 them in the chosen --format through the renderer in `report`: JSON of the
@@ -78,44 +79,29 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also not UTF-8, too deep, or an int past the digit limit
         raise UsageError(f"config file is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
 
 
-def _is_number(v) -> bool:
-    """A JSON number that float() takes: not true or false, nor an integer past the double range."""
-    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+# The keys of each config block; a flag of the same name overrides the key.
+_MARKET_KEYS = ("sigma_v", "sigma_u", "sigma_eps", "p0")
+_SIM_KEYS = ("n_paths", "seed", "chunk_size")
+_SWEEP_KEYS = ("sigma_eps_values", "outputs")
 
 
-# The keys of each config block, each with the check its value must pass and
-# the name of that check's kind; a flag of the same name overrides the key.
-_NUMBER = (_is_number, "a number")
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_MARKET_KEYS = {"sigma_v": _NUMBER, "sigma_u": _NUMBER, "sigma_eps": _NUMBER, "p0": _NUMBER}
-_SIM_KEYS = {"n_paths": _INTEGER, "seed": _INTEGER, "chunk_size": _INTEGER}
-_SWEEP_KEYS = {
-    "sigma_eps_values": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    "outputs": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of names"),
-}
-
-
-def _block(args, cfg: dict, name: str, keys: dict) -> dict:
-    """Config block `name` with the flags given merged over it, each value checked."""
+def _block(args, cfg: dict, name: str, keys: tuple) -> dict:
+    """Config block `name` with the flags given merged over it."""
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise UsageError(f"config block {name!r} must be a JSON object, got {block!r}")
-    block = {**block, **{k: v for k in keys if (v := getattr(args, k, None)) is not None}}
-    for key, (check, kind) in keys.items():
-        if key in block and not check(block[key]):
-            raise UsageError(f"{name}.{key} must be {kind}, got {block[key]!r}")
-    return block
+    return {**block, **{k: v for k in keys if (v := getattr(args, k, None)) is not None}}
 
 
 def _market_from(args, cfg: dict) -> MarketParams:
@@ -124,7 +110,7 @@ def _market_from(args, cfg: dict) -> MarketParams:
     if missing:
         flags = ", ".join("--" + m.replace("_", "-") for m in missing)
         raise UsageError(f"missing required market parameter(s): {flags}")
-    return MarketParams(*(float(block.get(k, 0.0)) for k in _MARKET_KEYS))
+    return MarketParams(*(block.get(k, 0.0) for k in _MARKET_KEYS))
 
 
 def _emit(args, payload: dict, human: str, header=(), rows=()) -> None:
@@ -204,8 +190,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     block = _block(args, cfg, "sweep", _SWEEP_KEYS)
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
-    spec = SweepSpec(params, tuple(block["sigma_eps_values"]), frozenset(block.get("outputs", OUTPUT_KINDS)))
-    spec = spec.validated()
+    spec = SweepSpec(params, block["sigma_eps_values"], block.get("outputs", OUTPUT_KINDS)).validated()
     rows = sweep(spec)
     payload = {
         "market": params,

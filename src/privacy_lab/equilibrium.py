@@ -16,9 +16,13 @@ derivatives, break-even fee) comes from the one kernel `_closed_forms`.  It
 returns a plain tuple whose positions are named by `FORMS`, and every record
 of this, the welfare and the report module is read from that tuple by
 position, through an `operator.itemgetter` built once at import
-(`_forms_getter`).  The parameter types check themselves on construction, so
-no function re-validates its inputs; a function's own scalar arguments are
-checked where it takes them.
+(`_forms_getter`).
+
+Every numeric input passes one field check, `_real` for a real number and
+`_integer` for a count, which raises a ParamError naming the field.  The
+parameter types run it on construction and store the float it returns, so no
+function re-validates them; a function's own scalar arguments pass it where
+the function takes them.
 """
 
 from __future__ import annotations
@@ -39,31 +43,37 @@ SQRT2 = math.sqrt(2.0)
 ABS_MOMENT_COEF = math.sqrt(2.0 / math.pi)
 
 
-# float first: it is the common case, and isinstance matches it without
-# consulting the numbers.Real ABC, which costs ~10x more.
-_REAL = (float, numbers.Real)
-
-
-def _is_number(value, kind=_REAL) -> bool:
-    """Whether `value` is an instance of `kind` other than a bool, which
-    Python counts as an int but which no parameter here means."""
-    return type(value) is not bool and isinstance(value, kind)
-
-
-def _check_finite(field: str, value) -> None:
-    if not _is_number(value):
-        raise ParamError(field, f"{field} must be a real number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int (or fraction) past the double range
-        raise ParamError(field, f"{field} must lie within the double range") from None
-    if not finite:
+def _real(field: str, value, low: float | None = None, strict: bool = True) -> float:
+    """`value` as a float, checked: a real number (a bool is not one, though
+    Python counts it as an int) within the double range, finite, and
+    > `low` (>= `low` unless `strict`) when `low` is given.  Otherwise a
+    ParamError naming `field`.  Never clamps."""
+    x = value
+    if type(x) is not float:  # the common case skips the numbers.Real ABC, ~10x dearer
+        if type(x) is bool or not isinstance(x, numbers.Real):
+            raise ParamError(field, f"{field} must be a real number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int (or fraction) past the double range
+            raise ParamError(field, f"{field} must lie within the double range") from None
+    if not math.isfinite(x):
         raise ParamError(field, f"{field} must be finite, got {value!r}")
+    if low is not None and (x <= low if strict else x < low):
+        raise ParamError(field, f"{field} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return x
+
+
+def _integer(field: str, value, low: int) -> int:
+    """`value` if it is an int >= `low` (a bool is not one), else a
+    ParamError naming `field`."""
+    if type(value) is bool or not isinstance(value, int) or value < low:
+        raise ParamError(field, f"{field} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Model primitives, checked on construction.
+    """Model primitives, checked on construction and stored as floats.
 
     sigma_v: std dev of the terminal value (currency units), > 0.
     sigma_u: std dev of the noise-trader flow (asset units), > 0.
@@ -73,9 +83,10 @@ class MarketParams:
     p0: common prior mean of the value; only differences v - p0 enter
         the math, so any finite level (including 0 or negative) is fine.
 
-    A value that is not a real number (a bool is not one), not finite, or
-    out of range, raises a ParamError naming the offending field.  Never
-    clamps.
+    Each field passes `_real`: a value that is not a real number (a bool is
+    not one), lies past the double range, is not finite, or is out of range,
+    raises a ParamError naming the field.  Never clamps.  An int is stored
+    as the equal float, so every field is a `float`.
     """
 
     sigma_v: float
@@ -84,14 +95,10 @@ class MarketParams:
     p0: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in ("p0", "sigma_v", "sigma_u", "sigma_eps"):
-            _check_finite(field, getattr(self, field))
-        if self.sigma_v <= 0:
-            raise ParamError("sigma_v", f"sigma_v must be > 0, got {self.sigma_v!r}")
-        if self.sigma_u <= 0:
-            raise ParamError("sigma_u", f"sigma_u must be > 0, got {self.sigma_u!r}")
-        if self.sigma_eps < 0:
-            raise ParamError("sigma_eps", f"sigma_eps must be >= 0, got {self.sigma_eps!r}")
+        object.__setattr__(self, "p0", _real("p0", self.p0))  # the dataclass is frozen
+        object.__setattr__(self, "sigma_v", _real("sigma_v", self.sigma_v, 0))
+        object.__setattr__(self, "sigma_u", _real("sigma_u", self.sigma_u, 0))
+        object.__setattr__(self, "sigma_eps", _real("sigma_eps", self.sigma_eps, 0, strict=False))
 
 
 @dataclass(frozen=True)
@@ -100,19 +107,16 @@ class Equilibrium:
 
     Solver outputs satisfy lam * beta = 1/2; a deliberately perturbed copy
     (for off-equilibrium simulation) need not.
-    Both coefficients must be finite real numbers > 0; a violation raises a
-    ParamError naming `lam` or `beta`.
+    Both coefficients pass `_real` as finite real numbers > 0, and are
+    stored as floats; a violation raises a ParamError naming `lam` or `beta`.
     """
 
     lam: float
     beta: float
 
     def __post_init__(self) -> None:
-        for field in ("lam", "beta"):
-            value = getattr(self, field)
-            _check_finite(field, value)
-            if value <= 0:
-                raise ParamError(field, f"{field} must be > 0, got {value!r}")
+        object.__setattr__(self, "lam", _real("lam", self.lam, 0))
+        object.__setattr__(self, "beta", _real("beta", self.beta, 0))
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,7 @@ class BatchParams:
     tau: int
 
     def __post_init__(self) -> None:
-        if not _is_number(self.tau, int) or self.tau < 1:
-            raise ParamError("tau", f"tau must be an integer >= 1, got {self.tau!r}")
+        _integer("tau", self.tau, 1)
 
 
 # The name of each closed form, in the order `_closed_forms` returns them.
@@ -243,10 +246,7 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
 
 def informed_best_response(lam: float, p0: float, v: float) -> float:
     """Profit-maximizing order size (v - p0) / (2*lam) given price impact lam."""
-    for field, value in (("lam", lam), ("p0", p0), ("v", v)):
-        _check_finite(field, value)
-    if lam <= 0:
-        raise ParamError("lam", f"lam must be > 0, got {lam!r}")
+    lam, p0, v = _real("lam", lam, 0), _real("p0", p0), _real("v", v)
     return (v - p0) / (2.0 * lam)
 
 
@@ -267,9 +267,7 @@ def solve_fixed_point(
     holds for all valid params.  The root is rescaled by sigma_v/m.  `tol`
     is relative: the result satisfies |lam - lam_true| <= tol * lam_true.
     """
-    _check_finite("tol", tol)
-    if tol <= 0:
-        raise ParamError("tol", f"tol must be > 0, got {tol!r}")
+    tol, max_iter = _real("tol", tol, 0), _integer("max_iter", max_iter, 1)
     m = max(params.sigma_u, params.sigma_eps)
     noise_var = (params.sigma_u / m) ** 2 + (params.sigma_eps / m) ** 2
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _is_number, batched_equilibrium
+from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _integer, _real, batched_equilibrium
 from .equilibrium import informed_best_response, posterior_slope
 from .errors import InconclusiveResolution, ParamError
 from .welfare import WelfareDecomposition, welfare_at, welfare_decomposition
@@ -61,20 +61,18 @@ DEFAULT_CHUNK_SIZE = 65_536
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, seed and chunk size of a run; checked on construction,
-    raising a ParamError that names the offending field."""
+    """Path count, seed and chunk size of a run, checked on construction by
+    `_integer`: each an int (a bool is not one), `n_paths` and `chunk_size`
+    >= 1 and `seed` >= 0, or a ParamError naming the field."""
 
     n_paths: int
     seed: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if not _is_number(self.n_paths, int) or self.n_paths < 1:
-            raise ParamError("n_paths", f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not _is_number(self.chunk_size, int) or self.chunk_size < 1:
-            raise ParamError("chunk_size", f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
-        if not _is_number(self.seed, int) or self.seed < 0:
-            raise ParamError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
+        _integer("n_paths", self.n_paths, 1)
+        _integer("chunk_size", self.chunk_size, 1)
+        _integer("seed", self.seed, 0)
 
 
 def _require_paths(n: int, needed: int) -> None:
@@ -732,11 +730,8 @@ def verify_best_response(
     reach beyond the double range.
     """
     _require_paths(cfg.n_paths, 2)
-    if not math.isfinite(v):
-        raise ParamError("v", f"v must be finite, got {v!r}")
-    if not 0 < grid_halfwidth < math.inf:
-        raise ParamError("grid_halfwidth", f"grid_halfwidth must be finite and > 0, got {grid_halfwidth!r}")
-    if not isinstance(n_grid, int) or n_grid < 3 or n_grid % 2 == 0:
+    v, grid_halfwidth = _real("v", v), _real("grid_halfwidth", grid_halfwidth, 0)
+    if _integer("n_grid", n_grid, 3) % 2 == 0:
         raise ParamError("n_grid", f"n_grid must be an odd integer >= 3, got {n_grid!r}")
 
     x_star = informed_best_response(eq.lam, params.p0, v)

@@ -24,11 +24,12 @@ fee_comparison.json  revenue_usd, subsidy_usd, shortfall_usd, shortfall_pct (nul
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .equilibrium import FORMS, SQRT2, MarketParams, _check_finite, _closed_forms, _forms_getter, _is_number
+from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _forms_getter, _integer, _real
 from .errors import ParamError
 from .welfare import _subsidy, privacy_subsidy
 
@@ -130,25 +131,28 @@ class SweepSpec:
 
     def validated(self) -> "SweepSpec":
         """This spec with the values as a tuple of floats and the outputs as a
-        frozenset, or a ParamError naming `sigma_eps_values` or `outputs`."""
-        for v in self.sigma_eps_values:
-            _check_finite("sigma_eps_values", v)
-        vals = tuple(map(float, self.sigma_eps_values))
+        frozenset, or a ParamError naming `sigma_eps_values` or `outputs`.
+        Each value passes `_real` as a float >= 0."""
+        values, outputs = self.sigma_eps_values, self.outputs
+        if not isinstance(values, Iterable):
+            raise ParamError("sigma_eps_values", f"sigma_eps_values must be a sequence of numbers, got {values!r}")
+        vals = tuple([_real("sigma_eps_values", v, 0, strict=False) for v in values])
         if not vals:
             raise ParamError("sigma_eps_values", "sigma_eps_values must be non-empty")
-        for v in vals:
-            if v < 0:
-                raise ParamError("sigma_eps_values", f"sigma_eps values must be >= 0, got {v!r}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ParamError("sigma_eps_values", "sigma_eps_values must be strictly increasing")
-        if isinstance(self.outputs, str):
-            raise ParamError("outputs", f"outputs must be a collection of names, got the string {self.outputs!r}")
-        unknown = set(self.outputs) - OUTPUT_KINDS
+        if isinstance(outputs, str) or not isinstance(outputs, Iterable):
+            raise ParamError("outputs", f"outputs must be a collection of names, got {outputs!r}")
+        names = tuple(outputs)
+        for name in names:
+            if not isinstance(name, str):
+                raise ParamError("outputs", f"outputs must be names, got {name!r}")
+        unknown = set(names) - OUTPUT_KINDS
         if unknown:
             raise ParamError("outputs", f"unknown outputs {sorted(unknown)}; valid: {sorted(OUTPUT_KINDS)}")
-        if not self.outputs:
+        if not names:
             raise ParamError("outputs", "outputs must be non-empty")
-        return SweepSpec(self.params_base, vals, frozenset(self.outputs))
+        return SweepSpec(self.params_base, vals, frozenset(names))
 
 
 @dataclass(frozen=True)
@@ -255,11 +259,8 @@ class SubsidyCurve:
 def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> SubsidyCurve:
     """Uniformly spaced samples of the subsidy over [0, sigma_eps_max],
     plus the inflection marker sqrt(2)*sigma_u."""
-    if not _is_number(n_points, int) or n_points < 2:
-        raise ParamError("n_points", f"n_points must be an integer >= 2, got {n_points!r}")
-    _check_finite("sigma_eps_max", sigma_eps_max)
-    if sigma_eps_max <= 0:
-        raise ParamError("sigma_eps_max", f"sigma_eps_max must be > 0, got {sigma_eps_max!r}")
+    n_points = _integer("n_points", n_points, 2)
+    sigma_eps_max = _real("sigma_eps_max", sigma_eps_max, 0)
     step = sigma_eps_max / (n_points - 1)
     ses = [i * step for i in range(n_points - 1)] + [sigma_eps_max]
     forms = [_closed_forms(params.sigma_v, params.sigma_u, se) for se in ses]
@@ -292,12 +293,8 @@ class FeeRevenueComparison:
 def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bps: float) -> FeeRevenueComparison:
     """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
     volume against the per-period subsidy the fee must cover."""
-    _check_finite("daily_volume_usd", daily_volume_usd)
-    _check_finite("fee_bps", fee_bps)
-    if daily_volume_usd <= 0:
-        raise ParamError("daily_volume_usd", f"daily_volume_usd must be > 0, got {daily_volume_usd!r}")
-    if fee_bps < 0:
-        raise ParamError("fee_bps", f"fee_bps must be >= 0, got {fee_bps!r}")
+    daily_volume_usd = _real("daily_volume_usd", daily_volume_usd, 0)
+    fee_bps = _real("fee_bps", fee_bps, 0, strict=False)
     revenue = daily_volume_usd * (fee_bps / 1e4)
     sub = privacy_subsidy(params)
     shortfall = sub - revenue

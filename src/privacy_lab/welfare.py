@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .equilibrium import MarketParams, _check_finite, _closed_forms, _forms_getter
-from .errors import ParamError
+from .equilibrium import MarketParams, _closed_forms, _forms_getter, _real
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,7 @@ def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecompos
     a price-scale factor (lam*.., sigma_v) and a flow-scale one (b, sigma_u,
     hypot(b, sigma_u)), so that no sigma is squared on its own.
     """
-    _check_finite("lam", lam)
-    _check_finite("beta", beta)
-    if lam <= 0 or beta <= 0:
-        field = "lam" if lam <= 0 else "beta"
-        raise ParamError(field, f"lam and beta must be > 0, got lam={lam!r}, beta={beta!r}")
+    lam, beta = _real("lam", lam, 0), _real("beta", beta, 0)
     sv, su = params.sigma_v, params.sigma_u
     b = beta * sv
     flow = math.hypot(b, su)

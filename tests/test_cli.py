@@ -229,6 +229,12 @@ CONFIGS = {
     "huge_sigma.json": {"market": {"sigma_v": 10**400, "sigma_u": 1}},
     "huge_values.json": {"sweep": {"sigma_eps_values": [0, 10**400]}},
 }
+# config files that are no JSON text json.load can take
+RAW_CONFIGS = {
+    "latin1.json": '{"market": {"sigma_v": 1, "sigma_u": 1, "note": "\xe9"}}'.encode("latin-1"),
+    "deep.json": b"[" * 200_000 + b"]" * 200_000,
+    "long_int.json": b'{"market": {"sigma_v": 1' + b"0" * 5000 + b', "sigma_u": 1}}',
+}
 
 
 class TestUsageErrors:
@@ -270,11 +276,16 @@ class TestUsageErrors:
         (("reproduce-paper", "--outdir", "{tmp}/bundle", "--format", "csv"), "--format"),
         (("equilibrium", "--config", "{tmp}/huge_sigma.json"), "sigma_v"),
         (("sweep", *MARKET, "--config", "{tmp}/huge_values.json"), "sigma_eps_values"),
+        (("equilibrium", "--config", "{tmp}/latin1.json"), "config"),
+        (("equilibrium", "--config", "{tmp}/deep.json"), "config"),
+        (("equilibrium", "--config", "{tmp}/long_int.json"), "config"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")
         for name, cfg in CONFIGS.items():
             (tmp_path / name).write_text(json.dumps(cfg))
+        for name, raw in RAW_CONFIGS.items():
+            (tmp_path / name).write_bytes(raw)
         while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
             monkeypatch.setenv(*argv[0].split("=", 1))
             argv = argv[1:]

@@ -114,6 +114,10 @@ class TestValidation:
         (subsidy_curve, (MarketParams(1, 1), "5", 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
         (informed_best_response, ("1", 0.0, 1.0), "lam"),
+        (solve_fixed_point, (MarketParams(1, 1), 1e-12, "3"), "max_iter"),
+        (solve_fixed_point, (MarketParams(1, 1), 1e-12, 2.5), "max_iter"),
+        (solve_fixed_point, (MarketParams(1, 1), 1e-12, True), "max_iter"),
+        (solve_fixed_point, (MarketParams(1, 1), 1e-12, 0), "max_iter"),
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:

@@ -319,6 +319,8 @@ class TestBestResponse:
         ({"grid_halfwidth": 1.2e308}, "grid_halfwidth"),  # finite half-width, but the span overflows
         ({"n_grid": 21.0}, "n_grid"),
         ({"n_grid": 4}, "n_grid"),
+        ({"v": "1"}, "v"),
+        ({"grid_halfwidth": "0.5"}, "grid_halfwidth"),
     ], ids=lambda bad: "{}={}".format(*next(iter(bad[0].items()))))
     def test_bad_input_names_the_field(self, bad):
         kwargs, field = bad

@@ -8,11 +8,15 @@ sweep row holds the point functions' values bit for bit.  A
 every public closed-form record, on the conftest grid and at magnitudes
 where a naive double evaluation overflows or underflows; it is also the
 reference for the expected values the Monte Carlo checks are judged against.
+Every numeric argument of the parameter types and of the functions that take
+their own rejects a bad value with a ParamError naming that argument, and a
+real field given an int holds the equal float.
 """
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -20,10 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privacy_lab import (
+    BatchParams,
+    Equilibrium,
     MarketParams,
+    ParamError,
     SimConfig,
     break_even_fee,
     estimate_price_moments,
+    fee_revenue_comparison,
     incremental_gains,
     informed_best_response,
     noise_pnl_derivative,
@@ -33,8 +41,10 @@ from privacy_lab import (
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
+    subsidy_curve,
     sweep,
     SweepSpec,
+    verify_best_response,
     welfare_at,
     welfare_decomposition,
 )
@@ -336,3 +346,87 @@ def test_simulation_targets_on_grid(grid1000):
     for p in grid1000:
         for beta_scale in (1.0, 1.2):
             assert_simulation_targets_match(p, beta_scale)
+
+
+UNIT = MarketParams(1.0, 1.0, 0.5)
+REAL, INTEGER = "real", "integer"
+
+
+def sweep_values(sigma_eps_values):
+    return sweep(SweepSpec(UNIT, sigma_eps_values))
+
+
+# Each callable with ordinary values of its numeric arguments, and the rule of
+# each: (REAL, low, strict) for a finite float > low (>= low unless strict,
+# unbounded when low is None), (INTEGER, low) for an int >= low.
+CALLS = (
+    (MarketParams, {"sigma_v": 1.0, "sigma_u": 1.0, "sigma_eps": 0.5, "p0": 0.0},
+     {"sigma_v": (REAL, 0, True), "sigma_u": (REAL, 0, True), "sigma_eps": (REAL, 0, False), "p0": (REAL, None, True)}),
+    (Equilibrium, {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
+    (partial(BatchParams, UNIT), {"tau": 4}, {"tau": (INTEGER, 1)}),
+    (SimConfig, {"n_paths": 1000, "seed": 7, "chunk_size": 256},
+     {"n_paths": (INTEGER, 1), "seed": (INTEGER, 0), "chunk_size": (INTEGER, 1)}),
+    (partial(welfare_at, UNIT), {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
+    (informed_best_response, {"lam": 0.5, "p0": 0.0, "v": 1.0},
+     {"lam": (REAL, 0, True), "p0": (REAL, None, True), "v": (REAL, None, True)}),
+    (partial(solve_fixed_point, UNIT), {"tol": 1e-12, "max_iter": 200},
+     {"tol": (REAL, 0, True), "max_iter": (INTEGER, 1)}),
+    (partial(subsidy_curve, UNIT), {"sigma_eps_max": 4.0, "n_points": 5},
+     {"sigma_eps_max": (REAL, 0, True), "n_points": (INTEGER, 2)}),
+    (partial(fee_revenue_comparison, UNIT), {"daily_volume_usd": 1e9, "fee_bps": 10.0},
+     {"daily_volume_usd": (REAL, 0, True), "fee_bps": (REAL, 0, False)}),
+    (sweep_values, {"sigma_eps_values": (0.5, 1.0)}, {"sigma_eps_values": (REAL, 0, False)}),
+    (partial(verify_best_response, UNIT, solve_closed_form(UNIT), cfg=SimConfig(2000, 7)),
+     {"v": 1.0, "grid_halfwidth": 0.5, "n_grid": 21},
+     {"v": (REAL, None, True), "grid_halfwidth": (REAL, 0, True), "n_grid": (INTEGER, 3)}),
+)
+FIELDS = [(call, ordinary, field, rule) for call, ordinary, rules in CALLS for field, rule in rules.items()]
+NOT_A_NUMBER = st.sampled_from(["1", "", None, True, False, [1.0], 1j])
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def bad_values(rule) -> st.SearchStrategy:
+    """Values that break `rule`: not a number (a bool is not one), not
+    finite, past the double range or not an integer, or just outside the bound."""
+    if rule[0] == INTEGER:
+        low = rule[1]
+        fractional = st.floats(-1e15, 1e15).filter(lambda x: x != int(x))
+        return NOT_A_NUMBER | NOT_FINITE | fractional | st.sampled_from([float(low), low - 1, -(10**400)])
+    _, low, strict = rule
+    beyond = st.sampled_from([10**400, -(10**400), 2**1024])
+    if low is None:
+        return NOT_A_NUMBER | NOT_FINITE | beyond
+    edge = low if strict else math.nextafter(low, -math.inf)
+    return NOT_A_NUMBER | NOT_FINITE | beyond | st.sampled_from([edge, low - 1]) | st.floats(-1e300, edge)
+
+
+@pytest.mark.parametrize(
+    "call,ordinary,field,rule", FIELDS, ids=[f"{getattr(c, 'func', c).__name__}-{f}" for c, _, f, _ in FIELDS]
+)
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(data=st.data())
+def test_one_bad_argument_raises_a_param_error_naming_it(call, ordinary, field, rule, data):
+    bad = data.draw(bad_values(rule), label=field)
+    if field == "sigma_eps_values":
+        bad = (bad, 1.0)  # one bad value among ordinary ones
+    with pytest.raises(ParamError) as exc:
+        call(**{**ordinary, field: bad})
+    assert exc.value.field == field
+
+
+@PROPERTY
+@given(
+    st.integers(1, 10**300),
+    st.integers(1, 10**300),
+    st.integers(0, 10**300),
+    st.integers(-(10**300), 10**300),
+    st.integers(1, 2**64),
+)
+def test_int_fields_hold_the_equal_float(sv, su, se, p0, lam):
+    ints, floats = MarketParams(sv, su, se, p0), MarketParams(float(sv), float(su), float(se), float(p0))
+    assert [type(getattr(ints, f.name)) for f in fields(MarketParams)] == [float] * 4
+    assert ints == floats
+    assert {k: v.hex() for k, v in records(ints).items()} == {k: v.hex() for k, v in records(floats).items()}
+    eq = Equilibrium(lam, 1)
+    assert (type(eq.lam), type(eq.beta)) == (float, float) and eq == Equilibrium(float(lam), 1.0)
+    assert sweep_values((se, 2 * se + 1)) == sweep_values((float(se), float(2 * se + 1)))

@@ -68,16 +68,17 @@ class TestSweep:
         (row,) = sweep(SweepSpec(UNIT, (1.0,), frozenset({"fee"})))
         assert row.fee_rate is not None and row.lam is None
 
-    @pytest.mark.parametrize("values", [(), (1.0, 1.0), (2.0, 1.0), (-1.0,), (math.nan,), (True, 2.0), ("0.5",), (0, 10**400)])
+    @pytest.mark.parametrize("values", [(), (1.0, 1.0), (2.0, 1.0), (-1.0,), (math.nan,), (True, 2.0), ("0.5",), (0, 10**400), 5])
     def test_bad_grids_rejected(self, values):
         with pytest.raises(ParamError) as exc:
             sweep(SweepSpec(UNIT, values))
         assert exc.value.field == "sigma_eps_values"
 
     def test_unknown_output_rejected(self):
-        with pytest.raises(ParamError) as exc:
-            sweep(SweepSpec(UNIT, (1.0,), frozenset({"volatility"})))
-        assert exc.value.field == "outputs"
+        for outputs in (frozenset({"volatility"}), frozenset({5, "x"})):
+            with pytest.raises(ParamError) as exc:
+                sweep(SweepSpec(UNIT, (1.0,), outputs))
+            assert exc.value.field == "outputs"
 
     @pytest.mark.parametrize("outputs", [frozenset(), "fee"])
     def test_outputs_must_be_a_nonempty_collection(self, outputs):
