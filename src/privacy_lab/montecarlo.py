@@ -17,13 +17,15 @@ replays one chunk prefix instead of storing per-path arrays.
 When sigma_eps = 0 the privacy stream is skipped entirely; the value and
 noise-flow streams are unaffected because each stream is seeded on its own.
 
-One runner, `_run_chunks`, serves every entry point.  Its unit of parallel
-work is one stream's draw for one chunk, so a run of a single chunk, and a
-path replay, still spread over the threads; the thread that completes a
-chunk's last draw reduces that chunk.  Each chunk in flight borrows a
-workspace, a float buffer that holds all of its rows.  Workspaces of the
-default chunk size are shared by every run in the process and reused from
-call to call; a chunk too wide for one gets its own, dropped with the chunk.
+One runner, `_run_chunks`, and one chunk layout serve every entry point: a
+chunk's rows are (v, u, eps, x, y, y_tilde, p) and two work rows, and only
+`_path_draws` draws a stream into them.  The runner's unit of parallel work
+is one stream's draw for one chunk, so a run of a single chunk, and a path
+replay, still spread over the threads; the thread that completes a chunk's
+last draw reduces that chunk.  Each chunk in flight borrows a workspace, a
+float buffer that holds all of its rows.  Workspaces of the default chunk
+size are shared by every run in the process and reused from call to call; a
+chunk too wide for one gets its own, dropped with the chunk.
 
 The environment variable ``PRIVACY_LAB_THREADS`` caps how many draws run
 concurrently (0 or unset = min(cpu count, 8)).  Runs share one process-wide
@@ -41,7 +43,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,22 +133,22 @@ def _submit(cap: int, fn, count: int) -> list[Future]:
 # _pool_lock.  A run keeps at most one per thread of its cap when it
 # finishes with them: a chunk in flight always has a thread drawing or
 # reducing it, so a run never needs more.
-_WORKSPACE_ROWS = 9  # the widest chunk layout: simulate's seven path rows and two of scratch
+_WORKSPACE_ROWS = 9  # the seven path rows of _chunk_paths and two work rows
 _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
 
-def _run_chunks(chunks: list[tuple[int, int]], rows: int, draws, finish):
+def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
     """Fold `finish(ws)`, the summary of one chunk, over `chunks`, a list of
     (chunk index k, path count m), with `.merge` in list order whatever the
     execution order or thread count.
 
-    ws is a (rows, m) view of the chunk's workspace.  Every `draw(ws, k)` in
-    `draws`, one per seeded stream, fills its own rows of it before `finish`
-    reads it.  Pool tasks take (chunk, draw) pairs in order, so a slower
-    thread runs fewer of them, and the task that completes a chunk's last
-    draw runs its finish.  If a draw or a finish raises, no task takes
-    another pair, and the first error is re-raised once every task has
+    ws is a (_WORKSPACE_ROWS, m) view of the chunk's workspace.  Every
+    `draw(ws, k)` in `draws`, one per seeded stream, fills its own rows of it
+    before `finish` reads it.  Pool tasks take (chunk, draw) pairs in order,
+    so a slower thread runs fewer of them, and the task that completes a
+    chunk's last draw runs its finish.  If a draw or a finish raises, no task
+    takes another pair, and the first error is re-raised once every task has
     returned, so no chunk work outlives the call.
     """
     cap = _thread_cap()
@@ -177,12 +179,12 @@ def _run_chunks(chunks: list[tuple[int, int]], rows: int, draws, finish):
                 with lock:
                     item = None if stop else next(todo, None)
                     if item is not None and item[1] == 0:
-                        buffers[item[0]] = borrow(rows * chunks[item[0]][1])
+                        buffers[item[0]] = borrow(_WORKSPACE_ROWS * chunks[item[0]][1])
                 if item is None:
                     return
                 c, d = item
                 k, m = chunks[c]
-                ws = buffers[c][: rows * m].reshape(rows, m)
+                ws = buffers[c][: _WORKSPACE_ROWS * m].reshape(_WORKSPACE_ROWS, m)
                 draws[d](ws, k)
                 with lock:
                     left[c] -= 1
@@ -358,11 +360,7 @@ class PathSample:
         if not 0 <= i < self.n:
             raise IndexError(f"path index {i!r} out of range for {self.n} paths")
         k, j = divmod(i, self.cfg.chunk_size)
-
-        def finish(ws: np.ndarray) -> PathRealization:
-            return PathRealization(*_assemble(ws[:, j:], self.params, self.eq).ravel().tolist())
-
-        return _run_chunks([(k, j + 1)], 7, _path_draws(self.params, self.cfg.seed), finish)
+        return PathRealization(*_chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -389,19 +387,44 @@ def _draw(seed: int, stream: int, k: int, row: np.ndarray, scale: float) -> None
     row *= scale
 
 
-def _path_draws(params: MarketParams, seed: int) -> tuple:
+_INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well inside a core's cache
+
+
+def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     """The draws of a chunk's paths, one per seeded stream, each filling its
-    row v, u or eps of the (v, u, eps, x, y, y_tilde, p) rows."""
+    row v (plus p0), u or eps of the (v, u, eps, x, y, y_tilde, p) rows.
 
-    def value(paths, k):
-        _draw(seed, STREAM_VALUE, k, paths[0], params.sigma_v)
-        paths[0] += params.p0
+    At tau > 1 the noise flow sums tau increments per path, drawn in stream
+    order into the rows after eps in blocks of at most _INCREMENT_BLOCK
+    floats: whole paths, each summed as numpy sums its row, or a longer path
+    block by block.
+    """
 
-    def noise_flow(paths, k):
-        _draw(seed, STREAM_NOISE_FLOW, k, paths[1], params.sigma_u)
+    def value(ws, k):
+        _draw(seed, STREAM_VALUE, k, ws[0], params.sigma_v)
+        ws[0] += params.p0
 
-    def privacy(paths, k):
-        _draw(seed, STREAM_PRIVACY, k, paths[2], params.sigma_eps)
+    def noise_flow(ws, k):
+        if tau == 1:
+            return _draw(seed, STREAM_NOISE_FLOW, k, ws[1], params.sigma_u)
+        u, spare = ws[1], ws[3:].reshape(-1)
+        width = min(tau, _INCREMENT_BLOCK)  # increments of one path drawn at a time
+        if spare.size < width:  # a chunk of a few paths
+            spare = np.empty(width)
+        step = max(1, min(spare.size, _INCREMENT_BLOCK) // tau)  # paths drawn at a time
+        rng = _chunk_rng(seed, STREAM_NOISE_FLOW, k)
+        for lo in range(0, u.size, step):
+            total = u[lo : lo + step]
+            for start in range(0, tau, width):
+                block = spare[: total.size * min(width, tau - start)].reshape(total.size, -1)
+                rng.standard_normal(out=block)
+                block *= params.sigma_u
+                part = block.sum(axis=1, out=None if start else total)
+                if start:  # a later block of a path longer than one
+                    total += part
+
+    def privacy(ws, k):
+        _draw(seed, STREAM_PRIVACY, k, ws[2], params.sigma_eps)
 
     return (value, noise_flow, privacy) if params.sigma_eps > 0 else (value, noise_flow)
 
@@ -419,13 +442,25 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium) -> np.nd
     return paths
 
 
-def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int) -> np.ndarray:
-    """The first m paths of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
-    in the field order of PathRealization, of a new (7, m) array."""
-    paths = np.empty((7, m))
-    for draw in _path_draws(params, seed):
-        draw(paths, k)
-    return _assemble(paths, params, eq)
+def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
+    """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
+    in the field order of PathRealization, of a new (7, m - first) array."""
+    return _run_chunks([(k, m)], _path_draws(params, seed), lambda ws: _assemble(ws[:7, first:].copy(), params, eq))
+
+
+def _pnl(paths: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The P&L step: rows eps, x and y of assembled paths become, and are
+    returned as, pnl_noise (v - p)u, pnl_informed (v - p)x and pnl_maker
+    (p - v)y, x and y in place, which moves less memory than a third row;
+    `work`, a (2, m) array, is left holding v - p and p - v."""
+    v, u, eps, x, y, _, p = paths
+    edge, loss = work
+    np.subtract(v, p, out=edge)
+    np.subtract(p, v, out=loss)
+    np.multiply(edge, u, out=eps)
+    np.multiply(edge, x, out=x)
+    np.multiply(loss, y, out=y)
+    return paths[2:5]
 
 
 def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> SampleStats:
@@ -436,16 +471,12 @@ def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> S
     pnl_maker, y_tilde, p), reduced as one block: a row sum for the means,
     one subtraction, the two cross products, squares and a second row sum.
     """
-    v, u, eps, x, y, y_tilde, p = paths
-    edge, loss = work = np.empty((2, v.size)) if work is None else work
-    np.subtract(v, p, out=edge)
-    np.subtract(p, v, out=loss)
-    np.multiply(edge, u, out=eps)
-    np.multiply(edge, x, out=x)
-    np.multiply(loss, y, out=y)
+    v, u = paths[:2]
+    work = np.empty((2, v.size)) if work is None else work
+    pnl = _pnl(paths, work)
     if __debug__:
         # path-wise zero sum is an algebraic identity, up to float rounding
-        pnl, resid, scale, mag = paths[2:5], edge, loss, u
+        resid, scale, mag = *work, u
         np.abs(np.add.reduce(pnl, axis=0, out=resid), out=resid)
         np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
         np.add(scale, np.abs(pnl[2], out=mag), out=scale)
@@ -479,11 +510,8 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     def finish(ws: np.ndarray) -> SampleStats:
         return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
 
-    stats = _run_chunks(_chunks(cfg), _WORKSPACE_ROWS, _path_draws(params, cfg.seed), finish)
+    stats = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed), finish)
     return PathSample(params=params, eq=eq, cfg=cfg, stats=stats)
-
-
-_INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well inside a core's cache
 
 
 def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> WelfareEstimate:
@@ -491,42 +519,18 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     increments; the maker observes the exact batch aggregate and prices it at
     eq.lam, so its expected P&L is zero.
 
-    A chunk's rows are (x, u, y, v, p, edge), its P&L rows taking the place
-    of x, u and y; the noise flow draws its (m, tau) increments in blocks of
-    whole paths into the rows after v, which consumes the stream in the
-    same order as one (m, tau) draw.
+    A batch is a path of `simulate` with no privacy noise, whatever the
+    base's sigma_eps, whose noise flow `_path_draws` sums over the tau
+    increments in blocks; only its three P&L rows are reduced.
     """
-    params, tau = bp.base, bp.tau
     _require_paths(cfg.n_paths, 2)
-
-    def value(ws, k):
-        _draw(cfg.seed, STREAM_VALUE, k, ws[3], params.sigma_v)
-        ws[3] += params.p0
-
-    def noise_flow(ws, k):
-        u_total, spare = ws[1], ws[4:].reshape(-1)
-        if spare.size < tau:  # a chunk of a few paths with a long batch
-            spare = np.empty(tau)
-        step = max(1, min(spare.size, _INCREMENT_BLOCK) // tau)
-        rng = _chunk_rng(cfg.seed, STREAM_NOISE_FLOW, k)
-        for lo in range(0, u_total.size, step):
-            block = spare[: min(step, u_total.size - lo) * tau].reshape(-1, tau)
-            rng.standard_normal(out=block)
-            block *= params.sigma_u
-            block.sum(axis=1, out=u_total[lo : lo + len(block)])
+    params = replace(bp.base, sigma_eps=0.0)
 
     def finish(ws: np.ndarray) -> SampleStats:
-        x, u, y, v, p, edge = ws[:6]
-        np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
-        np.add(x, u, out=y)
-        np.add(np.multiply(y, eq.lam, out=p), params.p0, out=p)
-        np.subtract(v, p, out=edge)
-        np.multiply(edge, x, out=x)
-        np.multiply(edge, u, out=u)
-        np.multiply(np.subtract(p, v, out=edge), y, out=y)
-        return SampleStats(*_row_moments(ws[:3]))
+        pnl_noise, pnl_informed, pnl_maker = _row_moments(_pnl(_assemble(ws[:7], params, eq), ws[7:]))
+        return SampleStats(pnl_informed, pnl_noise, pnl_maker)
 
-    return _welfare_estimate(_run_chunks(_chunks(cfg), _WORKSPACE_ROWS, (value, noise_flow), finish))
+    return _welfare_estimate(_run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish))
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +724,7 @@ def verify_best_response(
     theoretical optimum x* = (v - p0)/(2*lam) and locate the empirical argmax.
 
     The grid spans x* +/- grid_halfwidth*|x*| with n_grid points (odd, so x*
-    itself is on the grid).  All candidates share the same noise draws
+    itself is on the grid).  All candidates share `simulate`'s noise draws
     z = u + eps; the per-path profit is affine in z, so every mean and
     standard error follows exactly from the accumulated moments of z.
 
@@ -743,30 +747,22 @@ def verify_best_response(
         )
     grid = x_star + np.linspace(-half, half, n_grid)
 
-    def noise_flow(ws, k):
-        _draw(cfg.seed, STREAM_NOISE_FLOW, k, ws[0], params.sigma_u)
-
-    def privacy(ws, k):
-        _draw(cfg.seed, STREAM_PRIVACY, k, ws[1], params.sigma_eps)
-
     def finish(ws: np.ndarray) -> RunningMoments:
-        if len(ws) > 1:
-            np.add(ws[0], ws[1], out=ws[0])
-        return _row_moments(ws[:1])[0]
+        if params.sigma_eps > 0:
+            ws[1] += ws[2]
+        return _row_moments(ws[1:2])[0]
 
-    draws = (noise_flow, privacy) if params.sigma_eps > 0 else (noise_flow,)
-    zm = _run_chunks(_chunks(cfg), len(draws), draws, finish)
+    zm = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed)[1:], finish)
 
-    edge = v - params.p0
-    # per-path profit at candidate x is (edge - lam*x)*x - lam*x*z_i
-    estimates = (edge - eq.lam * grid) * grid - eq.lam * grid * zm.mean
+    # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i
+    analytic = (v - params.p0 - eq.lam * grid) * grid
+    estimates = analytic - eq.lam * grid * zm.mean
     ses = np.abs(eq.lam * grid) * zm.std / math.sqrt(zm.n)
-    analytic = (edge - eq.lam * grid) * grid
 
     step = float(grid[1] - grid[0])
     if step > 0:
         se_diff = eq.lam * step * zm.std / math.sqrt(zm.n)
-        gap = eq.lam * step**2
+        gap = eq.lam * (step * step)  # step**2 raises OverflowError where this is inf
         if 3.0 * se_diff >= gap:
             raise InconclusiveResolution(
                 f"3*se of adjacent profit difference ({3 * se_diff:.3g}) >= curvature gap "

@@ -334,6 +334,27 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             verify_best_response(UNIT, UNIT_EQ, v=1.0, grid_halfwidth=0.5, n_grid=n_grid, cfg=SimConfig(1000, 7))
 
+    @pytest.mark.parametrize("params", [UNIT, MarketParams(1.3, 0.8, 0.0, p0=2.0)], ids=["noisy", "quiet"])
+    def test_noise_moments_are_simulates_draws(self, params):
+        # z = u + eps, from the rows of simulate's own chunks
+        cfg = SimConfig(20_000, 5, chunk_size=4096)
+        eq = solve_closed_form(params)
+        zm = RunningMoments()
+        for k in range(-(-cfg.n_paths // cfg.chunk_size)):
+            _, u, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
+            zm = zm.merge(_row_moments((u + eps)[None])[0])
+        chk = verify_best_response(params, eq, v=params.p0 + 1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg)
+        lam_x = eq.lam * chk.grid
+        assert chk.estimates.tolist() == (chk.analytic - lam_x * zm.mean).tolist()
+        assert chk.ses.tolist() == (np.abs(lam_x) * zm.std / math.sqrt(zm.n)).tolist()
+
+    def test_overflowing_curvature_gap_is_inconclusive(self):
+        # the grid around x* ~ 1e160 has step**2 beyond the double range
+        params = MarketParams(1.0, 1.0, 1e160)
+        with pytest.raises(InconclusiveResolution):
+            verify_best_response(params, solve_closed_form(params), v=1.0, grid_halfwidth=0.5, n_grid=21,
+                                 cfg=SimConfig(1000, 7))
+
 
 class TestBatchedSimulation:
     def test_maker_pnl_vanishes_for_all_tau(self):
@@ -357,17 +378,11 @@ class TestBatchedSimulation:
         plain = estimate_welfare(simulate(p, eq, cfg))
         assert batched == plain
 
-    @pytest.mark.parametrize("tau, cfg", [
-        (3, SimConfig(10_000, 61, chunk_size=4096)),
-        (12, SimConfig(70_000, 62)),
-        (50, SimConfig(9, 63, chunk_size=2)),  # fewer spare floats in a chunk's workspace than tau
-        (300, SimConfig(3_000, 64, chunk_size=1000)),  # beyond numpy's 128-wide pairwise block
-    ])
-    def test_blocked_increments_match_one_draw_per_chunk(self, tau, cfg):
-        # the reference draws each chunk's (m, tau) increments at once and sums them with numpy
-        p = MarketParams(1.3, 0.9, p0=-0.5)
-        bp = BatchParams(p, tau)
-        eq = batched_equilibrium(bp)
+    @staticmethod
+    def one_draw_per_chunk(bp, eq, cfg):
+        """The P&L moments of a run that draws each chunk's (m, tau)
+        increments at once and sums them with numpy."""
+        p, tau = bp.base, bp.tau
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
             m = min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size)
@@ -378,10 +393,49 @@ class TestBatchedSimulation:
             price = p.p0 + eq.lam * y
             edge = v - price
             parts.append(_row_moments(np.array([edge * x, edge * u, (price - v) * y])))
-        folded = [functools.reduce(RunningMoments.merge, column) for column in zip(*parts)]
+        return [functools.reduce(RunningMoments.merge, column) for column in zip(*parts)]
+
+    @pytest.mark.parametrize("tau, cfg", [
+        (3, SimConfig(10_000, 61, chunk_size=4096)),
+        (12, SimConfig(70_000, 62)),
+        (50, SimConfig(9, 63, chunk_size=2)),  # fewer spare floats in a chunk's workspace than tau
+        (300, SimConfig(3_000, 64, chunk_size=1000)),  # beyond numpy's 128-wide pairwise block
+    ])
+    def test_blocked_increments_match_one_draw_per_chunk(self, tau, cfg):
+        bp = BatchParams(MarketParams(1.3, 0.9, p0=-0.5), tau)
+        eq = batched_equilibrium(bp)
+        folded = self.one_draw_per_chunk(bp, eq, cfg)
         est = simulate_batched(bp, eq, cfg)
         assert [est.mean_pi_I, est.mean_pi_N, est.mean_pi_M] == [s.mean for s in folded]
         assert [est.se_pi_I, est.se_pi_N, est.se_pi_M] == [s.se for s in folded]
+
+    @pytest.mark.parametrize("cfg", [SimConfig(4, 65), SimConfig(3, 66, chunk_size=2)])
+    def test_long_batches_draw_within_a_path_in_blocks(self, cfg, monkeypatch):
+        tau = 2 * montecarlo._INCREMENT_BLOCK + 3  # two whole blocks and a part of one per path
+        bp = BatchParams(MarketParams(1.3, 0.9, p0=-0.5), tau)
+        eq = batched_equilibrium(bp)
+        folded = self.one_draw_per_chunk(bp, eq, cfg)
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")  # one workspace, reused by the traced run
+        simulate_batched(bp, eq, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = simulate_batched(bp, eq, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * tau  # no buffer of a whole batch
+        got = [est.mean_pi_I, est.mean_pi_N, est.mean_pi_M, est.se_pi_I, est.se_pi_N, est.se_pi_M]
+        want = [s.mean for s in folded] + [s.se for s in folded]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tau", [1, 4])
+    def test_privacy_noise_in_base_is_ignored(self, tau):
+        noisy, quiet = (BatchParams(MarketParams(1.3, 0.9, sigma_eps, p0=-0.5), tau) for sigma_eps in (5.0, 0.0))
+        eq = batched_equilibrium(quiet)
+        cfg = SimConfig(30_000, 67, chunk_size=8192)
+        assert simulate_batched(noisy, eq, cfg) == simulate_batched(quiet, eq, cfg)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
