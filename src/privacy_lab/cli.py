@@ -190,7 +190,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     block = _block(args, cfg, "sweep", _SWEEP_KEYS)
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
-    spec = SweepSpec(params, block["sigma_eps_values"], block.get("outputs", OUTPUT_KINDS)).validated()
+    spec = SweepSpec(params, block["sigma_eps_values"], block.get("outputs", OUTPUT_KINDS))
     rows = sweep(spec)
     payload = {
         "market": params,

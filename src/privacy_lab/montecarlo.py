@@ -9,7 +9,11 @@ depend only on (seed, chunk_size), never on thread count or execution order:
 per-chunk summaries are folded in ascending chunk index, and chunks and
 streams are independent by construction.
 
-A run keeps only those summaries, O(1) memory at any path count.  Because
+A chunk's summary is one tuple (n, means, m2, co-moments), made by
+`_row_moments` and folded by `_merge`, the one-pass parallel update of Chan,
+Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps only
+that tuple, O(1) memory at any path count, and builds its public records
+from it once, at the end.  Because
 draws within a chunk come out in path order, a length-(j+1) prefix of chunk
 k reproduces its first j+1 paths bit for bit, so `PathSample.path(i)`
 replays one chunk prefix instead of storing per-path arrays.
@@ -39,6 +43,7 @@ use.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -140,8 +145,8 @@ _idle_workspaces: list[np.ndarray] = []
 
 def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
     """Fold `finish(ws)`, the summary of one chunk, over `chunks`, a list of
-    (chunk index k, path count m), with `.merge` in list order whatever the
-    execution order or thread count.
+    (chunk index k, path count m), with `_merge` in list order whatever the
+    execution order or thread count; a run of one chunk returns its summary.
 
     ws is a (_WORKSPACE_ROWS, m) view of the chunk's workspace.  Every
     `draw(ws, k)` in `draws`, one per seeded stream, fills its own rows of it
@@ -207,36 +212,58 @@ def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
             stop = True  # an interrupted wait leaves no task taking new work
         for f in futures:
             f.result()
-    total = parts[0]
-    for part in parts[1:]:
-        total = total.merge(part)
-    return total
+    return functools.reduce(_merge, parts)
 
 
 # ---------------------------------------------------------------------------
-# Streaming accumulators (numerically stable one-pass mean/variance with
-# exact parallel merge), so path counts up to 1e8 need O(1) memory.
+# Chunk summaries: numerically stable one-pass moments with an exact parallel
+# merge, so path counts up to 1e8 need O(1) memory.
 # ---------------------------------------------------------------------------
+
+# the rows (i, j) of each co-moment of _row_moments, in the layout _stats_of
+# leaves: (v, p) and (v - p0, y_tilde)
+_CO_ROWS = ((0, 6), (1, 5))
+
+
+def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> tuple:
+    """The summary (n, means, m2, co) of the rows of a (r, m) array, which is
+    overwritten: each row's mean and centered second moment, and, when
+    `work`, a (2, m) array, is given, the centered co-moments of _CO_ROWS.
+    A row sum along the contiguous axis is numpy's pairwise sum, the same as
+    that of the row on its own."""
+    means = rows.sum(axis=1) / rows.shape[1]
+    rows -= means[:, None]
+    co = []
+    if work is not None:
+        np.multiply(rows[:2], rows[6:4:-1], out=work)  # the pairs of _CO_ROWS
+        co = work.sum(axis=1).tolist()
+    m2 = np.square(rows, out=rows).sum(axis=1).tolist()
+    return rows.shape[1], means.tolist(), m2, co
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The summary of two samples from theirs (Chan, Golub & LeVeque; Pébay
+    for the co-moments)."""
+    na, mean_a, m2_a, co_a = a
+    nb, mean_b, m2_b, co_b = b
+    n = na + nb
+    w = na * nb / n
+    d = [y - x for x, y in zip(mean_a, mean_b)]
+    return (
+        n,
+        [x + di * nb / n for x, di in zip(mean_a, d)],
+        [x + y + di * di * w for x, y, di in zip(m2_a, m2_b, d)],
+        [x + y + d[i] * d[j] * w for x, y, (i, j) in zip(co_a, co_b, _CO_ROWS)],
+    )
 
 
 @dataclass(frozen=True)
 class RunningMoments:
     """Count, mean and centered second moment of one scalar stream."""
 
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            return other
-        n = self.n + other.n
-        d = other.mean - self.mean
-        mean = self.mean + d * other.n / n
-        m2 = self.m2 + other.m2 + d * d * self.n * other.n / n
-        return RunningMoments(n, mean, m2)
+    n: int
+    mean: float
+    m2: float
 
     @property
     def variance(self) -> float:
@@ -256,71 +283,27 @@ class RunningMoments:
 class RunningCross:
     """Counts, means and centered (co)moments of a scalar pair (x, y)."""
 
-    n: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    m2_x: float = 0.0
-    m2_y: float = 0.0
-    c_xy: float = 0.0
-
-    def merge(self, other: "RunningCross") -> "RunningCross":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            return other
-        n = self.n + other.n
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        w = self.n * other.n / n
-        return RunningCross(
-            n=n,
-            mean_x=self.mean_x + dx * other.n / n,
-            mean_y=self.mean_y + dy * other.n / n,
-            m2_x=self.m2_x + other.m2_x + dx * dx * w,
-            m2_y=self.m2_y + other.m2_y + dy * dy * w,
-            c_xy=self.c_xy + other.c_xy + dx * dy * w,
-        )
-
-
-def _center(rows: np.ndarray) -> list[float]:
-    """The means of the rows of a (r, m) array, which is left holding each
-    row's deviations from its mean.  A row sum along the contiguous axis is
-    numpy's pairwise sum, the same as that of the row on its own."""
-    means = rows.sum(axis=1) / rows.shape[1]
-    rows -= means[:, None]
-    return means.tolist()
-
-
-def _row_moments(rows: np.ndarray) -> list[RunningMoments]:
-    """One summary per row of a (r, m) array, which is overwritten."""
-    means = _center(rows)
-    m2 = np.square(rows, out=rows).sum(axis=1).tolist()
-    return [RunningMoments(rows.shape[1], mean, q) for mean, q in zip(means, m2)]
+    n: int
+    mean_x: float
+    mean_y: float
+    m2_x: float
+    m2_y: float
+    c_xy: float
 
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Sufficient statistics for every estimator in this module.  The batched
-    market has no signal or price regression and leaves both crosses empty."""
+    """Sufficient statistics for every estimator in this module."""
 
     pnl_informed: RunningMoments
     pnl_noise: RunningMoments
     pnl_maker: RunningMoments
-    signal_value: RunningCross = RunningCross()  # x = observed flow y_tilde, y = v - p0
-    price_value: RunningCross = RunningCross()  # x = terminal value v, y = price p
+    signal_value: RunningCross  # x = observed flow y_tilde, y = v - p0
+    price_value: RunningCross  # x = terminal value v, y = price p
 
     @property
     def n(self) -> int:
         return self.pnl_informed.n
-
-    def merge(self, other: "SampleStats") -> "SampleStats":
-        return SampleStats(
-            pnl_informed=self.pnl_informed.merge(other.pnl_informed),
-            pnl_noise=self.pnl_noise.merge(other.pnl_noise),
-            pnl_maker=self.pnl_maker.merge(other.pnl_maker),
-            signal_value=self.signal_value.merge(other.signal_value),
-            price_value=self.price_value.merge(other.price_value),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -463,38 +446,30 @@ def _pnl(paths: np.ndarray, work: np.ndarray) -> np.ndarray:
     return paths[2:5]
 
 
-def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> SampleStats:
-    """The summaries of a chunk's paths, the rows of _chunk_paths, which are
+def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> tuple:
+    """The summary of a chunk's paths, the rows of _chunk_paths, which are
     overwritten; `work`, if given, is a (2, m) array for the rest.
 
     The rows become, in place, (v, v - p0, pnl_noise, pnl_informed,
-    pnl_maker, y_tilde, p), reduced as one block: a row sum for the means,
-    one subtraction, the two cross products, squares and a second row sum.
+    pnl_maker, y_tilde, p), reduced as one block by `_row_moments`.  Raises
+    AssertionError when the P&L of a path within the double range does not
+    sum to zero.
     """
     v, u = paths[:2]
     work = np.empty((2, v.size)) if work is None else work
     pnl = _pnl(paths, work)
-    if __debug__:
-        # path-wise zero sum is an algebraic identity, up to float rounding
-        resid, scale, mag = *work, u
-        np.abs(np.add.reduce(pnl, axis=0, out=resid), out=resid)
-        np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
-        np.add(scale, np.abs(pnl[2], out=mag), out=scale)
-        np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
-        assert bool(np.all(resid <= scale)), "path-wise P&L did not sum to zero"
+    # path-wise zero sum is an algebraic identity, up to float rounding; a
+    # path whose P&L scale is not finite is out of the double range, and
+    # the Check records fail its estimates with z = inf
+    resid, scale, mag = *work, u
+    np.abs(np.add.reduce(pnl, axis=0, out=resid), out=resid)
+    np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
+    np.add(scale, np.abs(pnl[2], out=mag), out=scale)
+    np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
+    if not np.all(resid <= scale) and np.isfinite(scale[~(resid <= scale)]).any():
+        raise AssertionError("path-wise P&L did not sum to zero")
     np.subtract(v, p0, out=u)
-    means = _center(paths)
-    np.multiply(paths[:2], paths[6:4:-1], out=work)  # (v, p) and (v - p0, y_tilde)
-    m2 = np.square(paths, out=paths).sum(axis=1).tolist()
-    c_price, c_signal = work.sum(axis=1).tolist()
-    n = v.size
-    return SampleStats(
-        pnl_informed=RunningMoments(n, means[3], m2[3]),
-        pnl_noise=RunningMoments(n, means[2], m2[2]),
-        pnl_maker=RunningMoments(n, means[4], m2[4]),
-        signal_value=RunningCross(n, means[5], means[1], m2[5], m2[1], c_signal),
-        price_value=RunningCross(n, means[0], means[6], m2[0], m2[6], c_price),
-    )
+    return _row_moments(paths, work)
 
 
 def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSample:
@@ -507,10 +482,17 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     docstring for the seeding scheme.
     """
 
-    def finish(ws: np.ndarray) -> SampleStats:
+    def finish(ws: np.ndarray) -> tuple:
         return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
 
-    stats = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed), finish)
+    n, means, m2, (c_price, c_signal) = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed), finish)
+    stats = SampleStats(
+        pnl_informed=RunningMoments(n, means[3], m2[3]),
+        pnl_noise=RunningMoments(n, means[2], m2[2]),
+        pnl_maker=RunningMoments(n, means[4], m2[4]),
+        signal_value=RunningCross(n, means[5], means[1], m2[5], m2[1], c_signal),
+        price_value=RunningCross(n, means[0], means[6], m2[0], m2[6], c_price),
+    )
     return PathSample(params=params, eq=eq, cfg=cfg, stats=stats)
 
 
@@ -526,11 +508,11 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     _require_paths(cfg.n_paths, 2)
     params = replace(bp.base, sigma_eps=0.0)
 
-    def finish(ws: np.ndarray) -> SampleStats:
-        pnl_noise, pnl_informed, pnl_maker = _row_moments(_pnl(_assemble(ws[:7], params, eq), ws[7:]))
-        return SampleStats(pnl_informed, pnl_noise, pnl_maker)
+    def finish(ws: np.ndarray) -> tuple:
+        return _row_moments(_pnl(_assemble(ws[:7], params, eq), ws[7:]))
 
-    return _welfare_estimate(_run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish))
+    n, means, m2, _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish)
+    return _welfare_estimate(n, means, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +520,19 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
 # ---------------------------------------------------------------------------
 
 
-def _welfare_estimate(s: SampleStats) -> WelfareEstimate:
-    pnl = (s.pnl_informed, s.pnl_noise, s.pnl_maker)
-    return WelfareEstimate(*(m.mean for m in pnl), *(m.se for m in pnl), n=s.n)
+def _welfare_estimate(n: int, means, m2) -> WelfareEstimate:
+    """The estimate from the count, means and centered second moments of the
+    P&L rows in the order _pnl leaves them: noise, informed, maker."""
+    mean_N, mean_I, mean_M = means
+    se_N, se_I, se_M = (math.sqrt(q / (n - 1)) / math.sqrt(n) for q in m2)
+    return WelfareEstimate(mean_I, mean_N, mean_M, se_I, se_N, se_M, n=n)
 
 
 def estimate_welfare(sample: PathSample) -> WelfareEstimate:
     """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
     _require_paths(sample.n, 2)
-    return _welfare_estimate(sample.stats)
+    pnl = (sample.stats.pnl_noise, sample.stats.pnl_informed, sample.stats.pnl_maker)
+    return _welfare_estimate(sample.n, [m.mean for m in pnl], [m.m2 for m in pnl])
 
 
 @dataclass(frozen=True)
@@ -747,21 +733,22 @@ def verify_best_response(
         )
     grid = x_star + np.linspace(-half, half, n_grid)
 
-    def finish(ws: np.ndarray) -> RunningMoments:
+    def finish(ws: np.ndarray) -> tuple:
         if params.sigma_eps > 0:
             ws[1] += ws[2]
-        return _row_moments(ws[1:2])[0]
+        return _row_moments(ws[1:2])
 
-    zm = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed)[1:], finish)
+    n, (z_mean,), (z_m2,), _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed)[1:], finish)
+    z_std = math.sqrt(z_m2 / (n - 1))
 
     # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i
     analytic = (v - params.p0 - eq.lam * grid) * grid
-    estimates = analytic - eq.lam * grid * zm.mean
-    ses = np.abs(eq.lam * grid) * zm.std / math.sqrt(zm.n)
+    estimates = analytic - eq.lam * grid * z_mean
+    ses = np.abs(eq.lam * grid) * z_std / math.sqrt(n)
 
     step = float(grid[1] - grid[0])
     if step > 0:
-        se_diff = eq.lam * step * zm.std / math.sqrt(zm.n)
+        se_diff = eq.lam * step * z_std / math.sqrt(n)
         gap = eq.lam * (step * step)  # step**2 raises OverflowError where this is inf
         if 3.0 * se_diff >= gap:
             raise InconclusiveResolution(
@@ -778,5 +765,5 @@ def verify_best_response(
         argmax_x=float(grid[k_max]),
         x_star=x_star,
         grid_step=step,
-        n_paths=zm.n,
+        n_paths=n,
     )

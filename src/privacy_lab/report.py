@@ -119,7 +119,8 @@ def _to_csv(header, rows) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep over sigma_eps values at fixed base params.
+    """A sweep over sigma_eps values at fixed base params, checked on
+    construction.
 
     `outputs` selects which column groups get populated: any subset of
     {"equilibrium", "welfare", "subsidy_analysis", "fee"}.
@@ -129,10 +130,10 @@ class SweepSpec:
     sigma_eps_values: tuple[float, ...]
     outputs: frozenset[str] = OUTPUT_KINDS
 
-    def validated(self) -> "SweepSpec":
-        """This spec with the values as a tuple of floats and the outputs as a
-        frozenset, or a ParamError naming `sigma_eps_values` or `outputs`.
-        Each value passes `_real` as a float >= 0."""
+    def __post_init__(self) -> None:
+        """Store the values as a tuple of floats and the outputs as a
+        frozenset, or raise a ParamError naming `sigma_eps_values` or
+        `outputs`.  Each value passes `_real` as a float >= 0."""
         values, outputs = self.sigma_eps_values, self.outputs
         if not isinstance(values, Iterable):
             raise ParamError("sigma_eps_values", f"sigma_eps_values must be a sequence of numbers, got {values!r}")
@@ -152,7 +153,8 @@ class SweepSpec:
             raise ParamError("outputs", f"unknown outputs {sorted(unknown)}; valid: {sorted(OUTPUT_KINDS)}")
         if not names:
             raise ParamError("outputs", "outputs must be non-empty")
-        return SweepSpec(self.params_base, vals, frozenset(names))
+        object.__setattr__(self, "sigma_eps_values", vals)
+        object.__setattr__(self, "outputs", frozenset(names))
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ _UNSET = (None,)
 
 def sweep(spec: SweepSpec) -> list[ReportRow]:
     """One row per sigma_eps value, all closed form."""
-    spec = spec.validated()
     sv, su = spec.params_base.sigma_v, spec.params_base.sigma_u
     populated = {f for kind in spec.outputs for f in _OUTPUT_FIELDS[kind]}
     values = itemgetter(*(FORMS.index(f) if f in populated else len(FORMS) for f in _ROW_FORMS))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from privacy_lab import MarketParams, posterior_slope, solve_closed_form
 from privacy_lab.cli import main
 
 SQRT2 = math.sqrt(2.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -311,6 +316,24 @@ class TestUsageErrors:
         for check in json.loads(out)["checks"]:
             if not (math.isfinite(check["estimate"]) and math.isfinite(check["se"])):
                 assert check["z"] == math.inf and not check["pass"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflowing P&L
+    def test_out_of_range_pnl_fails_its_checks_in_both_interpreter_modes(self, capsys):
+        # beta*(v - p0) ~ 1e300 takes the P&L products beyond the double range:
+        # the zero-sum check leaves those paths to the checks, with or without -O
+        argv = ("simulate", "--sigma-v", "1", "--sigma-u", "1", "--beta-scale", "1e300", "--n-paths", "1000")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert "Traceback" not in err
+        assert sum(line.endswith("FAIL") for line in out.splitlines()) == 6
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "privacy_lab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == out
 
     def test_huge_sigma_eps_sweep_is_finite(self, capsys):
         rc, out, _ = run(capsys, "sweep", *MARKET, "--sigma-eps-values", "0,1e160", "--format", "json")

@@ -20,7 +20,7 @@ ALLOWED = {
     "montecarlo._require_paths": "the path count an estimate needs",
     "montecarlo._thread_cap": "the PRIVACY_LAB_THREADS parse",
     "montecarlo.verify_best_response": "the odd n_grid rule and the grid span",
-    "report.SweepSpec.validated": "iterable values and names, ordering, non-empty and known names",
+    "report.SweepSpec.__post_init__": "iterable values and names, ordering, non-empty and known names",
 }
 
 
@@ -67,9 +67,9 @@ def test_param_errors_are_raised_only_by_the_field_check_and_the_named_rules():
     ("cli", "from . import errors\ndef f():\n    raise errors.ParamError('x', 'y')\n", True),
     ("montecarlo", "def f():\n    raise ParamError\n", True),
     ("equilibrium", "def _real(field, value):\n    def inner():\n        raise ParamError(field, '')\n", True),
-    ("equilibrium", "class SweepSpec:\n    def validated(self):\n        raise ParamError('outputs', '')\n", True),
+    ("equilibrium", "class SweepSpec:\n    def __post_init__(self):\n        raise ParamError('outputs', '')\n", True),
     ("equilibrium", "def _real(field, value):\n    raise ParamError(field, f'{field} must be finite')\n", False),
-    ("report", "class SweepSpec:\n    def validated(self):\n        raise ParamError('outputs', '')\n", False),
+    ("report", "class SweepSpec:\n    def __post_init__(self):\n        raise ParamError('outputs', '')\n", False),
     ("report", "def f(x):\n    raise ValueError(x)\n", False),
 ])
 def test_guard_catches_hand_written_param_errors(module, source, bad, tmp_path):

@@ -34,7 +34,7 @@ from privacy_lab import (
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
-from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _chunk_rng, _row_moments, _stats_of
+from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _chunk_rng, _merge, _row_moments, _stats_of
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
@@ -78,17 +78,22 @@ class TestDeterminism:
         assert serial.stats == threaded.stats
 
     def test_materialized_and_summary_agree(self):
-        # the run's statistics are those of its chunks' paths, folded in order
+        # the run's statistics are those of its chunks' paths, folded in order;
+        # the rows are (v, v - p0, pnl_noise, pnl_informed, pnl_maker, y_tilde, p)
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         stats = simulate(UNIT, UNIT_EQ, cfg).stats
         chunks = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, min(8192, 50_000 - 8192 * k)), 0.0) for k in range(7)]
-        folded = chunks[0]
-        for part in chunks[1:]:
-            folded = folded.merge(part)
-        assert folded == stats
+        n, means, m2, (c_price, c_signal) = functools.reduce(_merge, chunks)
+        assert astuple(stats) == (
+            (n, means[3], m2[3]),
+            (n, means[2], m2[2]),
+            (n, means[4], m2[4]),
+            (n, means[5], means[1], m2[5], m2[1], c_signal),
+            (n, means[0], means[6], m2[0], m2[6], c_price),
+        )
 
     def test_optimized_interpreter_gives_the_same_stats(self):
-        # the zero-sum assert, gone under -O, never feeds the results
+        # the zero-sum check runs under -O too, and never feeds the results
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         p = MarketParams(2.0, 0.7, 1.3, p0=5.0)
         code = (
@@ -153,7 +158,6 @@ class TestPathInvariants:
         scale = np.abs((v - p) * x) + np.abs((v - p) * u) + np.abs((p - v) * y)
         assert np.all(np.abs(terms) <= 1e-12 * scale + 1e-300)
 
-    @pytest.mark.skipif(not __debug__, reason="the zero-sum check is an assert, removed under -O")
     def test_broken_zero_sum_trips_the_check(self):
         # p enters all three P&L terms alike, so it is y = x + u that must break
         paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
@@ -263,10 +267,12 @@ class TestPriceMoments:
         # residuals of the replayed paths
         cfg = SimConfig(200_000, 4)
         pm = estimate_price_moments(simulate(UNIT, UNIT_EQ, cfg))
-        squares = RunningMoments()
+        parts = []
         for k in range(4):
             v, *_, p = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            squares = squares.merge(_row_moments((p - (pm.intercept + pm.slope * v))[None] ** 2)[0])
+            parts.append(_row_moments((p - (pm.intercept + pm.slope * v))[None] ** 2))
+        n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
+        squares = RunningMoments(n, mean, m2)
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
         assert abs(squares.se - pm.resid_var_se) <= 0.1 * pm.resid_var_se
 
@@ -339,10 +345,12 @@ class TestBestResponse:
         # z = u + eps, from the rows of simulate's own chunks
         cfg = SimConfig(20_000, 5, chunk_size=4096)
         eq = solve_closed_form(params)
-        zm = RunningMoments()
+        parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
             _, u, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
-            zm = zm.merge(_row_moments((u + eps)[None])[0])
+            parts.append(_row_moments((u + eps)[None]))
+        n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
+        zm = RunningMoments(n, mean, m2)
         chk = verify_best_response(params, eq, v=params.p0 + 1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg)
         lam_x = eq.lam * chk.grid
         assert chk.estimates.tolist() == (chk.analytic - lam_x * zm.mean).tolist()
@@ -393,7 +401,8 @@ class TestBatchedSimulation:
             price = p.p0 + eq.lam * y
             edge = v - price
             parts.append(_row_moments(np.array([edge * x, edge * u, (price - v) * y])))
-        return [functools.reduce(RunningMoments.merge, column) for column in zip(*parts)]
+        n, means, m2, _ = functools.reduce(_merge, parts)
+        return [RunningMoments(n, mean, q) for mean, q in zip(means, m2)]
 
     @pytest.mark.parametrize("tau, cfg", [
         (3, SimConfig(10_000, 61, chunk_size=4096)),
