@@ -19,6 +19,7 @@ name.
 """
 
 import importlib
+import types
 
 from .equilibrium import (
     BatchParams,
@@ -32,7 +33,6 @@ from .equilibrium import (
 )
 from .errors import (
     InconclusiveResolution,
-    NoConvergence,
     ParamError,
     PrivacyLabError,
 )
@@ -96,53 +96,8 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_MONTECARLO_NAMES, "montecarlo"})
 
 
-__all__ = [
-    "BatchParams",
-    "BestResponseCheck",
-    "BtcTable",
-    "Check",
-    "Equilibrium",
-    "FeeBreakEven",
-    "FeeRevenueComparison",
-    "InconclusiveResolution",
-    "MarketParams",
-    "NoConvergence",
-    "ParamError",
-    "PathRealization",
-    "PathSample",
-    "PriceMomentEstimate",
-    "PrivacyLabError",
-    "ReportRow",
-    "SimConfig",
-    "SlopeEstimate",
-    "SubsidyAnalysis",
-    "SubsidyCurve",
-    "SweepSpec",
-    "WelfareDecomposition",
-    "WelfareEstimate",
-    "batched_equilibrium",
-    "break_even_fee",
-    "estimate_lambda_regression",
-    "estimate_price_moments",
-    "estimate_welfare",
-    "fee_revenue_comparison",
-    "incremental_gains",
-    "informed_best_response",
-    "noise_pnl_derivative",
-    "posterior_slope",
-    "privacy_subsidy",
-    "simulate",
-    "simulate_batched",
-    "solve_closed_form",
-    "solve_fixed_point",
-    "subsidy_analysis",
-    "subsidy_curve",
-    "sweep",
-    "table_btc",
-    "verify_batched",
-    "verify_best_response",
-    "verify_simulation",
-    "welfare_at",
-    "welfare_decomposition",
-    "write_report_bundle",
-]
+# the names the imports above bind, then the Monte Carlo ones, each listed once
+__all__ = sorted(
+    {name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    | _MONTECARLO_NAMES
+)

@@ -32,10 +32,10 @@ import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import NoConvergence, ParamError
+from .errors import ParamError
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+# relative tolerance of the fixed-point bisection
+_FIXED_POINT_TOL = 1e-12
 
 SQRT2 = math.sqrt(2.0)
 
@@ -250,11 +250,7 @@ def informed_best_response(lam: float, p0: float, v: float) -> float:
     return (v - p0) / (2.0 * lam)
 
 
-def solve_fixed_point(
-    params: MarketParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Equilibrium:
+def solve_fixed_point(params: MarketParams) -> Equilibrium:
     """Solve the equilibrium numerically, independent of the closed form.
 
     Works in units where sigma_v = 1 and m = max(sigma_u, sigma_eps) = 1, so
@@ -264,15 +260,17 @@ def solve_fixed_point(
     and b/(b^2 + n) the Gaussian projection slope of the value on the
     observed flow.  h has the sign of 4*lam^2*n - 1, so it is negative at
     lam = 1/4 and positive at lam = 1 for every n in [1, 2]: that bracket
-    holds for all valid params.  The root is rescaled by sigma_v/m.  `tol`
-    is relative: the result satisfies |lam - lam_true| <= tol * lam_true.
+    holds for all valid params.  The root is rescaled by sigma_v/m, and
+    satisfies |lam - lam_true| <= 1e-12 * lam_true (`_FIXED_POINT_TOL`).
+    The bracket is 3/4 wide and lo never drops below 1/4, so after at most
+    42 halvings hi - lo <= 3/4 * 2**-42 < 1e-12 * lo: the bisection always
+    stops, and needs no iteration budget.
     """
-    tol, max_iter = _real("tol", tol, 0), _integer("max_iter", max_iter, 1)
     m = max(params.sigma_u, params.sigma_eps)
     noise_var = (params.sigma_u / m) ** 2 + (params.sigma_eps / m) ** 2
 
     lo, hi = 0.25, 1.0
-    for _ in range(max_iter):
+    while True:
         lam = 0.5 * (lo + hi)
         b = 0.5 / lam
         h_mid = lam - b / (b * b + noise_var)
@@ -282,11 +280,9 @@ def solve_fixed_point(
             lo = lam
         else:
             hi = lam
-        if hi - lo <= tol * lo:
+        if hi - lo <= _FIXED_POINT_TOL * lo:
             lam = 0.5 * (lo + hi)
             break
-    else:
-        raise NoConvergence(max_iter)
 
     lam = lam * params.sigma_v / m
     return Equilibrium(lam=lam, beta=1.0 / (2.0 * lam))

@@ -13,14 +13,6 @@ class ParamError(PrivacyLabError, ValueError):
         self.field = field
 
 
-class NoConvergence(PrivacyLabError, RuntimeError):
-    """Iterative solver exhausted its iteration budget."""
-
-    def __init__(self, max_iter: int, message: str = ""):
-        super().__init__(message or f"no convergence after {max_iter} iterations")
-        self.max_iter = max_iter
-
-
 class InconclusiveResolution(PrivacyLabError, RuntimeError):
     """Statistical error too large to resolve adjacent profit-grid points.
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -339,10 +340,18 @@ class PathSample:
 
     def path(self, i: int) -> PathRealization:
         """Path i of the run, replayed from the prefix of its chunk that ends
-        at it; bit-identical to the draws the statistics were built from."""
-        if not 0 <= i < self.n:
+        at it; bit-identical to the draws the statistics were built from.
+        A TypeError for an index that is not an integer (a bool is not one),
+        an IndexError for one out of range."""
+        try:
+            index = operator.index(i)
+        except TypeError:
+            index = None
+        if index is None or isinstance(i, bool):
+            raise TypeError(f"path index must be an integer, got {i!r}")
+        if not 0 <= index < self.n:
             raise IndexError(f"path index {i!r} out of range for {self.n} paths")
-        k, j = divmod(i, self.cfg.chunk_size)
+        k, j = divmod(index, self.cfg.chunk_size)
         return PathRealization(*_chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist())
 
 
@@ -512,7 +521,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
         return _row_moments(_pnl(_assemble(ws[:7], params, eq), ws[7:]))
 
     n, means, m2, _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish)
-    return _welfare_estimate(n, means, m2)
+    return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +529,17 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
 # ---------------------------------------------------------------------------
 
 
-def _welfare_estimate(n: int, means, m2) -> WelfareEstimate:
-    """The estimate from the count, means and centered second moments of the
-    P&L rows in the order _pnl leaves them: noise, informed, maker."""
-    mean_N, mean_I, mean_M = means
-    se_N, se_I, se_M = (math.sqrt(q / (n - 1)) / math.sqrt(n) for q in m2)
-    return WelfareEstimate(mean_I, mean_N, mean_M, se_I, se_N, se_M, n=n)
+def _welfare_estimate(noise: RunningMoments, informed: RunningMoments, maker: RunningMoments) -> WelfareEstimate:
+    """The estimate from the moments of the three P&L rows, in the order
+    _pnl leaves them."""
+    return WelfareEstimate(informed.mean, noise.mean, maker.mean, informed.se, noise.se, maker.se, n=informed.n)
 
 
 def estimate_welfare(sample: PathSample) -> WelfareEstimate:
     """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
     _require_paths(sample.n, 2)
-    pnl = (sample.stats.pnl_noise, sample.stats.pnl_informed, sample.stats.pnl_maker)
-    return _welfare_estimate(sample.n, [m.mean for m in pnl], [m.m2 for m in pnl])
+    stats = sample.stats
+    return _welfare_estimate(stats.pnl_noise, stats.pnl_informed, stats.pnl_maker)
 
 
 @dataclass(frozen=True)
@@ -577,24 +584,21 @@ def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:
 
 @dataclass(frozen=True)
 class PriceMomentEstimate:
-    """OLS regression of the price on the terminal value, plus the residual
+    """OLS slope of the price on the terminal value, plus the residual
     variance, against their model-implied targets.
 
     With trader coefficient b and maker slope lam the price is
-    p = p0 + lam*b*(v - p0) + lam*(u + eps): slope lam*b, intercept
-    p0*(1 - lam*b), residual variance lam^2*(sigma_u^2 + sigma_eps^2).
-    At equilibrium the slope is 1/2 and the residual variance sigma_v^2/4,
-    both independent of sigma_eps.
+    p = p0 + lam*b*(v - p0) + lam*(u + eps): slope lam*b, residual variance
+    lam^2*(sigma_u^2 + sigma_eps^2).  At equilibrium the slope is 1/2 and
+    the residual variance sigma_v^2/4, both independent of sigma_eps.  The
+    price means and spreads themselves are in `sample.stats.price_value`.
     """
 
     slope: float
     slope_se: float
-    intercept: float
-    intercept_se: float
     resid_var: float
     resid_var_se: float
     slope_expected: float
-    intercept_expected: float
     resid_var_expected: float
     n: int
 
@@ -609,19 +613,13 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
         params = sample.params
     s = sample.stats.price_value
     slope, slope_se, resid_var = _ols(s)
-    intercept = s.mean_y - slope * s.mean_x
-    intercept_se = math.sqrt(resid_var * (1.0 / s.n + _square_over(s.mean_x, s.m2_x))) if s.m2_x else math.nan
     resid_std = sample.eq.lam * math.hypot(params.sigma_u, params.sigma_eps)
-    lam_beta = sample.eq.lam * sample.eq.beta
     return PriceMomentEstimate(
         slope=slope,
         slope_se=slope_se,
-        intercept=intercept,
-        intercept_se=intercept_se,
         resid_var=resid_var,
         resid_var_se=resid_var * math.sqrt(2.0 / (s.n - 2)),
-        slope_expected=lam_beta,
-        intercept_expected=params.p0 * (1.0 - lam_beta),
+        slope_expected=sample.eq.lam * sample.eq.beta,
         resid_var_expected=resid_std * resid_std,
         n=s.n,
     )
@@ -739,7 +737,7 @@ def verify_best_response(
         return _row_moments(ws[1:2])
 
     n, (z_mean,), (z_m2,), _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed)[1:], finish)
-    z_std = math.sqrt(z_m2 / (n - 1))
+    z_std = RunningMoments(n, z_mean, z_m2).std
 
     # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i
     analytic = (v - params.p0 - eq.lam * grid) * grid

@@ -233,14 +233,13 @@ class BtcTable:
     rows: tuple[BtcRow, ...]
 
 
-def table_btc(params_base: MarketParams | None = None, ratios: tuple[float, ...] = BTC_RATIOS) -> BtcTable:
-    """Per-day subsidy in USD for the BTC/USDT calibration (overridable),
-    at sigma_eps/sigma_u ratios including sqrt(2) generated symbolically."""
-    if params_base is None:
-        params_base = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
+def table_btc() -> BtcTable:
+    """Per-day subsidy in USD for the BTC/USDT calibration, at the
+    sigma_eps/sigma_u ratios of BTC_RATIOS, sqrt(2) generated symbolically."""
+    params_base = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
     sv, su = params_base.sigma_v, params_base.sigma_u
     rows = []
-    for ratio in ratios:
+    for ratio in BTC_RATIOS:
         se = ratio * su
         sub = _subsidy(_closed_forms(sv, su, se))
         rows.append(BtcRow(ratio=ratio, sigma_eps=se, subsidy_usd=sub, fraction=sub / (sv * su)))
@@ -301,10 +300,6 @@ def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bp
     shortfall = sub - revenue
     pct = 100.0 * shortfall / revenue if revenue > 0 else None
     return FeeRevenueComparison(revenue_usd=revenue, subsidy_usd=sub, shortfall_usd=shortfall, shortfall_pct=pct)
-
-
-def comparison_to_json(cmp: FeeRevenueComparison) -> str:
-    return _to_json(cmp)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +418,7 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
         FEE_COMPARISON_VOLUME_USD,
         FEE_COMPARISON_BPS,
     )
-    path = emit("fee_comparison.json", comparison_to_json(cmp))
+    path = emit("fee_comparison.json", _to_json(cmp))
     loaded = json.loads(path.read_text())
     if abs(loaded["revenue_usd"] - 1e6) > 1e-3:
         mismatches.append(f"fee_comparison.json: revenue {loaded['revenue_usd']!r} != 1e6")

@@ -8,7 +8,6 @@ from privacy_lab import (
     BatchParams,
     Equilibrium,
     MarketParams,
-    NoConvergence,
     ParamError,
     SimConfig,
     batched_equilibrium,
@@ -103,21 +102,17 @@ class TestValidation:
         (welfare_at, (MarketParams(1, 1), 0.0, 1.0), "lam"),
         (welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta"),
         (informed_best_response, (0.0, 0.0, 1.0), "lam"),
-        (solve_fixed_point, (MarketParams(1, 1), 0.0), "tol"),
+        (informed_best_response, (0.5, math.nan, 1.0), "p0"),
         (subsidy_curve, (MarketParams(1, 1), 1.0, 1), "n_points"),
         (subsidy_curve, (MarketParams(1, 1), math.inf, 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), 0.0, 10.0), "daily_volume_usd"),
         (fee_revenue_comparison, (MarketParams(1, 1), 1e9, -1.0), "fee_bps"),
         (welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam"),
-        (solve_fixed_point, (MarketParams(1, 1), math.nan), "tol"),
+        (informed_best_response, (0.5, 0.0, "1"), "v"),
         (subsidy_curve, (MarketParams(1, 1), 5.0, 2.5), "n_points"),
         (subsidy_curve, (MarketParams(1, 1), "5", 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
         (informed_best_response, ("1", 0.0, 1.0), "lam"),
-        (solve_fixed_point, (MarketParams(1, 1), 1e-12, "3"), "max_iter"),
-        (solve_fixed_point, (MarketParams(1, 1), 1e-12, 2.5), "max_iter"),
-        (solve_fixed_point, (MarketParams(1, 1), 1e-12, True), "max_iter"),
-        (solve_fixed_point, (MarketParams(1, 1), 1e-12, 0), "max_iter"),
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:
@@ -174,7 +169,7 @@ class TestFixedPoint:
             assert abs(fp.lam - lam_cf) / lam_cf <= 1e-12
 
     def test_unit_market(self):
-        fp = solve_fixed_point(MarketParams(1.0, 1.0, 1.0), tol=1e-12)
+        fp = solve_fixed_point(MarketParams(1.0, 1.0, 1.0))
         assert abs(fp.lam - 0.35355339059327373) / 0.35355339059327373 <= 1e-12
 
     def test_large_scale(self):
@@ -189,15 +184,6 @@ class TestFixedPoint:
     def test_beta_is_best_response_to_lam(self):
         fp = solve_fixed_point(MarketParams(2.0, 0.5, 1.5))
         assert fp.beta == 1.0 / (2.0 * fp.lam)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_fixed_point(MarketParams(1.0, 1.0, 1.0), tol=0.0)
-
-    def test_no_convergence_budget(self):
-        with pytest.raises(NoConvergence) as exc:
-            solve_fixed_point(MarketParams(1.0, 1.0, 1.0), tol=1e-300, max_iter=10)
-        assert exc.value.max_iter == 10
 
 
 class TestPosteriorPrice:

@@ -137,6 +137,14 @@ class TestPathInvariants:
         for i in (n, -1):
             with pytest.raises(IndexError):
                 sample.path(i)
+        assert sample.path(np.int64(cs)) == sample.path(cs)
+
+    @pytest.mark.parametrize("i", [True, 1.0, 1.5, "3"], ids=repr)
+    def test_path_index_must_be_an_integer(self, i):
+        sample = simulate(UNIT, UNIT_EQ, SimConfig(10, 19))
+        with pytest.raises(TypeError, match="path index must be an integer") as exc:
+            sample.path(i)
+        assert repr(i) in str(exc.value)
 
     def test_no_privacy_noise_means_exact_signal(self):
         p = MarketParams(1.0, 1.0, 0.0)
@@ -256,21 +264,24 @@ class TestPriceMoments:
         assert abs(pm.resid_var - 1.0) <= 3.0 * pm.resid_var_se
 
     def test_intercept_tracks_prior(self):
+        # p = p0 + lam*(x + u + eps) has mean p0
         p = MarketParams(1.0, 1.0, 1.0, p0=50.0)
-        sample = simulate(p, solve_closed_form(p), SimConfig(500_000, 15))
-        pm = estimate_price_moments(sample, p)
-        assert pm.intercept_expected == 25.0
-        assert abs(pm.intercept - 25.0) <= 4.0 * pm.intercept_se
+        s = simulate(p, solve_closed_form(p), SimConfig(500_000, 15)).stats.price_value
+        prices = RunningMoments(s.n, s.mean_y, s.m2_y)
+        assert abs(prices.mean - 50.0) <= 4.0 * prices.se
 
     def test_materialized_and_summary_se_agree_roughly(self):
         # the Gaussian resid_var_se against the empirical SE of the squared
         # residuals of the replayed paths
         cfg = SimConfig(200_000, 4)
-        pm = estimate_price_moments(simulate(UNIT, UNIT_EQ, cfg))
+        sample = simulate(UNIT, UNIT_EQ, cfg)
+        pm = estimate_price_moments(sample)
+        s = sample.stats.price_value
+        intercept = s.mean_y - pm.slope * s.mean_x
         parts = []
         for k in range(4):
             v, *_, p = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            parts.append(_row_moments((p - (pm.intercept + pm.slope * v))[None] ** 2))
+            parts.append(_row_moments((p - (intercept + pm.slope * v))[None] ** 2))
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         squares = RunningMoments(n, mean, m2)
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))

@@ -369,8 +369,6 @@ CALLS = (
     (partial(welfare_at, UNIT), {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
     (informed_best_response, {"lam": 0.5, "p0": 0.0, "v": 1.0},
      {"lam": (REAL, 0, True), "p0": (REAL, None, True), "v": (REAL, None, True)}),
-    (partial(solve_fixed_point, UNIT), {"tol": 1e-12, "max_iter": 200},
-     {"tol": (REAL, 0, True), "max_iter": (INTEGER, 1)}),
     (partial(subsidy_curve, UNIT), {"sigma_eps_max": 4.0, "n_points": 5},
      {"sigma_eps_max": (REAL, 0, True), "n_points": (INTEGER, 2)}),
     (partial(fee_revenue_comparison, UNIT), {"daily_volume_usd": 1e9, "fee_bps": 10.0},

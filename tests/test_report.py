@@ -167,10 +167,6 @@ class TestBtcTable:
         rows = {r.ratio: r for r in table_btc().rows}
         assert rows[SQRT2].sigma_eps == SQRT2 * 1000.0
 
-    def test_custom_calibration(self):
-        t = table_btc(MarketParams(1.0, 1.0), ratios=(1.0,))
-        assert math.isclose(t.rows[0].subsidy_usd, 0.35355339059327373, rel_tol=1e-14)
-
     def test_csv_has_header(self):
         text = btc_table_to_csv(table_btc())
         assert text.startswith("sigma_eps_over_sigma_u,sigma_eps,subsidy_usd_per_day,fraction_of_sigma_v_sigma_u\n")
