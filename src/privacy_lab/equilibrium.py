@@ -284,8 +284,10 @@ def solve_fixed_point(params: MarketParams) -> Equilibrium:
             lam = 0.5 * (lo + hi)
             break
 
-    lam = lam * params.sigma_v / m
-    return Equilibrium(lam=lam, beta=1.0 / (2.0 * lam))
+    # the rescaled root leaves the double range where the closed form's does,
+    # and fails its field check by the same name
+    lam = _real("lam", lam * params.sigma_v / m, 0)
+    return Equilibrium(lam=lam, beta=0.5 / lam)  # 2*lam overflows past ~9e307
 
 
 def _batched_market(bp: BatchParams) -> MarketParams:

@@ -13,23 +13,23 @@ A chunk's summary is one tuple (n, means, m2, co-moments), made by
 `_row_moments` and folded by `_merge`, the one-pass parallel update of Chan,
 Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps only
 that tuple, O(1) memory at any path count, and builds its public records
-from it once, at the end.  Because
-draws within a chunk come out in path order, a length-(j+1) prefix of chunk
-k reproduces its first j+1 paths bit for bit, so `PathSample.path(i)`
-replays one chunk prefix instead of storing per-path arrays.
-
-When sigma_eps = 0 the privacy stream is skipped entirely; the value and
-noise-flow streams are unaffected because each stream is seeded on its own.
+from it once, at the end.  Because draws within a chunk come out in path
+order, a length-(j+1) prefix of chunk k reproduces its first j+1 paths bit
+for bit, so `PathSample.path(i)` replays one chunk prefix instead of storing
+per-path arrays.  When sigma_eps = 0 the privacy stream is skipped entirely;
+the value and noise-flow streams are unaffected, each being seeded on its own.
 
 One runner, `_run_chunks`, and one chunk layout serve every entry point: a
 chunk's rows are (v, u, eps, x, y, y_tilde, p) and two work rows, and only
 `_path_draws` draws a stream into them.  The runner's unit of parallel work
 is one stream's draw for one chunk, so a run of a single chunk, and a path
-replay, still spread over the threads; the thread that completes a chunk's
-last draw reduces that chunk.  Each chunk in flight borrows a workspace, a
-float buffer that holds all of its rows.  Workspaces of the default chunk
-size are shared by every run in the process and reused from call to call; a
-chunk too wide for one gets its own, dropped with the chunk.
+replay, still spread over the threads.  Up to DEFAULT_CHUNK_SIZE // m
+consecutive chunks of width m share one workspace, a float buffer of all
+their rows, and the thread that completes the group's last draw assembles
+and reduces them in one pass over a (rows, chunks, m) view; each chunk's
+row is still summed on its own, so the summaries are bit for bit those of
+one chunk at a time.  Workspaces of the default size are shared by every
+run in the process and reused; a chunk too wide for one gets its own.
 
 The environment variable ``PRIVACY_LAB_THREADS`` caps how many draws run
 concurrently (0 or unset = min(cpu count, 8)).  Runs share one process-wide
@@ -136,47 +136,43 @@ def _submit(cap: int, fn, count: int) -> list[Future]:
 
 
 # Idle workspaces of the default size, shared by every run and guarded by
-# _pool_lock.  A run keeps at most one per thread of its cap when it
-# finishes with them: a chunk in flight always has a thread drawing or
-# reducing it, so a run never needs more.
+# _pool_lock.  A run keeps at most one per thread of its cap: a group of
+# chunks in flight always has a thread drawing or reducing it.
 _WORKSPACE_ROWS = 9  # the seven path rows of _chunk_paths and two work rows
 _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
 
 def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
-    """Fold `finish(ws)`, the summary of one chunk, over `chunks`, a list of
-    (chunk index k, path count m), with `_merge` in list order whatever the
+    """Fold the chunk summaries of `finish` over `chunks`, a list of (chunk
+    index k, path count m), with `_merge` in list order whatever the
     execution order or thread count; a run of one chunk returns its summary.
-
-    ws is a (_WORKSPACE_ROWS, m) view of the chunk's workspace.  Every
-    `draw(ws, k)` in `draws`, one per seeded stream, fills its own rows of it
-    before `finish` reads it.  Pool tasks take (chunk, draw) pairs in order,
-    so a slower thread runs fewer of them, and the task that completes a
-    chunk's last draw runs its finish.  If a draw or a finish raises, no task
-    takes another pair, and the first error is re-raised once every task has
-    returned, so no chunk work outlives the call.
+    A group of g chunks (see the module docstring) has a (g, _WORKSPACE_ROWS,
+    m) workspace.  Each `draw(ws, k)` in `draws`, one per seeded stream,
+    fills its own rows of chunk k's block; `finish` reads the group as a
+    (_WORKSPACE_ROWS, g, m) view and returns its chunks' summaries in order.
+    Pool tasks take (chunk, draw) pairs in order, so a slower thread runs
+    fewer.  If a draw or a finish raises, no task takes another pair, and the
+    first error is re-raised once every task has returned.
     """
     cap = _thread_cap()
-    todo = ((c, d) for c in range(len(chunks)) for d in range(len(draws)))
-    parts = [None] * len(chunks)
-    buffers = [None] * len(chunks)
-    left = [len(draws)] * len(chunks)  # draws of each chunk not yet completed
-    lock = threading.Lock()
-    stop = False
+    groups = []
+    for k, m in chunks:
+        if groups and groups[-1][0][1] == m and len(groups[-1]) < DEFAULT_CHUNK_SIZE // m:
+            groups[-1].append((k, m))
+        else:
+            groups.append([(k, m)])
+    todo = ((g, j, d) for g, group in enumerate(groups) for j in range(len(group)) for d in range(len(draws)))
+    parts, blocks = [None] * len(groups), [None] * len(groups)
+    left = [len(group) * len(draws) for group in groups]  # draws of each group not yet completed
+    lock, stop = threading.Lock(), False
 
-    def borrow(size: int) -> np.ndarray:
-        if size > _WORKSPACE_SIZE:
-            return np.empty(size)  # dropped with its chunk
+    def borrow(g: int, m: int) -> np.ndarray:
+        size = g * _WORKSPACE_ROWS * m
         with _pool_lock:
-            if _idle_workspaces:
-                return _idle_workspaces.pop()
-        return np.empty(_WORKSPACE_SIZE)
-
-    def release(buf: np.ndarray) -> None:
-        with _pool_lock:
-            if buf.size == _WORKSPACE_SIZE and len(_idle_workspaces) < cap:
-                _idle_workspaces.append(buf)
+            buf = _idle_workspaces.pop() if _idle_workspaces and size <= _WORKSPACE_SIZE else None
+        buf = np.empty(max(size, _WORKSPACE_SIZE)) if buf is None else buf
+        return buf[:size].reshape(g, _WORKSPACE_ROWS, m)
 
     def work() -> None:
         nonlocal stop
@@ -184,20 +180,21 @@ def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
             while True:
                 with lock:
                     item = None if stop else next(todo, None)
-                    if item is not None and item[1] == 0:
-                        buffers[item[0]] = borrow(_WORKSPACE_ROWS * chunks[item[0]][1])
+                    if item is not None and item[1:] == (0, 0):
+                        blocks[item[0]] = borrow(len(groups[item[0]]), groups[item[0]][0][1])
                 if item is None:
                     return
-                c, d = item
-                k, m = chunks[c]
-                ws = buffers[c][: _WORKSPACE_ROWS * m].reshape(_WORKSPACE_ROWS, m)
-                draws[d](ws, k)
+                g, j, d = item
+                draws[d](blocks[g][j], groups[g][j][0])
                 with lock:
-                    left[c] -= 1
-                    last = left[c] == 0
+                    left[g] -= 1
+                    last = left[g] == 0
                 if last:
-                    parts[c] = finish(ws)
-                    release(buffers[c])
+                    block, blocks[g] = blocks[g], None  # a wide workspace goes with its group
+                    parts[g] = finish(block.transpose(1, 0, 2))
+                    with _pool_lock:
+                        if block.base.size == _WORKSPACE_SIZE and len(_idle_workspaces) < cap:
+                            _idle_workspaces.append(block.base)
         except BaseException:
             stop = True
             raise
@@ -213,7 +210,7 @@ def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
             stop = True  # an interrupted wait leaves no task taking new work
         for f in futures:
             f.result()
-    return functools.reduce(_merge, parts)
+    return functools.reduce(_merge, [part for group in parts for part in group])
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +223,20 @@ def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
 _CO_ROWS = ((0, 6), (1, 5))
 
 
-def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> tuple:
-    """The summary (n, means, m2, co) of the rows of a (r, m) array, which is
-    overwritten: each row's mean and centered second moment, and, when
-    `work`, a (2, m) array, is given, the centered co-moments of _CO_ROWS.
-    A row sum along the contiguous axis is numpy's pairwise sum, the same as
-    that of the row on its own."""
-    means = rows.sum(axis=1) / rows.shape[1]
-    rows -= means[:, None]
-    co = []
+def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> list[tuple]:
+    """The summaries (n, means, m2, co) of the g chunks of a (r, g, m) array,
+    which is overwritten: each row's mean and centered second moment, and,
+    when `work`, a (2, g, m) array, is given, the co-moments of _CO_ROWS.
+    Each chunk's row is contiguous, and numpy sums it pairwise on its own."""
+    n = rows.shape[2]
+    means = rows.sum(axis=2) / n
+    rows -= means[:, :, None]
+    co = [[]] * rows.shape[1]
     if work is not None:
         np.multiply(rows[:2], rows[6:4:-1], out=work)  # the pairs of _CO_ROWS
-        co = work.sum(axis=1).tolist()
-    m2 = np.square(rows, out=rows).sum(axis=1).tolist()
-    return rows.shape[1], means.tolist(), m2, co
+        co = work.sum(axis=2).T.tolist()
+    m2 = np.square(rows, out=rows).sum(axis=2)
+    return [(n, *s) for s in zip(means.T.tolist(), m2.T.tolist(), co)]
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -421,43 +418,45 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     return (value, noise_flow, privacy) if params.sigma_eps > 0 else (value, noise_flow)
 
 
-def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium) -> np.ndarray:
+def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed: bool = True) -> np.ndarray:
     """Fill the rows x, y, y_tilde and p of `paths` from its drawn v, u and
-    eps rows; eps is zeroed first when there is no privacy stream."""
+    eps rows.  With no privacy stream p prices y, and eps = 0 and y_tilde = y
+    are written only when `observed`: the batched run reads neither."""
     v, u, eps, x, y, y_tilde, p = paths
-    if params.sigma_eps == 0:
-        eps.fill(0.0)
     np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
-    np.add(x, u, out=y)
-    np.add(y, eps, out=y_tilde)
-    np.add(np.multiply(y_tilde, eq.lam, out=p), params.p0, out=p)
+    flow = np.add(x, u, out=y)
+    if params.sigma_eps > 0:
+        flow = np.add(y, eps, out=y_tilde)
+    elif observed:
+        eps.fill(0.0)
+        np.copyto(y_tilde, y)
+    np.add(np.multiply(flow, eq.lam, out=p), params.p0, out=p)
     return paths
 
 
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
     """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
     in the field order of PathRealization, of a new (7, m - first) array."""
-    return _run_chunks([(k, m)], _path_draws(params, seed), lambda ws: _assemble(ws[:7, first:].copy(), params, eq))
+    return _run_chunks([(k, m)], _path_draws(params, seed), lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)])
 
 
-def _pnl(paths: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _pnl(paths: np.ndarray) -> np.ndarray:
     """The P&L step: rows eps, x and y of assembled paths become, and are
     returned as, pnl_noise (v - p)u, pnl_informed (v - p)x and pnl_maker
-    (p - v)y, x and y in place, which moves less memory than a third row;
-    `work`, a (2, m) array, is left holding v - p and p - v."""
+    (p - v)y, in place.  The eps row, free once y_tilde is formed, holds
+    v - p until last; p - v is its exact negation, so pnl_maker is -(v - p)y
+    bit for bit and no other row is touched."""
     v, u, eps, x, y, _, p = paths
-    edge, loss = work
-    np.subtract(v, p, out=edge)
-    np.subtract(p, v, out=loss)
-    np.multiply(edge, u, out=eps)
+    edge = np.subtract(v, p, out=eps)
     np.multiply(edge, x, out=x)
-    np.multiply(loss, y, out=y)
+    np.negative(np.multiply(edge, y, out=y), out=y)
+    np.multiply(edge, u, out=eps)
     return paths[2:5]
 
 
-def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> tuple:
-    """The summary of a chunk's paths, the rows of _chunk_paths, which are
-    overwritten; `work`, if given, is a (2, m) array for the rest.
+def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> list[tuple]:
+    """The summaries of the g chunks of a (7, g, m) array of the rows of
+    _chunk_paths, which is overwritten; `work`, if given, is a (2, g, m) one.
 
     The rows become, in place, (v, v - p0, pnl_noise, pnl_informed,
     pnl_maker, y_tilde, p), reduced as one block by `_row_moments`.  Raises
@@ -465,8 +464,8 @@ def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> t
     sum to zero.
     """
     v, u = paths[:2]
-    work = np.empty((2, v.size)) if work is None else work
-    pnl = _pnl(paths, work)
+    work = np.empty((2, *v.shape)) if work is None else work
+    pnl = _pnl(paths)
     # path-wise zero sum is an algebraic identity, up to float rounding; a
     # path whose P&L scale is not finite is out of the double range, and
     # the Check records fail its estimates with z = inf
@@ -491,7 +490,7 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     docstring for the seeding scheme.
     """
 
-    def finish(ws: np.ndarray) -> tuple:
+    def finish(ws: np.ndarray) -> list[tuple]:
         return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
 
     n, means, m2, (c_price, c_signal) = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed), finish)
@@ -517,8 +516,8 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     _require_paths(cfg.n_paths, 2)
     params = replace(bp.base, sigma_eps=0.0)
 
-    def finish(ws: np.ndarray) -> tuple:
-        return _row_moments(_pnl(_assemble(ws[:7], params, eq), ws[7:]))
+    def finish(ws: np.ndarray) -> list[tuple]:
+        return _row_moments(_pnl(_assemble(ws[:7], params, eq, observed=False)))
 
     n, means, m2, _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish)
     return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
@@ -731,7 +730,7 @@ def verify_best_response(
         )
     grid = x_star + np.linspace(-half, half, n_grid)
 
-    def finish(ws: np.ndarray) -> tuple:
+    def finish(ws: np.ndarray) -> list[tuple]:
         if params.sigma_eps > 0:
             ws[1] += ws[2]
         return _row_moments(ws[1:2])

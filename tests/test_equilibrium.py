@@ -113,6 +113,7 @@ class TestValidation:
         (subsidy_curve, (MarketParams(1, 1), "5", 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
         (informed_best_response, ("1", 0.0, 1.0), "lam"),
+        (solve_fixed_point, (MarketParams(1e-200, 1e200),), "lam"),  # lam underflows, as in the closed form
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:

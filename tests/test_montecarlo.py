@@ -82,7 +82,7 @@ class TestDeterminism:
         # the rows are (v, v - p0, pnl_noise, pnl_informed, pnl_maker, y_tilde, p)
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         stats = simulate(UNIT, UNIT_EQ, cfg).stats
-        chunks = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, min(8192, 50_000 - 8192 * k)), 0.0) for k in range(7)]
+        chunks = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, min(8192, 50_000 - 8192 * k))[:, None], 0.0)[0] for k in range(7)]
         n, means, m2, (c_price, c_signal) = functools.reduce(_merge, chunks)
         assert astuple(stats) == (
             (n, means[3], m2[3]),
@@ -171,7 +171,7 @@ class TestPathInvariants:
         paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
         paths[4, 5] += 1.0
         with pytest.raises(AssertionError):
-            _stats_of(paths, 0.0)
+            _stats_of(paths[:, None], 0.0)
 
     def test_observed_flow_mean_and_variance(self):
         # Var(y_tilde) = beta^2*sigma_v^2 + sigma_u^2 + sigma_eps^2 = 4 here
@@ -281,7 +281,7 @@ class TestPriceMoments:
         parts = []
         for k in range(4):
             v, *_, p = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            parts.append(_row_moments((p - (intercept + pm.slope * v))[None] ** 2))
+            parts += _row_moments((p - (intercept + pm.slope * v))[None, None] ** 2)
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         squares = RunningMoments(n, mean, m2)
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
@@ -359,7 +359,7 @@ class TestBestResponse:
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
             _, u, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
-            parts.append(_row_moments((u + eps)[None]))
+            parts += _row_moments((u + eps)[None, None])
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         zm = RunningMoments(n, mean, m2)
         chk = verify_best_response(params, eq, v=params.p0 + 1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg)
@@ -411,7 +411,7 @@ class TestBatchedSimulation:
             y = x + u
             price = p.p0 + eq.lam * y
             edge = v - price
-            parts.append(_row_moments(np.array([edge * x, edge * u, (price - v) * y])))
+            parts += _row_moments(np.array([edge * x, edge * u, (price - v) * y])[:, None])
         n, means, m2, _ = functools.reduce(_merge, parts)
         return [RunningMoments(n, mean, q) for mean, q in zip(means, m2)]
 
@@ -553,10 +553,25 @@ class TestWorkerPool:
             runs.append(simulate(UNIT, UNIT_EQ, POOL_CFG).stats)
         assert runs == [runs[0]] * 4
 
+    def test_finish_runs_once_per_group(self, monkeypatch):
+        # 48 chunks of 4096 and one of 3392: groups of 16, 16, 16 and 1
+        calls = []
+
+        def stats_of(*args):
+            calls.append(args[0].shape)
+            return _stats_of(*args)
+
+        monkeypatch.setattr(montecarlo, "_stats_of", stats_of)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PRIVACY_LAB_THREADS", threads)
+            calls.clear()
+            assert simulate(UNIT, UNIT_EQ, SimConfig(200_000, 5, chunk_size=4096)).n == 200_000
+            assert sorted(calls) == [(7, 1, 3392)] + [(7, 16, 4096)] * 3  # in any order across threads
+
     def test_failing_chunk_stops_the_run(self, monkeypatch):
-        # once from inside a stream's draw, once from inside a chunk's reduction
+        # once from inside a stream's draw, once from inside a group's reduction
         monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
-        cfg = SimConfig(64 * 1024, 3, chunk_size=1024)
+        cfg = SimConfig(64 * 16_384, 3, chunk_size=16_384)  # 16 groups of 4 chunks
         expected = simulate(UNIT, UNIT_EQ, cfg).stats
         lock = threading.Lock()
 
@@ -595,7 +610,7 @@ class TestWorkerPool:
                 simulate(UNIT, UNIT_EQ, cfg)
             taken = len(started)
             assert running[0] == 0
-            assert taken < 64  # of 4 * 64 draws and reductions: none was taken once one had failed
+            assert taken < 64  # of 3 * 64 draws and 16 reductions: none was taken once one had failed
             time.sleep(0.05)
             assert len(started) == taken
             monkeypatch.setattr(montecarlo, "_chunk_rng", _chunk_rng)

@@ -26,6 +26,14 @@ BASE = MarketParams(1.3, 0.9, p0=-0.5)
 ONE_CHUNK = SimConfig(50_000, 7)  # one default-size chunk
 THREE_CHUNKS = SimConfig(150_000, 9)  # fewer chunks than the 6-thread cap
 TAUS = (1, 7, 8, 9, 16, 17)  # either side of 8, where numpy's pairwise sum unrolls
+# chunk layouts of the runner's groups of equal-width chunks side by side in
+# one workspace: widths that do not divide it (with a partial last chunk),
+# two to a workspace, and one wider than a workspace
+NARROW = SimConfig(150_500, 17, chunk_size=1000)  # groups of 65, 65, 20 and 1 chunks
+ODD = SimConfig(100_000, 19, chunk_size=3000)  # groups of 21, 12 and 1
+PAIRS = SimConfig(150_000, 23, chunk_size=32_768)  # groups of 2, 2 and 1
+WIDE = SimConfig(140_000, 29, chunk_size=65_537)  # two chunks wider than a workspace and one narrower
+SMALL = SimConfig(100_000, 31, chunk_size=4096)  # groups of 16, 8 and a last chunk of 1696
 
 
 def hexed(obj):
@@ -60,6 +68,24 @@ RUNS = {
         )
         for tau in TAUS
     },
+    "narrow": lambda: simulate(NOISY, solve_closed_form(NOISY), NARROW).stats,
+    "odd_quiet": lambda: simulate(QUIET, solve_closed_form(QUIET), ODD).stats,
+    "pairs": lambda: simulate(NOISY, solve_closed_form(NOISY), PAIRS).stats,
+    "wide": lambda: simulate(NOISY, solve_closed_form(NOISY), WIDE).stats,
+    **{
+        f"batched_small_tau{tau}": lambda tau=tau: simulate_batched(
+            BatchParams(BASE, tau), batched_equilibrium(BatchParams(BASE, tau)), SMALL
+        )
+        for tau in (1, 5)
+    },
+    "best_small": lambda: verify_best_response(
+        NOISY, solve_closed_form(NOISY), v=6.5, grid_halfwidth=0.5, n_grid=5, cfg=SMALL
+    ),
+    "paths_grouped": lambda: [
+        simulate(NOISY, solve_closed_form(NOISY), NARROW).path(150_499),
+        simulate(QUIET, solve_closed_form(QUIET), ODD).path(64_123),
+        simulate(NOISY, solve_closed_form(NOISY), WIDE).path(65_537),
+    ],
 }
 
 PINNED = {
@@ -294,6 +320,171 @@ PINNED = {
         "se_pi_M": "0x1.296caa4bccad3p-6",
         "n": 70000,
     },
+    "narrow": {
+        "pnl_informed": {"n": 150500, "mean": "0x1.79a6a0081b06cp+0", "m2": "0x1.e07b9ee5aee0bp+19"},
+        "pnl_noise": {"n": 150500, "mean": "-0x1.50923a7056281p-2", "m2": "0x1.3fdb8de0160fdp+17"},
+        "pnl_maker": {"n": 150500, "mean": "-0x1.2582116c057c8p+0", "m2": "0x1.e90df5582ae0bp+19"},
+        "signal_value": {
+            "n": 150500,
+            "mean_x": "0x1.994a2187f65eap-11",
+            "mean_y": "0x1.eab9818ff82e1p-9",
+            "m2_x": "0x1.3fbc41cdbc013p+19",
+            "m2_y": "0x1.252953b466cd2p+19",
+            "c_xy": "0x1.b011f83bc12f6p+18",
+        },
+        "price_value": {
+            "n": 150500,
+            "mean_x": "0x1.403d573031ff2p+2",
+            "mean_y": "0x1.4008a9a5a36b5p+2",
+            "m2_x": "0x1.252953b466cd2p+19",
+            "m2_y": "0x1.2555d055685e8p+18",
+            "c_xy": "0x1.24a2863b92bb6p+18",
+        },
+    },
+    "odd_quiet": {
+        "pnl_informed": {"n": 100000, "mean": "0x1.07d24f3305aedp-1", "m2": "0x1.35f0f820f4330p+16"},
+        "pnl_noise": {"n": 100000, "mean": "-0x1.0b82012889dabp-1", "m2": "0x1.423bc2ce66548p+16"},
+        "pnl_maker": {"n": 100000, "mean": "0x1.d7d8fac215f0ep-8", "m2": "0x1.a56ca03cb0c3ep+16"},
+        "signal_value": {
+            "n": 100000,
+            "mean_x": "0x1.6a2c02edca401p-10",
+            "mean_y": "-0x1.3b42ed52505f7p-8",
+            "m2_x": "0x1.efd0dcf094cb8p+16",
+            "m2_y": "0x1.460d0ffc829d3p+17",
+            "c_xy": "0x1.900a89e557e91p+16",
+        },
+        "price_value": {
+            "n": 100000,
+            "mean_x": "0x1.fec4bd12adaf9p+0",
+            "mean_y": "0x1.0024c8784c269p+1",
+            "m2_x": "0x1.460d0ffc829d3p+17",
+            "m2_y": "0x1.4750e1dad23a5p+16",
+            "c_xy": "0x1.4508900a576d8p+16",
+        },
+    },
+    "pairs": {
+        "pnl_informed": {"n": 150000, "mean": "0x1.77b3096121fe2p+0", "m2": "0x1.dc874b92e8be2p+19"},
+        "pnl_noise": {"n": 150000, "mean": "-0x1.546b3a628747ap-2", "m2": "0x1.3dbf6f1564017p+17"},
+        "pnl_maker": {"n": 150000, "mean": "-0x1.22983ac8802c3p+0", "m2": "0x1.e56cafa5718a6p+19"},
+        "signal_value": {
+            "n": 150000,
+            "mean_x": "0x1.17321cb1e3f7ep-10",
+            "mean_y": "-0x1.5867ffb36dcefp-8",
+            "m2_x": "0x1.3f337a6ab5a03p+19",
+            "m2_y": "0x1.23cc9ba8c1877p+19",
+            "c_xy": "0x1.afb9d19258a79p+18",
+        },
+        "price_value": {
+            "n": 150000,
+            "mean_x": "0x1.3fa9e60013248p+2",
+            "mean_y": "0x1.400bd1860826fp+2",
+            "m2_x": "0x1.23cc9ba8c1877p+19",
+            "m2_y": "0x1.24d85420231b4p+18",
+            "c_xy": "0x1.2466d229297f8p+18",
+        },
+    },
+    "wide": {
+        "pnl_informed": {"n": 140000, "mean": "0x1.7924d1c2bc8acp+0", "m2": "0x1.c1bbfd4c098d8p+19"},
+        "pnl_noise": {"n": 140000, "mean": "-0x1.55f67fefc4ae4p-2", "m2": "0x1.25bca333ca68ep+17"},
+        "pnl_maker": {"n": 140000, "mean": "-0x1.23a731c6cb5f3p+0", "m2": "0x1.c73998c013c3ap+19"},
+        "signal_value": {
+            "n": 140000,
+            "mean_x": "-0x1.70910b022525ep-9",
+            "mean_y": "0x1.231bb934c3bb8p-12",
+            "m2_x": "0x1.2a8dffb0d53d0p+19",
+            "m2_y": "0x1.114a1cee3d158p+19",
+            "c_xy": "0x1.942e690e12729p+18",
+        },
+        "price_value": {
+            "n": 140000,
+            "mean_x": "0x1.40048c6ee4d31p+2",
+            "mean_y": "0x1.3fe0cc01c887ep+2",
+            "m2_x": "0x1.114a1cee3d158p+19",
+            "m2_y": "0x1.11e743d38d9cfp+18",
+            "c_xy": "0x1.11bf012fec11ep+18",
+        },
+    },
+    "batched_small_tau1": {
+        "mean_pi_I": "0x1.2cd8a0a33a079p-1",
+        "mean_pi_N": "-0x1.2c906f3c58c09p-1",
+        "mean_pi_M": "-0x1.20c59b851c4e6p-11",
+        "se_pi_I": "0x1.a4b6078855941p-9",
+        "se_pi_N": "0x1.a313424727771p-9",
+        "se_pi_M": "0x1.e2fb14a8b73a4p-9",
+        "n": 100000,
+    },
+    "batched_small_tau5": {
+        "mean_pi_I": "0x1.4f8a62b9895aep+0",
+        "mean_pi_N": "-0x1.511aafad36759p+0",
+        "mean_pi_M": "0x1.904cf3ad1abe9p-8",
+        "se_pi_I": "0x1.d5b2835e70bc2p-8",
+        "se_pi_N": "0x1.d5447c60daf14p-8",
+        "se_pi_M": "0x1.0ef7043d62adep-7",
+        "n": 100000,
+    },
+    "best_small": {
+        "grid": [
+            "0x1.1b7c0eed1ea38p-1",
+            "0x1.a93a1663adf54p-1",
+            "0x1.1b7c0eed1ea38p+0",
+            "0x1.625b12a8664c6p+0",
+            "0x1.a93a1663adf54p+0",
+        ],
+        "estimates": [
+            "0x1.3e4c165f29ffdp-1",
+            "0x1.8db73d5c0e61bp-1",
+            "0x1.a7fb218c7d04fp-1",
+            "0x1.8d17c2f075e97p-1",
+            "0x1.3d0d2187f90f8p-1",
+        ],
+        "ses": [
+            "0x1.cb14ad365dd38p-10",
+            "0x1.584f81e8c65eap-9",
+            "0x1.cb14ad365dd38p-9",
+            "0x1.1eecec41faa44p-8",
+            "0x1.584f81e8c65eap-8",
+        ],
+        "analytic": [
+            "0x1.3eeb90cac277fp-1",
+            "0x1.8ea674fd7315fp-1",
+            "0x1.a93a1663adf54p-1",
+            "0x1.8ea674fd7315dp-1",
+            "0x1.3eeb90cac277fp-1",
+        ],
+        "argmax_x": "0x1.1b7c0eed1ea38p+0",
+        "x_star": "0x1.1b7c0eed1ea38p+0",
+        "grid_step": "0x1.1b7c0eed1ea38p-2",
+        "n_paths": 100000,
+    },
+    "paths_grouped": [
+        {
+            "v": "0x1.e5378fa6fc24ap+2",
+            "u": "-0x1.210990f4151c6p-1",
+            "eps": "-0x1.71909c3b19800p-1",
+            "x": "0x1.e7e14b98a9d4bp+0",
+            "y": "0x1.575c831e9f468p+0",
+            "y_tilde": "0x1.3d286a02250d0p-1",
+            "p": "0x1.5ad9ce21fd2e5p+2",
+        },
+        {
+            "v": "0x1.cd6a4a2cc5278p+0",
+            "u": "-0x1.feae562bd01bdp-1",
+            "eps": "0x0.0p+0",
+            "x": "-0x1.f210d6e4b98edp-4",
+            "y": "-0x1.1e78388433a6dp+0",
+            "y_tilde": "-0x1.1e78388433a6dp+0",
+            "p": "0x1.173e521496088p+0",
+        },
+        {
+            "v": "0x1.22fac74876ccep+2",
+            "u": "0x1.074ef111c2e4bp+0",
+            "eps": "-0x1.a6593bb1e5c9ep+0",
+            "x": "-0x1.56c8e9d0551c6p-2",
+            "y": "0x1.63396d3b5b3b3p-1",
+            "y_tilde": "-0x1.e9790a2870589p-1",
+            "p": "0x1.168f96fceda8dp+2",
+        },
+    ],
 }
 
 

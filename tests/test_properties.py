@@ -295,6 +295,31 @@ def test_fixed_point_at_extreme_magnitudes(p):
     assert fp.beta == 1.0 / (2.0 * fp.lam)
 
 
+wide = st.floats(-200.0, 200.0).map(lambda e: 10.0**e)
+
+
+def outcome(solve, p: MarketParams):
+    """The solver's Equilibrium, or the field its ParamError names."""
+    try:
+        return solve(p)
+    except ParamError as exc:
+        return exc.field
+
+
+@PROPERTY
+@given(wide, wide, st.one_of(st.just(0.0), wide))
+def test_fixed_point_fails_where_the_closed_form_does(sv, su, se):
+    # lam = sigma_v/(2*hypot(sigma_u, sigma_eps)) leaves the double range for
+    # such sigmas; the fixed point then names the field the closed form does
+    p = MarketParams(sv, su, se)
+    closed, fp = outcome(solve_closed_form, p), outcome(solve_fixed_point, p)
+    if isinstance(fp, str):
+        assert fp == closed
+    else:
+        assert not isinstance(closed, str)
+        assert abs(fp.lam - closed.lam) <= 1e-12 * closed.lam + 2 * TINY  # a subnormal lam rounds absolutely
+
+
 def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
     """welfare_at, posterior_slope and the expected residual variance of p on
     v against 40 digits, for the maker at lam and the trader at a scaled

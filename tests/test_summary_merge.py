@@ -3,13 +3,16 @@
 A chunk's summary is the tuple (n, means, m2, co-moments) of
 `montecarlo._row_moments`, and `montecarlo._merge` is the one fold of two
 summaries.  Hypothesis checks that folding the chunks of any split, chunks of
-one path included, gives the moments of the whole sample; an `ast` guard
-keeps `merge` methods, and calls of them, from coming back in the package.
+one path included, gives the moments of the whole sample, and that a run,
+which reduces chunks side by side in groups, gives bit for bit the fold of
+its chunks reduced one at a time; an `ast` guard keeps `merge` methods, and
+calls of them, from coming back in the package.
 """
 
 import ast
 import functools
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privacy_lab.montecarlo import _CO_ROWS, _merge, _row_moments
+from privacy_lab import MarketParams, SimConfig, simulate, solve_closed_form
+from privacy_lab.montecarlo import _CO_ROWS, _chunk_paths, _merge, _row_moments, _stats_of
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
 
@@ -55,7 +59,7 @@ def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc
     parts, lo = [], 0
     for m in sizes:
         chunk = sample[:, lo : lo + m].copy()
-        parts.append(_row_moments(chunk, np.empty((2, m)) if paired else None))
+        parts += _row_moments(chunk[:, None], np.empty((2, 1, m)) if paired else None)
         lo += m
     n, means, m2, co = functools.reduce(_merge, parts)
 
@@ -69,7 +73,38 @@ def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc
         assert abs(got - want) <= RTOL * want
     assert len(co) == len(want_co)
     for (i, j), got, want in zip(_CO_ROWS, co, want_co):
-        assert abs(got - want) <= RTOL * math.sqrt(want_m2[i] * want_m2[j])
+        # a product of roots, as m2_i * m2_j alone underflows at tiny scales
+        assert abs(got - want) <= RTOL * math.sqrt(want_m2[i]) * math.sqrt(want_m2[j])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    chunk_size=st.integers(1, 70_000),
+    chunks=st.integers(1, 200),
+    last=st.integers(1, 70_000),
+    sigma_eps=st.sampled_from((0.0, 1.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_run_is_the_fold_of_its_chunks(chunk_size, chunks, last, sigma_eps, seed):
+    # up to 300000 paths, the last chunk partial or full; with sigma_eps = 0
+    # the privacy stream is not drawn
+    chunks = max(1, min(chunks, 300_000 // chunk_size))
+    n = (chunks - 1) * chunk_size + min(last, chunk_size)
+    params = MarketParams(2.0, 0.7, sigma_eps, p0=5.0)
+    eq = solve_closed_form(params)
+    stats = simulate(params, eq, SimConfig(n, seed, chunk_size=chunk_size)).stats
+    alone = [
+        _stats_of(_chunk_paths(params, eq, seed, k, min(chunk_size, n - k * chunk_size))[:, None], params.p0)[0]
+        for k in range(chunks)
+    ]
+    n, means, m2, (c_price, c_signal) = functools.reduce(_merge, alone)
+    assert repr(astuple(stats)) == repr((
+        (n, means[3], m2[3]),
+        (n, means[2], m2[2]),
+        (n, means[4], m2[4]),
+        (n, means[5], means[1], m2[5], m2[1], c_signal),
+        (n, means[0], means[6], m2[0], m2[6], c_price),
+    ))  # repr tells -0.0 from 0.0
 
 
 def merge_sites(path: Path) -> list[tuple[int, str]]:
