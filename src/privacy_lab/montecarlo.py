@@ -11,13 +11,13 @@ streams are independent by construction.
 
 A chunk's summary is one tuple (n, means, m2, co-moments), made by
 `_row_moments` and folded by `_merge`, the one-pass parallel update of Chan,
-Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps only
-that tuple, O(1) memory at any path count, and builds its public records
-from it once, at the end.  Because draws within a chunk come out in path
-order, a length-(j+1) prefix of chunk k reproduces its first j+1 paths bit
-for bit, so `PathSample.path(i)` replays one chunk prefix instead of storing
-per-path arrays.  When sigma_eps = 0 the privacy stream is skipped entirely;
-the value and noise-flow streams are unaffected, each being seeded on its own.
+Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps its
+fold and its groups of chunks in flight, O(1) memory at any path count, and
+builds its public records from the fold at the end.  Draws within a chunk
+come out in path order, so a length-(j+1) prefix of chunk k reproduces its
+first j+1 paths bit for bit and `PathSample.path(i)` replays one chunk prefix
+instead of storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
+the other streams, each seeded on its own, are unaffected.
 
 One runner, `_run_chunks`, and one chunk layout serve every entry point: a
 chunk's rows are (v, u, eps, x, y, y_tilde, p) and two work rows, and only
@@ -31,11 +31,11 @@ row is still summed on its own, so the summaries are bit for bit those of
 one chunk at a time.  Workspaces of the default size are shared by every
 run in the process and reused; a chunk too wide for one gets its own.
 
-The environment variable ``PRIVACY_LAB_THREADS`` caps how many draws run
-concurrently (0 or unset = min(cpu count, 8)).  Runs share one process-wide
-thread pool of that size, created on first use and replaced when the cap
-changes; a forked child drops its parent's pool and builds its own on first
-use.
+``PRIVACY_LAB_THREADS`` caps how many draws of a run go on at once, the
+caller's included (0 or unset = min(cpu count, 8)).  The calling thread draws
+like its min(cap, draws) - 1 helpers from one process-wide pool of cap
+threads, created on first use and replaced when the cap changes; a run at cap
+1 or of one draw uses no pool.  A forked child drops its parent's pool.
 
 `verify_simulation` and `verify_batched` run a simulation and return its
 `Check` records: each estimate against its closed form, passed within 3 se.
@@ -43,7 +43,6 @@ use.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -143,74 +142,80 @@ _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
 
-def _run_chunks(chunks: list[tuple[int, int]], draws, finish):
-    """Fold the chunk summaries of `finish` over `chunks`, a list of (chunk
-    index k, path count m), with `_merge` in list order whatever the
-    execution order or thread count; a run of one chunk returns its summary.
-    A group of g chunks (see the module docstring) has a (g, _WORKSPACE_ROWS,
-    m) workspace.  Each `draw(ws, k)` in `draws`, one per seeded stream,
-    fills its own rows of chunk k's block; `finish` reads the group as a
-    (_WORKSPACE_ROWS, g, m) view and returns its chunks' summaries in order.
-    Pool tasks take (chunk, draw) pairs in order, so a slower thread runs
-    fewer.  If a draw or a finish raises, no task takes another pair, and the
-    first error is re-raised once every task has returned.
+def _run_chunks(n: int, width: int, draws, finish, first: int = 0):
+    """Fold with `_merge` in chunk order, whatever the thread count, the
+    summaries `finish` makes of chunks first, first + 1, ... of n paths, width
+    to a chunk but the last; a run of one chunk returns its summary.  Each
+    `draw(ws, k)` in `draws`, one per stream, fills its rows of chunk k's block
+    of a group's (g, _WORKSPACE_ROWS, m) workspace, laid out as the run
+    reaches it; `finish` reads it as a (_WORKSPACE_ROWS, g, m) view and
+    returns the g summaries, folded once every earlier group's are.  The
+    caller and its helpers take (chunk, draw) pairs in order, so a slower
+    thread runs fewer; once the caller finds none left, it cancels helpers
+    not yet started.  If a draw or a finish raises, no thread takes another
+    pair, and the first error is re-raised once every started helper is done.
     """
     cap = _thread_cap()
-    groups = []
-    for k, m in chunks:
-        if groups and groups[-1][0][1] == m and len(groups[-1]) < DEFAULT_CHUNK_SIZE // m:
-            groups[-1].append((k, m))
-        else:
-            groups.append([(k, m)])
-    todo = ((g, j, d) for g, group in enumerate(groups) for j in range(len(group)) for d in range(len(draws)))
-    parts, blocks = [None] * len(groups), [None] * len(groups)
-    left = [len(group) * len(draws) for group in groups]  # draws of each group not yet completed
-    lock, stop = threading.Lock(), False
+    per = max(1, DEFAULT_CHUNK_SIZE // width)  # full chunks to a group
 
-    def borrow(g: int, m: int) -> np.ndarray:
-        size = g * _WORKSPACE_ROWS * m
-        with _pool_lock:
-            buf = _idle_workspaces.pop() if _idle_workspaces and size <= _WORKSPACE_SIZE else None
-        buf = np.empty(max(size, _WORKSPACE_SIZE)) if buf is None else buf
-        return buf[:size].reshape(g, _WORKSPACE_ROWS, m)
+    def tasks():
+        # (group, block index, chunk index, draw) in order; a group is [its
+        # workspace, its draws not yet completed, its summaries once finished]
+        lo = 0
+        while lo < n:
+            m = min(width, n - lo)  # a short last chunk is a group of its own
+            count = min(per, (n - lo) // m)
+            size = count * _WORKSPACE_ROWS * m
+            with _pool_lock:
+                buf = _idle_workspaces.pop() if _idle_workspaces and size <= _WORKSPACE_SIZE else None
+            buf = np.empty(max(size, _WORKSPACE_SIZE)) if buf is None else buf
+            group = [buf[:size].reshape(count, _WORKSPACE_ROWS, m), count * len(draws), None]
+            groups.append(group)
+            for j in range(count):
+                for draw in draws:
+                    yield group, j, first + lo // width + j, draw
+            lo += count * m
+
+    groups, todo, lock, stop, total = [], tasks(), threading.Lock(), False, None  # groups in flight, in order
 
     def work() -> None:
-        nonlocal stop
+        nonlocal stop, total
         try:
             while True:
                 with lock:
-                    item = None if stop else next(todo, None)
-                    if item is not None and item[1:] == (0, 0):
-                        blocks[item[0]] = borrow(len(groups[item[0]]), groups[item[0]][0][1])
-                if item is None:
+                    task = None if stop else next(todo, None)
+                if task is None:
                     return
-                g, j, d = item
-                draws[d](blocks[g][j], groups[g][j][0])
+                group, j, k, draw = task
+                draw(group[0][j], k)
                 with lock:
-                    left[g] -= 1
-                    last = left[g] == 0
+                    group[1] -= 1
+                    last = group[1] == 0
                 if last:
-                    block, blocks[g] = blocks[g], None  # a wide workspace goes with its group
-                    parts[g] = finish(block.transpose(1, 0, 2))
+                    block, group[0] = group[0], None  # a wide workspace goes with its group
+                    parts = finish(block.transpose(1, 0, 2))
                     with _pool_lock:
                         if block.base.size == _WORKSPACE_SIZE and len(_idle_workspaces) < cap:
                             _idle_workspaces.append(block.base)
+                    with lock:
+                        group[2] = parts
+                        while groups and groups[0][2] is not None:
+                            for part in groups.pop(0)[2]:
+                                total = part if total is None else _merge(total, part)
         except BaseException:
             stop = True
             raise
 
-    tasks = len(chunks) * len(draws)
-    if cap <= 1 or tasks <= 1:
+    helpers = min(cap, -(-n // width) * len(draws)) - 1
+    futures = _submit(cap, work, helpers) if helpers > 0 else []
+    try:
         work()
-    else:
-        futures = _submit(cap, work, min(cap, tasks))
-        try:
-            wait(futures)
-        finally:
-            stop = True  # an interrupted wait leaves no task taking new work
-        for f in futures:
+    finally:
+        wait([f for f in futures if not f.cancel()])
+    for f in futures:
+        if not f.cancelled():
             f.result()
-    return functools.reduce(_merge, [part for group in parts for part in group])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +370,6 @@ class WelfareEstimate:
     n: int
 
 
-def _chunks(cfg: SimConfig) -> list[tuple[int, int]]:
-    n, cs = cfg.n_paths, cfg.chunk_size
-    return [(k, min(cs, n - k * cs)) for k in range((n + cs - 1) // cs)]
-
-
 def _draw(seed: int, stream: int, k: int, row: np.ndarray, scale: float) -> None:
     """Fill `row` with `scale` times the first standard normals of (stream, chunk k)."""
     _chunk_rng(seed, stream, k).standard_normal(row.size, out=row)
@@ -437,7 +437,7 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
     """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
     in the field order of PathRealization, of a new (7, m - first) array."""
-    return _run_chunks([(k, m)], _path_draws(params, seed), lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)])
+    return _run_chunks(m, m, _path_draws(params, seed), lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)], k)
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
@@ -493,7 +493,7 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     def finish(ws: np.ndarray) -> list[tuple]:
         return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
 
-    n, means, m2, (c_price, c_signal) = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed), finish)
+    n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed), finish)
     stats = SampleStats(
         pnl_informed=RunningMoments(n, means[3], m2[3]),
         pnl_noise=RunningMoments(n, means[2], m2[2]),
@@ -519,7 +519,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     def finish(ws: np.ndarray) -> list[tuple]:
         return _row_moments(_pnl(_assemble(ws[:7], params, eq, observed=False)))
 
-    n, means, m2, _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed, bp.tau), finish)
+    n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed, bp.tau), finish)
     return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
 
 
@@ -735,7 +735,7 @@ def verify_best_response(
             ws[1] += ws[2]
         return _row_moments(ws[1:2])
 
-    n, (z_mean,), (z_m2,), _ = _run_chunks(_chunks(cfg), _path_draws(params, cfg.seed)[1:], finish)
+    n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed)[1:], finish)
     z_std = RunningMoments(n, z_mean, z_m2).std
 
     # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i

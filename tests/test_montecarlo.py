@@ -546,6 +546,65 @@ class TestWorkerPool:
         assert after - before < 2**20  # and none outlived the call
         assert [w.size for w in idle] == [montecarlo._WORKSPACE_SIZE]
 
+    def test_runner_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        # one idle workspace per thread, so neither traced run allocates one
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", [np.empty(montecarlo._WORKSPACE_SIZE) for _ in range(2)])
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        runs = [SimConfig(1024 * chunks, 29, chunk_size=1024) for chunks in (150, 1500)]
+        simulate(UNIT, UNIT_EQ, runs[0])  # first-use allocations outside the traced runs
+        peaks = []
+        for cfg in runs:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                simulate(UNIT, UNIT_EQ, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
+
+    def test_a_run_returns_while_every_pool_thread_is_busy(self, monkeypatch):
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        cfg = SimConfig(30_000, 31, chunk_size=4096)
+        expected = simulate(UNIT, UNIT_EQ, cfg).stats
+        busy, release, got = threading.Semaphore(0), threading.Event(), []
+
+        def block():
+            busy.release()
+            release.wait(60)
+
+        montecarlo._submit(2, block, 2)
+        run = threading.Thread(target=lambda: got.append(simulate(UNIT, UNIT_EQ, cfg).stats))
+        try:
+            assert busy.acquire(timeout=10) and busy.acquire(timeout=10)
+            run.start()
+            run.join(10)
+            returned = not run.is_alive()
+        finally:
+            release.set()
+            run.join(10)
+        assert returned, "the run waited on the busy pool"
+        assert got == [expected]
+
+    def test_the_caller_draws_too(self, monkeypatch):
+        drawers = set()
+
+        def chunk_rng(*args):
+            drawers.add(threading.get_ident())
+            return _chunk_rng(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", chunk_rng)
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        simulate(UNIT, UNIT_EQ, SimConfig(50_000, 37, chunk_size=4096))
+        assert threading.get_ident() in drawers
+        # with no helpers there is no pool: one task (one chunk, one stream), then cap 1
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        quiet = MarketParams(1.0, 1.0)
+        verify_best_response(quiet, solve_closed_form(quiet), v=1.0, grid_halfwidth=0.5, n_grid=5, cfg=SimConfig(1000, 37))
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")
+        simulate(UNIT, UNIT_EQ, SimConfig(50_000, 37, chunk_size=4096))
+        assert montecarlo._pool is None
+
     def test_changing_the_cap_keeps_the_bits(self, monkeypatch):
         runs = []
         for cap in ("1", "6", "2", "6"):
