@@ -736,16 +736,16 @@ def verify_best_response(
         return _row_moments(ws[1:2])
 
     n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed)[1:], finish)
-    z_std = RunningMoments(n, z_mean, z_m2).std
+    z_se = RunningMoments(n, z_mean, z_m2).se
 
     # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i
     analytic = (v - params.p0 - eq.lam * grid) * grid
     estimates = analytic - eq.lam * grid * z_mean
-    ses = np.abs(eq.lam * grid) * z_std / math.sqrt(n)
+    ses = np.abs(eq.lam * grid) * z_se
 
     step = float(grid[1] - grid[0])
     if step > 0:
-        se_diff = eq.lam * step * z_std / math.sqrt(n)
+        se_diff = eq.lam * step * z_se
         gap = eq.lam * (step * step)  # step**2 raises OverflowError where this is inf
         if 3.0 * se_diff >= gap:
             raise InconclusiveResolution(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from privacy_lab import MarketParams, posterior_slope, solve_closed_form
+from privacy_lab import MarketParams, posterior_slope, report, solve_closed_form
 from privacy_lab.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -220,6 +220,29 @@ class TestReproducePaperCommand:
         assert payload["ok"] is True
         assert payload["mismatches"] == []
 
+    # one pinned constant of the bundle at a time, set to a value its
+    # artifact does not meet, and the artifact its check names
+    @pytest.mark.parametrize("name,value,artifact", [
+        ("TABLE1_EXPECTED", report.TABLE1_EXPECTED[:-1] + ((5.0, 0.098, 5.099, 2.452),), "table1.csv"),
+        ("TABLE2_EXPECTED", ((0.1, 30_000.0, 0.006),) + report.TABLE2_EXPECTED[1:], "table2.csv"),
+        ("FIGURE1_MAX_SIGMA_EPS", 4.0, "figure1.csv"),
+        ("FEE_COMPARISON_VOLUME_USD", 2e9, "fee_comparison.json"),
+        ("FEE_COMPARISON_EXPECTED_SUBSIDY", 2e6, "fee_comparison.json"),
+        ("FEE_COMPARISON_SHORTFALL_RANGE", (7.0, 9.0), "fee_comparison.json"),
+    ])
+    def test_mismatch_exits_three_naming_the_artifact(self, capsys, monkeypatch, tmp_path, name, value, artifact):
+        monkeypatch.setattr(report, name, value)
+        rc, out, _ = run(capsys, "reproduce-paper", "--outdir", str(tmp_path / "text"))
+        assert rc == 3
+        mismatches = out.split("MISMATCHES:\n", 1)[1].splitlines()
+        assert mismatches and all(line.startswith(f"  {artifact}") for line in mismatches)
+
+        rc, out, _ = run(capsys, "reproduce-paper", "--outdir", str(tmp_path / "json"), "--format", "json")
+        assert rc == 3
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["mismatches"] and all(m.startswith(artifact) for m in payload["mismatches"])
+
 
 MARKET = ("--sigma-v", "1", "--sigma-u", "1")
 CONFIGS = {
@@ -233,6 +256,7 @@ CONFIGS = {
     "outputs_string.json": {"sweep": {"sigma_eps_values": [0, 1], "outputs": "fee"}},
     "huge_sigma.json": {"market": {"sigma_v": 10**400, "sigma_u": 1}},
     "huge_values.json": {"sweep": {"sigma_eps_values": [0, 10**400]}},
+    "array.json": [1, 2],
 }
 # config files that are no JSON text json.load can take
 RAW_CONFIGS = {
@@ -284,6 +308,8 @@ class TestUsageErrors:
         (("equilibrium", "--config", "{tmp}/latin1.json"), "config"),
         (("equilibrium", "--config", "{tmp}/deep.json"), "config"),
         (("equilibrium", "--config", "{tmp}/long_int.json"), "config"),
+        (("equilibrium", "--config", "{tmp}/array.json"), "config"),
+        (("PRIVACY_LAB_THREADS=-1", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")

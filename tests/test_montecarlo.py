@@ -365,12 +365,12 @@ class TestBestResponse:
         chk = verify_best_response(params, eq, v=params.p0 + 1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg)
         lam_x = eq.lam * chk.grid
         assert chk.estimates.tolist() == (chk.analytic - lam_x * zm.mean).tolist()
-        assert chk.ses.tolist() == (np.abs(lam_x) * zm.std / math.sqrt(zm.n)).tolist()
+        assert chk.ses.tolist() == (np.abs(lam_x) * zm.se).tolist()
 
     def test_overflowing_curvature_gap_is_inconclusive(self):
         # the grid around x* ~ 1e160 has step**2 beyond the double range
         params = MarketParams(1.0, 1.0, 1e160)
-        with pytest.raises(InconclusiveResolution):
+        with pytest.raises(InconclusiveResolution), pytest.warns(RuntimeWarning, match="overflow"):
             verify_best_response(params, solve_closed_form(params), v=1.0, grid_halfwidth=0.5, n_grid=21,
                                  cfg=SimConfig(1000, 7))
 
