@@ -7,11 +7,12 @@ maker prices a coarser signal than it settles against, so it runs a loss
 
 from privacy_lab import (
     MarketParams,
+    SweepSpec,
     incremental_gains,
     noise_pnl_derivative,
     privacy_subsidy,
     subsidy_analysis,
-    subsidy_curve,
+    sweep,
     welfare_decomposition,
 )
 
@@ -24,11 +25,11 @@ print("both trader types gain with privacy; the protocol pool pays the sum")
 
 print("\n=== the subsidy curve and its inflection ===")
 params = MarketParams(1.0, 1.0)
-curve = subsidy_curve(params, sigma_eps_max=5.0, n_points=11)
-for se, sub in curve.points:
-    bar = "#" * int(round(40 * sub / curve.points[-1][1]))
-    print(f"  sigma_eps = {se:4.1f}  |pi_M| = {sub:6.4f}  {bar}")
-print(f"inflection at sigma_eps* = sqrt(2)*sigma_u = {curve.inflection:.6f}")
+curve = sweep(SweepSpec(params, [0.5 * i for i in range(11)], {"welfare"}))
+for row in curve:
+    bar = "#" * int(round(40 * row.subsidy / curve[-1].subsidy))
+    print(f"  sigma_eps = {row.sigma_eps:4.1f}  |pi_M| = {row.subsidy:6.4f}  {bar}")
+print(f"inflection at sigma_eps* = sqrt(2)*sigma_u = {subsidy_analysis(params).inflection:.6f}")
 
 a = subsidy_analysis(MarketParams(1.0, 1.0, 1.0))
 print(f"\nat sigma_eps = 1: d|pi_M|/d sigma_eps = {a.d1:.6f} (> 0: strictly increasing)")

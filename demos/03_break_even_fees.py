@@ -6,12 +6,15 @@ net-of-fee P&L reverts to the no-noise values +/- sigma_v*sigma_u/2 and the
 maker is exactly compensated.
 """
 
+import math
+
 from privacy_lab import (
     MarketParams,
+    SweepSpec,
     break_even_fee,
     fee_revenue_comparison,
     incremental_gains,
-    table_btc,
+    sweep,
 )
 
 print("=== fee record at sigma_v = sigma_u = sigma_eps = 1 ===")
@@ -36,9 +39,11 @@ for se in (0.0, 0.5, 1.0, 2.0):
     print(f"{se:>10.1f} {f.fee_rate:>10.5f} {f.fee_on_informed:>12.5f} {f.fee_on_noise:>10.5f}")
 
 print("\n=== BTC/USDT calibration: the floor in dollars per day ===")
-for row in table_btc().rows:
-    print(f"  sigma_eps/sigma_u = {row.ratio:6.4f}: subsidy = ${row.subsidy_usd:>12,.0f}/day"
-          f"  ({row.fraction:.3f} of sigma_v*sigma_u)")
+btc = MarketParams(3000.0, 1000.0)
+ratios = (0.1, 0.5, 1.0, math.sqrt(2.0), 2.0)
+for ratio, row in zip(ratios, sweep(SweepSpec(btc, [r * btc.sigma_u for r in ratios], {"welfare"}))):
+    print(f"  sigma_eps/sigma_u = {ratio:6.4f}: subsidy = ${row.subsidy:>12,.0f}/day"
+          f"  ({row.subsidy / (btc.sigma_v * btc.sigma_u):.3f} of sigma_v*sigma_u)")
 
 print("\n=== does a 10 bp fee on $1B/day cover it? ===")
 cmp = fee_revenue_comparison(MarketParams(3000.0, 1000.0, 1000.0), daily_volume_usd=1e9, fee_bps=10.0)

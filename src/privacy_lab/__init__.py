@@ -37,15 +37,11 @@ from .errors import (
     PrivacyLabError,
 )
 from .report import (
-    BtcTable,
     FeeRevenueComparison,
     ReportRow,
-    SubsidyCurve,
     SweepSpec,
     fee_revenue_comparison,
-    subsidy_curve,
     sweep,
-    table_btc,
     write_report_bundle,
 )
 from .welfare import (

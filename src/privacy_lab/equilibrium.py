@@ -174,10 +174,16 @@ def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> tuple[flo
     pi_N = -sigma_v*sigma_u^2/(2s), pi_M = -sigma_v*sigma_eps^2/(2s), and so
     on.  They are evaluated here through s = hypot(sigma_u, sigma_eps) and
     the ratios a = sigma_u/s, c = sigma_eps/s and g = sigma_eps/(s + sigma_u),
-    all in [0, 1], so no intermediate squares a sigma: a result comes out
-    finite whenever it and s are representable as doubles, at any magnitude
-    of the inputs.  g*sigma_eps is the rationalized gap s - sigma_u, which
-    avoids the cancellation of the naive difference at small sigma_eps.
+    all in [0, 1], so no intermediate squares a sigma.  g*sigma_eps is the
+    rationalized gap s - sigma_u, which avoids the cancellation of the naive
+    difference at small sigma_eps.
+
+    This does not yet make every result accurate wherever it fits in a
+    double (ROADMAP item 7).  A product of two factors can overflow or
+    underflow before the result would: pi_N is -inf at sigmas (1e50, 1e275,
+    1e300), where the true value is about -5e299.  The fee burdens are
+    fee_rate * e_abs_*, and a subnormal fee_rate loses digits: fee_on_informed
+    at (1.0, 1e150, 1e-10) is 2.4992746043245037e-171, not 2.5e-171.
     """
     sv, su, se = sigma_v, sigma_u, sigma_eps
     s = math.hypot(su, se)

@@ -29,9 +29,9 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _forms_getter, _integer, _real
+from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _real
 from .errors import ParamError
-from .welfare import _subsidy, privacy_subsidy
+from .welfare import _subsidy, privacy_subsidy, subsidy_analysis
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
 _BTC_CSV_COLUMNS = ("sigma_eps_over_sigma_u", "sigma_eps", "subsidy_usd_per_day", "fraction_of_sigma_v_sigma_u")
@@ -53,9 +53,6 @@ OUTPUT_KINDS = frozenset(_OUTPUT_FIELDS)
 BTC_SIGMA_V_USD = 3000.0
 BTC_SIGMA_U_BTC = 1000.0
 BTC_RATIOS = (0.1, 0.5, 1.0, SQRT2, 2.0)
-
-_inflection = _forms_getter("inflection")
-
 
 def format_float(x: float) -> str:
     """17 significant digits: parses back to the identical double."""
@@ -220,63 +217,6 @@ def sweep_to_csv(rows: list[ReportRow]) -> str:
 
 
 @dataclass(frozen=True)
-class BtcRow:
-    ratio: float  # sigma_eps / sigma_u
-    sigma_eps: float
-    subsidy_usd: float
-    fraction: float  # subsidy as a fraction of sigma_v * sigma_u
-
-
-@dataclass(frozen=True)
-class BtcTable:
-    params_base: MarketParams
-    rows: tuple[BtcRow, ...]
-
-
-def table_btc() -> BtcTable:
-    """Per-day subsidy in USD for the BTC/USDT calibration, at the
-    sigma_eps/sigma_u ratios of BTC_RATIOS, sqrt(2) generated symbolically."""
-    params_base = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
-    sv, su = params_base.sigma_v, params_base.sigma_u
-    rows = []
-    for ratio in BTC_RATIOS:
-        se = ratio * su
-        sub = _subsidy(_closed_forms(sv, su, se))
-        rows.append(BtcRow(ratio=ratio, sigma_eps=se, subsidy_usd=sub, fraction=sub / (sv * su)))
-    return BtcTable(params_base=params_base, rows=tuple(rows))
-
-
-def btc_table_to_csv(table: BtcTable) -> str:
-    return _to_csv(_BTC_CSV_COLUMNS, (_record(r).values() for r in table.rows))
-
-
-@dataclass(frozen=True)
-class SubsidyCurve:
-    points: tuple[tuple[float, float], ...]  # (sigma_eps, subsidy)
-    inflection: float
-
-
-def subsidy_curve(params: MarketParams, sigma_eps_max: float, n_points: int) -> SubsidyCurve:
-    """Uniformly spaced samples of the subsidy over [0, sigma_eps_max],
-    plus the inflection marker sqrt(2)*sigma_u."""
-    n_points = _integer("n_points", n_points, 2)
-    sigma_eps_max = _real("sigma_eps_max", sigma_eps_max, 0)
-    step = sigma_eps_max / (n_points - 1)
-    ses = [i * step for i in range(n_points - 1)] + [sigma_eps_max]
-    forms = [_closed_forms(params.sigma_v, params.sigma_u, se) for se in ses]
-    points = tuple(zip(ses, map(_subsidy, forms)))
-    return SubsidyCurve(points=points, inflection=_inflection(forms[0]))
-
-
-def curve_to_csv(curve: SubsidyCurve) -> str:
-    return _to_csv(("sigma_eps", "subsidy"), curve.points)
-
-
-def curve_sidecar_json(curve: SubsidyCurve) -> str:
-    return json.dumps({"inflection": curve.inflection}, sort_keys=True) + "\n"
-
-
-@dataclass(frozen=True)
 class FeeRevenueComparison:
     """Volume-fee revenue against the subsidy floor.
 
@@ -382,9 +322,14 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
         if got != want:
             mismatches.append(f"table1.csv sigma_eps={se:g}: got {got}, expected {want}")
 
-    # table2: BTC calibration
-    btc = table_btc()
-    path = emit("table2.csv", btc_table_to_csv(btc))
+    # table2: BTC calibration, per-day subsidy in USD at each ratio of BTC_RATIOS
+    btc = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
+    sv, su = btc.sigma_v, btc.sigma_u
+    table2 = []
+    for ratio in BTC_RATIOS:
+        sub = _subsidy(_closed_forms(sv, su, ratio * su))
+        table2.append((ratio, ratio * su, sub, sub / (sv * su)))
+    path = emit("table2.csv", _to_csv(_BTC_CSV_COLUMNS, table2))
     parsed = _parse_csv(path.read_text())
     for rec, (ratio, approx_usd, frac_3) in zip(parsed, TABLE2_EXPECTED):
         sub = float(rec["subsidy_usd_per_day"])
@@ -393,10 +338,14 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
         if round(float(rec["fraction_of_sigma_v_sigma_u"]), 3) != frac_3:
             mismatches.append(f"table2.csv ratio={ratio:g}: fraction {rec['fraction_of_sigma_v_sigma_u']} != {frac_3}")
 
-    # figure1: subsidy curve plus inflection sidecar
-    curve = subsidy_curve(unit, FIGURE1_MAX_SIGMA_EPS, FIGURE1_POINTS)
-    path = emit("figure1.csv", curve_to_csv(curve))
-    emit("figure1.json", curve_sidecar_json(curve))
+    # figure1: the subsidy at FIGURE1_POINTS even steps over [0, FIGURE1_MAX_SIGMA_EPS],
+    # ending exactly at the maximum, plus the inflection sidecar
+    step = FIGURE1_MAX_SIGMA_EPS / (FIGURE1_POINTS - 1)
+    grid = [i * step for i in range(FIGURE1_POINTS - 1)] + [FIGURE1_MAX_SIGMA_EPS]
+    curve = [(se, _subsidy(_closed_forms(unit.sigma_v, unit.sigma_u, se))) for se in grid]
+    inflection = subsidy_analysis(unit).inflection
+    path = emit("figure1.csv", _to_csv(("sigma_eps", "subsidy"), curve))
+    emit("figure1.json", json.dumps({"inflection": inflection}, sort_keys=True) + "\n")
     parsed = _parse_csv(path.read_text())
     subs = [float(rec["subsidy"]) for rec in parsed]
     if subs[0] != 0.0:
@@ -408,16 +357,12 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     sidecar = json.loads((outdir / "figure1.json").read_text())
     if abs(sidecar["inflection"] - SQRT2) > 1e-15:
         mismatches.append(f"figure1.json: inflection {sidecar['inflection']!r} != sqrt(2)")
-    at_inflection = privacy_subsidy(replace(unit, sigma_eps=curve.inflection))
+    at_inflection = privacy_subsidy(replace(unit, sigma_eps=inflection))
     if round(at_inflection, 3) != 0.577:
         mismatches.append(f"figure1: subsidy at inflection {at_inflection:.6f} does not round to 0.577")
 
     # fee comparison at sigma_eps = sigma_u under the BTC calibration
-    cmp = fee_revenue_comparison(
-        replace(btc.params_base, sigma_eps=btc.params_base.sigma_u),
-        FEE_COMPARISON_VOLUME_USD,
-        FEE_COMPARISON_BPS,
-    )
+    cmp = fee_revenue_comparison(replace(btc, sigma_eps=su), FEE_COMPARISON_VOLUME_USD, FEE_COMPARISON_BPS)
     path = emit("fee_comparison.json", _to_json(cmp))
     loaded = json.loads(path.read_text())
     if abs(loaded["revenue_usd"] - 1e6) > 1e-3:

@@ -28,11 +28,11 @@ from privacy_lab import (
     subsidy_analysis,
     sweep,
     SweepSpec,
-    table_btc,
     verify_batched,
     verify_best_response,
     verify_simulation,
     welfare_decomposition,
+    write_report_bundle,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -86,14 +86,16 @@ def test_criterion_01_table1_reproduction():
     report(1, "dimensionless table: 7 rows exact after 3-decimal rounding", ok, f"{elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_02_table2_reproduction():
+def test_criterion_02_table2_reproduction(tmp_path):
     t0 = time.perf_counter()
-    rows = table_btc().rows
+    write_report_bundle(tmp_path)
+    header, *lines = (tmp_path / "table2.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
     ok = len(rows) == 5
     for row in rows:
-        approx_usd, frac3 = TABLE2_EXPECTED[row.ratio]
-        ok &= abs(row.subsidy_usd - approx_usd) / approx_usd <= 0.01
-        ok &= round(row.fraction, 3) == frac3
+        approx_usd, frac3 = TABLE2_EXPECTED[row["sigma_eps_over_sigma_u"]]
+        ok &= abs(row["subsidy_usd_per_day"] - approx_usd) / approx_usd <= 0.01
+        ok &= round(row["fraction_of_sigma_v_sigma_u"], 3) == frac3
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     report(2, "BTC calibration: subsidies within 1%, fractions to 3 decimals", ok, f"{elapsed * 1e3:.0f} ms")

@@ -17,7 +17,6 @@ from privacy_lab import (
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
-    subsidy_curve,
     welfare_at,
     welfare_decomposition,
 )
@@ -103,15 +102,11 @@ class TestValidation:
         (welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta"),
         (informed_best_response, (0.0, 0.0, 1.0), "lam"),
         (informed_best_response, (0.5, math.nan, 1.0), "p0"),
-        (subsidy_curve, (MarketParams(1, 1), 1.0, 1), "n_points"),
-        (subsidy_curve, (MarketParams(1, 1), math.inf, 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), 0.0, 10.0), "daily_volume_usd"),
         (fee_revenue_comparison, (MarketParams(1, 1), 1e9, -1.0), "fee_bps"),
-        (welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam"),
         (informed_best_response, (0.5, 0.0, "1"), "v"),
-        (subsidy_curve, (MarketParams(1, 1), 5.0, 2.5), "n_points"),
-        (subsidy_curve, (MarketParams(1, 1), "5", 3), "sigma_eps_max"),
         (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
+        (welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam"),
         (informed_best_response, ("1", 0.0, 1.0), "lam"),
         (solve_fixed_point, (MarketParams(1e-200, 1e200),), "lam"),  # lam underflows, as in the closed form
     ])

@@ -41,7 +41,6 @@ from privacy_lab import (
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
-    subsidy_curve,
     sweep,
     SweepSpec,
     verify_best_response,
@@ -394,8 +393,6 @@ CALLS = (
     (partial(welfare_at, UNIT), {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
     (informed_best_response, {"lam": 0.5, "p0": 0.0, "v": 1.0},
      {"lam": (REAL, 0, True), "p0": (REAL, None, True), "v": (REAL, None, True)}),
-    (partial(subsidy_curve, UNIT), {"sigma_eps_max": 4.0, "n_points": 5},
-     {"sigma_eps_max": (REAL, 0, True), "n_points": (INTEGER, 2)}),
     (partial(fee_revenue_comparison, UNIT), {"daily_volume_usd": 1e9, "fee_bps": 10.0},
      {"daily_volume_usd": (REAL, 0, True), "fee_bps": (REAL, 0, False)}),
     (sweep_values, {"sigma_eps_values": (0.5, 1.0)}, {"sigma_eps_values": (REAL, 0, False)}),

@@ -12,9 +12,8 @@ from privacy_lab import (
     SweepSpec,
     fee_revenue_comparison,
     privacy_subsidy,
-    subsidy_curve,
+    subsidy_analysis,
     sweep,
-    table_btc,
     write_report_bundle,
 )
 from privacy_lab.equilibrium import FORMS, _closed_forms
@@ -23,9 +22,6 @@ from privacy_lab.report import (
     ReportRow,
     _cell,
     _to_csv,
-    btc_table_to_csv,
-    curve_sidecar_json,
-    curve_to_csv,
     format_float,
     regime_label,
     sweep_to_csv,
@@ -149,53 +145,72 @@ class TestCsvEmission:
             assert float(format_float(x)) == x
 
 
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("bundle")
+    assert write_report_bundle(outdir).ok
+    return outdir
+
+
+def read_rows(path) -> list[dict[str, float]]:
+    """The rows of an all-numeric bundle CSV, keyed by its header."""
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
 class TestBtcTable:
     # the published approximate values this calibration should land near
     APPROX = {0.1: 15_000.0, 0.5: 335_000.0, 1.0: 1_060_000.0, SQRT2: 1_730_000.0, 2.0: 2_680_000.0}
     FRACTIONS = {0.1: 0.005, 0.5: 0.112, 1.0: 0.354, SQRT2: 0.577, 2.0: 0.894}
 
-    def test_subsidies_within_one_percent(self):
-        for row in table_btc().rows:
-            approx = self.APPROX[row.ratio]
-            assert abs(row.subsidy_usd - approx) / approx <= 0.01
+    def test_subsidies_within_one_percent(self, bundle):
+        rows = read_rows(bundle / "table2.csv")
+        assert [row["sigma_eps_over_sigma_u"] for row in rows] == list(self.APPROX)
+        for row in rows:
+            approx = self.APPROX[row["sigma_eps_over_sigma_u"]]
+            assert abs(row["subsidy_usd_per_day"] - approx) / approx <= 0.01
 
-    def test_fractions_round_to_reference(self):
-        for row in table_btc().rows:
-            assert round(row.fraction, 3) == self.FRACTIONS[row.ratio]
+    def test_fractions_round_to_reference(self, bundle):
+        for row in read_rows(bundle / "table2.csv"):
+            assert round(row["fraction_of_sigma_v_sigma_u"], 3) == self.FRACTIONS[row["sigma_eps_over_sigma_u"]]
 
-    def test_sqrt2_row_is_symbolic(self):
-        rows = {r.ratio: r for r in table_btc().rows}
-        assert rows[SQRT2].sigma_eps == SQRT2 * 1000.0
+    def test_sqrt2_row_is_symbolic(self, bundle):
+        rows = {r["sigma_eps_over_sigma_u"]: r for r in read_rows(bundle / "table2.csv")}
+        assert rows[SQRT2]["sigma_eps"] == SQRT2 * 1000.0
 
-    def test_csv_has_header(self):
-        text = btc_table_to_csv(table_btc())
+    def test_csv_has_header(self, bundle):
+        text = (bundle / "table2.csv").read_text()
         assert text.startswith("sigma_eps_over_sigma_u,sigma_eps,subsidy_usd_per_day,fraction_of_sigma_v_sigma_u\n")
+
+    def test_sweep_gives_the_same_subsidies(self, bundle):
+        rows = read_rows(bundle / "table2.csv")
+        spec = SweepSpec(MarketParams(3000.0, 1000.0), [row["sigma_eps"] for row in rows], {"welfare"})
+        assert [r.subsidy for r in sweep(spec)] == [row["subsidy_usd_per_day"] for row in rows]
 
 
 class TestSubsidyCurve:
-    def test_endpoints_and_monotonicity(self):
-        curve = subsidy_curve(UNIT, 5.0, 101)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1][0] == 5.0
-        assert round(curve.points[-1][1], 3) == 2.451
-        subs = [s for _, s in curve.points]
+    def test_endpoints_and_monotonicity(self, bundle):
+        points = [(row["sigma_eps"], row["subsidy"]) for row in read_rows(bundle / "figure1.csv")]
+        assert len(points) == 101
+        assert points[0] == (0.0, 0.0)
+        assert points[-1][0] == 5.0
+        assert round(points[-1][1], 3) == 2.451
+        subs = [s for _, s in points]
         assert all(b > a for a, b in zip(subs, subs[1:]))
 
-    def test_inflection_marker(self):
-        curve = subsidy_curve(UNIT, 5.0, 11)
-        assert curve.inflection == SQRT2
-        assert round(privacy_subsidy(MarketParams(1.0, 1.0, curve.inflection)), 3) == 0.577
+    def test_inflection_marker(self, bundle):
+        inflection = json.loads((bundle / "figure1.json").read_text())["inflection"]
+        assert inflection == SQRT2 == subsidy_analysis(UNIT).inflection
+        assert round(privacy_subsidy(MarketParams(1.0, 1.0, inflection)), 3) == 0.577
 
-    def test_sidecar_and_csv(self):
-        curve = subsidy_curve(UNIT, 2.0, 3)
-        assert curve_to_csv(curve).startswith("sigma_eps,subsidy\n")
-        sidecar = json.loads(curve_sidecar_json(curve))
-        assert sidecar == {"inflection": SQRT2}
+    def test_sidecar_and_csv(self, bundle):
+        assert (bundle / "figure1.csv").read_text().startswith("sigma_eps,subsidy\n")
+        assert (bundle / "figure1.json").read_text() == '{"inflection": 1.4142135623730951}\n'
 
-    @pytest.mark.parametrize("n,mx", [(1, 5.0), (2, 0.0), (2, -1.0)])
-    def test_bad_inputs(self, n, mx):
-        with pytest.raises(ValueError):
-            subsidy_curve(UNIT, mx, n)
+    def test_sweep_gives_the_same_curve(self, bundle):
+        rows = read_rows(bundle / "figure1.csv")
+        spec = SweepSpec(UNIT, [row["sigma_eps"] for row in rows], {"welfare"})
+        assert [r.subsidy for r in sweep(spec)] == [row["subsidy"] for row in rows]
 
 
 class TestFeeRevenueComparison:
