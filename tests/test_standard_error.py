@@ -57,7 +57,8 @@ def standard_error_divisions(path: Path) -> list[int]:
             divisor = node.value
         else:
             continue
-        if isinstance(node.op, ast.Div) and (is_n_minus_one(divisor) or is_sqrt_n(divisor)) and id(node) not in allowed:
+        counted = is_n_minus_one(divisor) or is_sqrt_n(divisor)
+        if isinstance(node.op, ast.Div) and counted and id(node) not in allowed:
             lines.append(node.lineno)
     return lines
 
