@@ -8,92 +8,88 @@ and a seeded Monte Carlo simulation of the one-period game:
 `verify_simulation` and `verify_batched` return one `Check` record per
 closed form, its estimate, standard error and z-score.
 
-The closed forms need only `math`.  The Monte Carlo names (`simulate`,
-`SimConfig`, `verify_simulation`, `verify_batched`, `Check`, the estimators
-and their records) and the `montecarlo` submodule are resolved lazily
-(PEP 562): the first access to one of them imports `montecarlo`, and with
-it numpy, and stores the name in this module's namespace.  Importing the
-package, or running a closed-form command, never loads numpy.
-`from privacy_lab import simulate` and `import *` work as for any other
-name.
+Importing the package imports none of its submodules.  Every public name,
+and each of the submodules in `_EXPORTS`, resolves on first use (PEP 562):
+the first access imports the one submodule that holds it and stores the
+name in this module's namespace.  So a caller loads only what it touches,
+and numpy only with a Monte Carlo name (`simulate`, `SimConfig`,
+`verify_simulation`, `verify_batched`, `Check`, the estimators and their
+records) or the `montecarlo` submodule.  `from privacy_lab import simulate`
+and `import *` work as for any other name.
 """
 
 import importlib
-import types
-
-from .equilibrium import (
-    BatchParams,
-    Equilibrium,
-    MarketParams,
-    batched_equilibrium,
-    informed_best_response,
-    posterior_slope,
-    solve_closed_form,
-    solve_fixed_point,
-)
-from .errors import (
-    InconclusiveResolution,
-    ParamError,
-    PrivacyLabError,
-)
-from .report import (
-    FeeRevenueComparison,
-    ReportRow,
-    SweepSpec,
-    fee_revenue_comparison,
-    sweep,
-    write_report_bundle,
-)
-from .welfare import (
-    FeeBreakEven,
-    SubsidyAnalysis,
-    WelfareDecomposition,
-    break_even_fee,
-    incremental_gains,
-    noise_pnl_derivative,
-    privacy_subsidy,
-    subsidy_analysis,
-    welfare_at,
-    welfare_decomposition,
-)
 
 __version__ = "0.1.0"
 
-_MONTECARLO_NAMES = frozenset({
-    "BestResponseCheck",
-    "Check",
-    "PathRealization",
-    "PathSample",
-    "PriceMomentEstimate",
-    "SimConfig",
-    "SlopeEstimate",
-    "WelfareEstimate",
-    "estimate_lambda_regression",
-    "estimate_price_moments",
-    "estimate_welfare",
-    "simulate",
-    "simulate_batched",
-    "verify_batched",
-    "verify_best_response",
-    "verify_simulation",
-})
+# each submodule the namespace resolves, with the public names it serves
+_EXPORTS = {
+    "equilibrium": (
+        "BatchParams",
+        "Equilibrium",
+        "MarketParams",
+        "batched_equilibrium",
+        "informed_best_response",
+        "posterior_slope",
+        "solve_closed_form",
+        "solve_fixed_point",
+    ),
+    "errors": ("InconclusiveResolution", "ParamError", "PrivacyLabError"),
+    "montecarlo": (
+        "BestResponseCheck",
+        "Check",
+        "PathRealization",
+        "PathSample",
+        "PriceMomentEstimate",
+        "SimConfig",
+        "SlopeEstimate",
+        "WelfareEstimate",
+        "estimate_lambda_regression",
+        "estimate_price_moments",
+        "estimate_welfare",
+        "simulate",
+        "simulate_batched",
+        "verify_batched",
+        "verify_best_response",
+        "verify_simulation",
+    ),
+    "report": (
+        "FeeRevenueComparison",
+        "ReportRow",
+        "SweepSpec",
+        "fee_revenue_comparison",
+        "sweep",
+        "write_report_bundle",
+    ),
+    "welfare": (
+        "FeeBreakEven",
+        "SubsidyAnalysis",
+        "WelfareDecomposition",
+        "break_even_fee",
+        "incremental_gains",
+        "noise_pnl_derivative",
+        "privacy_subsidy",
+        "subsidy_analysis",
+        "welfare_at",
+        "welfare_decomposition",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name != "montecarlo" and name not in _MONTECARLO_NAMES:
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    montecarlo = importlib.import_module(".montecarlo", __name__)
-    value = montecarlo if name == "montecarlo" else getattr(montecarlo, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MONTECARLO_NAMES, "montecarlo"})
+    return sorted({*globals(), *_EXPORTS, *_HOME})
 
 
-# the names the imports above bind, then the Monte Carlo ones, each listed once
-__all__ = sorted(
-    {name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    | _MONTECARLO_NAMES
-)
+__all__ = sorted(_HOME)

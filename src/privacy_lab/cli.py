@@ -7,11 +7,13 @@ parameter types as read, and those check them.  Exit codes: 0 success,
 2 usage or validation error, 3 verification failure.
 
 Each command computes its records and hands them to `_emit`, which writes
-them in the chosen --format through the renderer in `report`: JSON of the
+them in the chosen --format through the renderer in `_render`: JSON of the
 records' fields, CSV of a header and rows, or the command's human template.
 
-Only `simulate` imports the Monte Carlo module, and with it numpy; every
-other command runs on the closed forms alone.
+At module level this imports only `errors`, `equilibrium` and `_render`.
+Each command imports the rest of what it runs when it runs: `welfare` for
+`decompose` and `fee`, `report` for `sweep`, both for `reproduce-paper`,
+and `montecarlo`, with it numpy, for `simulate` alone.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ._render import _record, _to_csv, _to_json
 from .equilibrium import BatchParams, MarketParams, solve_closed_form, solve_fixed_point
 from .errors import ParamError, PrivacyLabError
-from .report import OUTPUT_KINDS, SWEEP_CSV_COLUMNS, SweepSpec, _record, _sweep_cells, _to_csv, _to_json, sweep
-from .report import write_report_bundle
-from .welfare import break_even_fee, subsidy_analysis, welfare_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,6 +148,8 @@ def cmd_equilibrium(args, cfg: dict) -> int:
 
 
 def cmd_decompose(args, cfg: dict) -> int:
+    from .welfare import break_even_fee, subsidy_analysis, welfare_decomposition
+
     params = _market_from(args, cfg)
     w = welfare_decomposition(params)
     a = subsidy_analysis(params)
@@ -167,6 +169,8 @@ def cmd_decompose(args, cfg: dict) -> int:
 
 
 def cmd_fee(args, cfg: dict) -> int:
+    from .welfare import break_even_fee
+
     params = _market_from(args, cfg)
     fee = break_even_fee(params)
     _emit(args, {"market": params, "fee": fee}, _FEE_TEXT.format(fee=fee), ("quantity", "value"), _record(fee).items())
@@ -186,6 +190,8 @@ def _sweep_line(r) -> str:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
+    from .report import OUTPUT_KINDS, SWEEP_CSV_COLUMNS, SweepSpec, _sweep_cells, sweep
+
     params = _market_from(args, cfg)
     block = _block(args, cfg, "sweep", _SWEEP_KEYS)
     if "sigma_eps_values" not in block:
@@ -236,6 +242,8 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_reproduce_paper(args, cfg: dict) -> int:
+    from .report import write_report_bundle
+
     try:
         result = write_report_bundle(args.outdir)
     except OSError as e:

@@ -1,15 +1,9 @@
-"""Parameter sweeps, report artifacts and the one output renderer.
+"""Parameter sweeps and the verified paper bundle.
 
-Every CLI output and bundle artifact is rendered here with deterministic
-bytes: floats carry 17 significant digits (round-trip exact), rows follow
-the input order, and no timestamps or environment data leak in.  JSON
-payloads hold plain values and records (dataclasses), which are written as
-objects of their fields under the keys of `_KEYS` (`lam` as `lambda`,
-`passed` as `pass`) through one `json.dumps(indent=2, sort_keys=True)`.
-CSV goes through `_to_csv(header, rows)`, which writes each row by one "%"
-template made for its sequence of cell types (float 17 digits, str as is,
-None empty); a row holding any other cell type goes through the one cell
-formatter `_cell` (also bool true/false), with the same text.
+Sweep rows and bundle artifacts are written through the one renderer in
+`_render` (17-digit floats, rows in input order, no timestamps).  Only
+`write_report_bundle` and `fee_revenue_comparison` need `welfare`, and they
+import it when called, so a sweep loads neither it nor its records.
 
 Bundle artifacts (`write_report_bundle`)
 ----------------------------------------
@@ -29,15 +23,12 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+from ._render import _to_csv, _to_json
 from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _real
 from .errors import ParamError
-from .welfare import _subsidy, privacy_subsidy, subsidy_analysis
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
 _BTC_CSV_COLUMNS = ("sigma_eps_over_sigma_u", "sigma_eps", "subsidy_usd_per_day", "fraction_of_sigma_v_sigma_u")
-
-# output keys of the record fields whose key is not the field name
-_KEYS = {"lam": "lambda", "passed": "pass"}
 
 # ReportRow fields each output group populates
 _OUTPUT_FIELDS = {
@@ -53,65 +44,6 @@ OUTPUT_KINDS = frozenset(_OUTPUT_FIELDS)
 BTC_SIGMA_V_USD = 3000.0
 BTC_SIGMA_U_BTC = 1000.0
 BTC_RATIOS = (0.1, 0.5, 1.0, SQRT2, 2.0)
-
-def format_float(x: float) -> str:
-    """17 significant digits: parses back to the identical double."""
-    return f"{float(x):.17g}"
-
-
-def _record(rec, drop: tuple[str, ...] = ()) -> dict:
-    """A record's fields under their output keys, in field order."""
-    return {_KEYS.get(f.name, f.name): getattr(rec, f.name) for f in fields(rec) if f.name not in drop}
-
-
-def _to_json(payload) -> str:
-    """Plain values and records, nested in dicts and lists, as indented JSON."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=_record) + "\n"
-
-
-def _cell(v) -> str:
-    if type(v) is float:  # most cells: test it first
-        return f"{v:.17g}"
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return format_float(v)
-
-
-# The "%" piece of each cell type whose `_cell` text one "%" conversion
-# writes: a float at 17 digits, a str as it is, and None as "%.0s", the empty
-# cut of "None".
-_PIECES = {float: "%.17g", str: "%s", type(None): "%.0s"}
-
-
-def _template(types: tuple) -> str:
-    """The "%" template of a row whose cells have these exact `types`, or ""
-    when some cell type has no piece and the row goes through `_cell`."""
-    pieces = tuple(map(_PIECES.get, types))
-    return "" if None in pieces else ",".join(pieces)
-
-
-def _to_csv(header, rows) -> str:
-    """A header line, then one line per row of values.
-
-    A row is written by one "%" template, made once per call for each
-    sequence of cell types met; a row with a cell of another type (bool,
-    int) is written cell by cell through `_cell`.  Both give the same text.
-    """
-    lines = [",".join(header)]
-    templates: dict[tuple, str] = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = _template(types)
-        lines.append(template % row if template else ",".join(map(_cell, row)))
-    lines.append("")
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -233,6 +165,8 @@ class FeeRevenueComparison:
 def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bps: float) -> FeeRevenueComparison:
     """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
     volume against the per-period subsidy the fee must cover."""
+    from .welfare import privacy_subsidy
+
     daily_volume_usd = _real("daily_volume_usd", daily_volume_usd, 0)
     fee_bps = _real("fee_bps", fee_bps, 0, strict=False)
     revenue = daily_volume_usd * (fee_bps / 1e4)
@@ -275,6 +209,8 @@ FEE_COMPARISON_SHORTFALL_RANGE = (5.0, 7.0)
 
 FIGURE1_MAX_SIGMA_EPS = 5.0
 FIGURE1_POINTS = 101
+# the data rows figure1.csv must hold, pinned apart from the grid's constant
+FIGURE1_EXPECTED_ROWS = 101
 
 
 @dataclass(frozen=True)
@@ -287,18 +223,14 @@ class BundleResult:
         return not self.mismatches
 
 
-def _parse_csv(text: str) -> list[dict[str, str]]:
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
 def write_report_bundle(outdir: str | Path) -> BundleResult:
     """Write table1.csv, table2.csv, figure1.csv (+ figure1.json sidecar) and
     fee_comparison.json into `outdir`, then re-read each artifact and verify
     it against the pinned expected values.  Returns the file list and any
     mismatch descriptions (empty means everything verified).
     """
+    from .welfare import _subsidy, privacy_subsidy, subsidy_analysis
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mismatches: list[str] = []
@@ -310,12 +242,21 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
         files.append(str(path))
         return path
 
+    def reread_csv(path: Path, n_rows: int) -> list[dict[str, str]]:
+        """The data rows of a written CSV, each a dict by header; a count
+        other than `n_rows` is a mismatch naming the file."""
+        header, *lines = path.read_text().strip("\n").split("\n")
+        parsed = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        if len(parsed) != n_rows:
+            mismatches.append(f"{path.name}: {len(parsed)} data rows, expected {n_rows}")
+        return parsed
+
     unit = MarketParams(sigma_v=1.0, sigma_u=1.0)
 
     # table1: dimensionless sweep
     rows = sweep(SweepSpec(unit, TABLE1_SIGMA_EPS, frozenset({"equilibrium", "welfare"})))
     path = emit("table1.csv", sweep_to_csv(rows))
-    parsed = _parse_csv(path.read_text())
+    parsed = reread_csv(path, len(TABLE1_EXPECTED))
     for rec, (se, lam_3, beta_3, sub_3) in zip(parsed, TABLE1_EXPECTED):
         got = (round(float(rec["lambda"]), 3), round(float(rec["beta"]), 3), round(float(rec["subsidy"]), 3))
         want = (lam_3, beta_3, sub_3)
@@ -330,7 +271,7 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
         sub = _subsidy(_closed_forms(sv, su, ratio * su))
         table2.append((ratio, ratio * su, sub, sub / (sv * su)))
     path = emit("table2.csv", _to_csv(_BTC_CSV_COLUMNS, table2))
-    parsed = _parse_csv(path.read_text())
+    parsed = reread_csv(path, len(TABLE2_EXPECTED))
     for rec, (ratio, approx_usd, frac_3) in zip(parsed, TABLE2_EXPECTED):
         sub = float(rec["subsidy_usd_per_day"])
         if abs(sub - approx_usd) / approx_usd > 0.01:
@@ -346,7 +287,7 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     inflection = subsidy_analysis(unit).inflection
     path = emit("figure1.csv", _to_csv(("sigma_eps", "subsidy"), curve))
     emit("figure1.json", json.dumps({"inflection": inflection}, sort_keys=True) + "\n")
-    parsed = _parse_csv(path.read_text())
+    parsed = reread_csv(path, FIGURE1_EXPECTED_ROWS)
     subs = [float(rec["subsidy"]) for rec in parsed]
     if subs[0] != 0.0:
         mismatches.append(f"figure1.csv: curve at sigma_eps=0 is {subs[0]!r}, expected 0")

@@ -229,6 +229,10 @@ class TestReproducePaperCommand:
         ("FEE_COMPARISON_VOLUME_USD", 2e9, "fee_comparison.json"),
         ("FEE_COMPARISON_EXPECTED_SUBSIDY", 2e6, "fee_comparison.json"),
         ("FEE_COMPARISON_SHORTFALL_RANGE", (7.0, 9.0), "fee_comparison.json"),
+        # a constant that builds a table, cut short: the row count names it
+        ("TABLE1_SIGMA_EPS", report.TABLE1_SIGMA_EPS[:3], "table1.csv"),
+        ("BTC_RATIOS", report.BTC_RATIOS[:2], "table2.csv"),
+        ("FIGURE1_POINTS", 11, "figure1.csv"),
     ])
     def test_mismatch_exits_three_naming_the_artifact(self, capsys, monkeypatch, tmp_path, name, value, artifact):
         monkeypatch.setattr(report, name, value)

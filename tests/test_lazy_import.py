@@ -1,10 +1,13 @@
-"""numpy loads only when a Monte Carlo name is used.
+"""Each entry point loads only the package modules it runs.
 
-The package resolves its Monte Carlo names on first use (PEP 562), and the
-CLI imports them inside `simulate` only, so importing the package and every
-closed-form command stay numpy-free.  Each check runs in a fresh interpreter,
-since this test process has long since loaded numpy.  An `ast` guard keeps
-module-level imports of numpy and `montecarlo` from coming back.
+The package resolves every public name and submodule on first use (PEP 562),
+and the CLI imports each command's modules inside its command, so importing
+the package loads no submodule, every closed-form command stays numpy-free,
+and each command loads exactly the modules of `LOADS`.  Each check runs in a
+fresh interpreter, since this test process has long since loaded them all.
+An `ast` guard keeps module-level imports of numpy and `montecarlo`, of any
+submodule in `__init__.py`, and of any submodule but `errors`, `equilibrium`
+and `_render` in `cli.py` from coming back.
 """
 
 import ast
@@ -71,6 +74,39 @@ def test_every_public_name_resolves_lazily(tmp_path):
     assert run_python(code, tmp_path) == "pcg64-seedseq-v1"
 
 
+# the privacy_lab modules each entry point loads, exactly
+CLI_BASE = {"privacy_lab", "privacy_lab.cli", "privacy_lab.errors", "privacy_lab.equilibrium", "privacy_lab._render"}
+LOADS = [
+    ("import privacy_lab", None, {"privacy_lab"}),
+    ("equilibrium", MARKET, CLI_BASE),
+    ("fee", MARKET, CLI_BASE | {"privacy_lab.welfare"}),
+    ("decompose", MARKET, CLI_BASE | {"privacy_lab.welfare"}),
+    ("sweep", [*MARKET, "--sigma-eps-values", "0,1,2"], CLI_BASE | {"privacy_lab.report"}),
+    ("reproduce-paper", ["--outdir", "bundle"], CLI_BASE | {"privacy_lab.report", "privacy_lab.welfare"}),
+    ("simulate", [*MARKET, "--n-paths", "1000", "--seed", "3"],
+     CLI_BASE | {"privacy_lab.welfare", "privacy_lab.montecarlo"}),
+]
+
+
+@pytest.mark.parametrize("command,args,expected", LOADS, ids=[row[0] for row in LOADS])
+def test_each_entry_point_loads_only_its_modules(command, args, expected, tmp_path):
+    if args is None:
+        statements = command
+    else:
+        statements = f"from privacy_lab.cli import main\nassert main({[command, *args]!r}) in (0, 3)"
+    code = f"import sys\n{statements}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'privacy_lab'))"
+    assert run_python(code, tmp_path) == str(sorted(expected))
+
+
+def test_submodules_resolve_as_attributes(tmp_path):
+    code = (
+        "import privacy_lab\n"
+        "names = ('equilibrium', 'errors', 'report', 'welfare', 'montecarlo')\n"
+        "print(all(getattr(privacy_lab, n).__name__ == f'privacy_lab.{n}' for n in names))\n"
+    )
+    assert run_python(code, tmp_path) == "True"
+
+
 def test_montecarlo_submodule_resolves_first(tmp_path):
     code = "import privacy_lab\nprint(privacy_lab.montecarlo.RNG_SCHEME)"
     assert run_python(code, tmp_path) == "pcg64-seedseq-v1"
@@ -99,24 +135,36 @@ def _module_level_imports(tree: ast.Module):
 
 def _imported_modules(node) -> list[str]:
     """Absolute module names an import node loads, with `privacy_lab.` for
-    relative imports from inside the package."""
+    relative imports from inside the package.  A name taken from the package
+    itself loads the submodule that serves it, or the submodule of that name."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     base = ("privacy_lab." if node.level else "") + (node.module or "")
     names = [base.rstrip(".")]
-    if node.module is None:  # from . import montecarlo
-        names += [f"{base}{alias.name}" for alias in node.names]
+    if names[0] == "privacy_lab":  # from . import montecarlo, from privacy_lab import sweep
+        names += [f"privacy_lab.{privacy_lab._HOME.get(alias.name, alias.name)}" for alias in node.names]
     return names
+
+
+# the package submodules a file of this name may import at module level;
+# any other file may import every one but montecarlo
+SUBMODULES_ALLOWED = {
+    "__init__.py": frozenset(),
+    "cli.py": frozenset({"privacy_lab.errors", "privacy_lab.equilibrium", "privacy_lab._render"}),
+}
 
 
 def import_violations(path: Path) -> list[str]:
     out = []
+    allowed = SUBMODULES_ALLOWED.get(path.name)
     for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path))):
         for name in _imported_modules(node):
             top = name.split(".")[0]
             if top == "numpy" and path.name != "montecarlo.py":
                 out.append(f"{path.name}:{node.lineno} imports {name} at module level")
-            if name == "privacy_lab.montecarlo" or name.startswith("privacy_lab.montecarlo."):
+            elif name == "privacy_lab.montecarlo" or name.startswith("privacy_lab.montecarlo."):
+                out.append(f"{path.name}:{node.lineno} imports {name} at module level")
+            elif allowed is not None and name.startswith("privacy_lab.") and name not in allowed:
                 out.append(f"{path.name}:{node.lineno} imports {name} at module level")
     return out
 
@@ -137,8 +185,23 @@ def test_no_module_level_numpy_or_montecarlo_import():
     ("class A:\n    from .montecarlo import simulate\n", True),
     ("def f():\n    import numpy\n    from .montecarlo import simulate\n", False),
     ("from .equilibrium import MarketParams\nimport math\n", False),
-])
+    # (file name, source): the rules of the package's own __init__.py and cli.py
+    (("__init__.py", "from .errors import ParamError\n"), True),
+    (("__init__.py", "from . import report\n"), True),
+    (("__init__.py", "import privacy_lab.welfare\n"), True),
+    (("__init__.py", "import importlib\ndef __getattr__(name):\n    from . import report\n"), False),
+    (("cli.py", "from .report import sweep\n"), True),
+    (("cli.py", "from .welfare import break_even_fee\n"), True),
+    (("cli.py", "from . import report\n"), True),
+    (("cli.py", "from ._render import _to_json\nfrom .equilibrium import MarketParams\nfrom .errors import ParamError\n"),
+     False),
+    (("cli.py", "def cmd_sweep(args, cfg):\n    from .report import sweep\n"), False),
+    ("from privacy_lab import simulate\n", True),
+    (("cli.py", "from privacy_lab import sweep\n"), True),
+    (("cli.py", "from privacy_lab import MarketParams, ParamError\n"), False),
+], ids=lambda v: ":".join(v) if isinstance(v, tuple) else None)
 def test_import_guard_catches_module_level_imports(source, bad, tmp_path):
-    path = tmp_path / "module.py"
+    name, source = source if isinstance(source, tuple) else ("module.py", source)
+    path = tmp_path / name
     path.write_text(source)
     assert bool(import_violations(path)) is bad

@@ -16,16 +16,9 @@ from privacy_lab import (
     sweep,
     write_report_bundle,
 )
+from privacy_lab._render import _cell, _to_csv, format_float
 from privacy_lab.equilibrium import FORMS, _closed_forms
-from privacy_lab.report import (
-    SWEEP_CSV_COLUMNS,
-    ReportRow,
-    _cell,
-    _to_csv,
-    format_float,
-    regime_label,
-    sweep_to_csv,
-)
+from privacy_lab.report import SWEEP_CSV_COLUMNS, ReportRow, regime_label, sweep_to_csv
 from privacy_lab.welfare import FeeBreakEven, SubsidyAnalysis, WelfareDecomposition
 
 SQRT2 = math.sqrt(2.0)
