@@ -159,12 +159,12 @@ def import_violations(path: Path) -> list[str]:
     allowed = SUBMODULES_ALLOWED.get(path.name)
     for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path))):
         for name in _imported_modules(node):
-            top = name.split(".")[0]
-            if top == "numpy" and path.name != "montecarlo.py":
-                out.append(f"{path.name}:{node.lineno} imports {name} at module level")
-            elif name == "privacy_lab.montecarlo" or name.startswith("privacy_lab.montecarlo."):
-                out.append(f"{path.name}:{node.lineno} imports {name} at module level")
-            elif allowed is not None and name.startswith("privacy_lab.") and name not in allowed:
+            if (
+                (name.split(".")[0] == "numpy" and path.name != "montecarlo.py")
+                or name == "privacy_lab.montecarlo"
+                or name.startswith("privacy_lab.montecarlo.")
+                or (allowed is not None and name.startswith("privacy_lab.") and name not in allowed)
+            ):
                 out.append(f"{path.name}:{node.lineno} imports {name} at module level")
     return out
 
