@@ -9,7 +9,6 @@ from privacy_lab import (
     MarketParams,
     SweepSpec,
     incremental_gains,
-    noise_pnl_derivative,
     privacy_subsidy,
     subsidy_analysis,
     sweep,
@@ -50,8 +49,8 @@ for se in (100.0, 10_000.0):
     print(f"  sigma_eps = {se:8.0f}: subsidy/sigma_eps = {sub / se:.6f}")
 
 print("\n=== noise traders lose less as privacy grows ===")
-for se in (0.5, 1.0, 2.0):
-    print(f"  sigma_eps = {se}: d pi_N / d sigma_eps = {noise_pnl_derivative(MarketParams(1.0, 1.0, se)):.6f}")
+for se in (0.0, 0.5, 1.0, 2.0):
+    print(f"  sigma_eps = {se}: pi_N = {welfare_decomposition(MarketParams(1.0, 1.0, se)).pi_N:.6f}")
 
 print("\n=== each type's gain over the no-noise baseline; they split the subsidy ===")
 p = MarketParams(1.0, 1.0, 1.0)

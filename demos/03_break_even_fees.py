@@ -12,8 +12,8 @@ from privacy_lab import (
     MarketParams,
     SweepSpec,
     break_even_fee,
-    fee_revenue_comparison,
     incremental_gains,
+    privacy_subsidy,
     sweep,
 )
 
@@ -46,8 +46,10 @@ for ratio, row in zip(ratios, sweep(SweepSpec(btc, [r * btc.sigma_u for r in rat
           f"  ({row.subsidy / (btc.sigma_v * btc.sigma_u):.3f} of sigma_v*sigma_u)")
 
 print("\n=== does a 10 bp fee on $1B/day cover it? ===")
-cmp = fee_revenue_comparison(MarketParams(3000.0, 1000.0, 1000.0), daily_volume_usd=1e9, fee_bps=10.0)
-print(f"fee revenue  = ${cmp.revenue_usd:,.0f}/day")
-print(f"subsidy      = ${cmp.subsidy_usd:,.0f}/day")
-print(f"shortfall    = ${cmp.shortfall_usd:,.0f}/day ({cmp.shortfall_pct:.2f}% of revenue)")
+revenue = 1e9 * (10.0 / 1e4)
+subsidy = privacy_subsidy(MarketParams(3000.0, 1000.0, 1000.0))
+shortfall = subsidy - revenue
+print(f"fee revenue  = ${revenue:,.0f}/day")
+print(f"subsidy      = ${subsidy:,.0f}/day")
+print(f"shortfall    = ${shortfall:,.0f}/day ({100.0 * shortfall / revenue:.2f}% of revenue)")
 print("fee schedules and privacy parameters cannot be chosen independently")

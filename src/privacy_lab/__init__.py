@@ -54,10 +54,8 @@ _EXPORTS = {
         "verify_simulation",
     ),
     "report": (
-        "FeeRevenueComparison",
         "ReportRow",
         "SweepSpec",
-        "fee_revenue_comparison",
         "sweep",
         "write_report_bundle",
     ),
@@ -67,7 +65,6 @@ _EXPORTS = {
         "WelfareDecomposition",
         "break_even_fee",
         "incremental_gains",
-        "noise_pnl_derivative",
         "privacy_subsidy",
         "subsidy_analysis",
         "welfare_at",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from ._render import _record, _to_csv, _to_json
 from .equilibrium import BatchParams, MarketParams, solve_closed_form, solve_fixed_point
-from .errors import ParamError, PrivacyLabError
+from .errors import ParamError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,10 +97,16 @@ _SWEEP_KEYS = ("sigma_eps_values", "outputs")
 
 
 def _block(args, cfg: dict, name: str, keys: tuple) -> dict:
-    """Config block `name` with the flags given merged over it."""
+    """Config block `name` with the flags given merged over it.  A key the
+    block does not have is a usage error naming it, so a typo is not
+    silently ignored."""
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise UsageError(f"config block {name!r} must be a JSON object, got {block!r}")
+    unknown = sorted(block.keys() - set(keys))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise UsageError(f"unknown key(s) {names} in config block {name!r}; valid: {', '.join(keys)}")
     return {**block, **{k: v for k in keys if (v := getattr(args, k, None)) is not None}}
 
 
@@ -215,6 +221,8 @@ def cmd_simulate(args, cfg: dict) -> int:
     if args.beta_scale != 1.0 and args.batched:
         raise UsageError(f"--beta-scale {args.beta_scale} has no effect with --batched")
     params = _market_from(args, cfg)
+    if params.sigma_eps != 0.0 and args.batched:
+        raise UsageError(f"--sigma-eps {params.sigma_eps} has no effect with --batched")
     sim = _block(args, cfg, "sim", _SIM_KEYS)
     sim_cfg = SimConfig(sim.get("n_paths", 1_000_000), sim.get("seed", 42), sim.get("chunk_size", DEFAULT_CHUNK_SIZE))
     if args.batched:
@@ -324,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParamError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except PrivacyLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

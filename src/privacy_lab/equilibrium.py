@@ -143,7 +143,6 @@ FORMS = (
     "inflection",
     "low_privacy_coeff",
     "high_privacy_slope",
-    "noise_pnl_derivative",
     "gain_informed",
     "gain_noise",
     "e_abs_x",
@@ -209,7 +208,6 @@ def _closed_forms(sigma_v: float, sigma_u: float, sigma_eps: float) -> tuple[flo
         SQRT2 * su,  # inflection
         0.5 * sv / su,  # low_privacy_coeff
         0.5 * sv,  # high_privacy_slope
-        0.5 * sv * a * a * c,  # noise_pnl_derivative
         0.5 * sv * se * g,  # gain_informed
         0.5 * sv * su * c * g,  # gain_noise
         e_abs_x,

@@ -2,8 +2,8 @@
 
 Sweep rows and bundle artifacts are written through the one renderer in
 `_render` (17-digit floats, rows in input order, no timestamps).  Only
-`write_report_bundle` and `fee_revenue_comparison` need `welfare`, and they
-import it when called, so a sweep loads neither it nor its records.
+`write_report_bundle` needs `welfare`, and it imports it when called, so a
+sweep loads neither it nor its records.
 
 Bundle artifacts (`write_report_bundle`)
 ----------------------------------------
@@ -12,7 +12,7 @@ table1.csv           sigma_eps,lambda,beta,pi_I,pi_N,pi_M,subsidy,d1,d2,fee_rate
 table2.csv           sigma_eps_over_sigma_u,sigma_eps,subsidy_usd_per_day,fraction_of_sigma_v_sigma_u
 figure1.csv          sigma_eps,subsidy
 figure1.json         {"inflection": value} on one line
-fee_comparison.json  revenue_usd, subsidy_usd, shortfall_usd, shortfall_pct (null at zero revenue)
+fee_comparison.json  revenue_usd, subsidy_usd, shortfall_usd, shortfall_pct
 """
 
 from __future__ import annotations
@@ -148,34 +148,6 @@ def sweep_to_csv(rows: list[ReportRow]) -> str:
     return _to_csv(SWEEP_CSV_COLUMNS, map(_sweep_cells, rows))
 
 
-@dataclass(frozen=True)
-class FeeRevenueComparison:
-    """Volume-fee revenue against the subsidy floor.
-
-    shortfall_usd = subsidy - revenue (negative means surplus);
-    shortfall_pct is relative to revenue, None when revenue is zero.
-    """
-
-    revenue_usd: float
-    subsidy_usd: float
-    shortfall_usd: float
-    shortfall_pct: float | None
-
-
-def fee_revenue_comparison(params: MarketParams, daily_volume_usd: float, fee_bps: float) -> FeeRevenueComparison:
-    """Compare a fee of `fee_bps` basis points on `daily_volume_usd` of
-    volume against the per-period subsidy the fee must cover."""
-    from .welfare import privacy_subsidy
-
-    daily_volume_usd = _real("daily_volume_usd", daily_volume_usd, 0)
-    fee_bps = _real("fee_bps", fee_bps, 0, strict=False)
-    revenue = daily_volume_usd * (fee_bps / 1e4)
-    sub = privacy_subsidy(params)
-    shortfall = sub - revenue
-    pct = 100.0 * shortfall / revenue if revenue > 0 else None
-    return FeeRevenueComparison(revenue_usd=revenue, subsidy_usd=sub, shortfall_usd=shortfall, shortfall_pct=pct)
-
-
 # ---------------------------------------------------------------------------
 # Reference bundle: the standard benchmark tables with pinned expected values.
 # ---------------------------------------------------------------------------
@@ -302,8 +274,13 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     if round(at_inflection, 3) != 0.577:
         mismatches.append(f"figure1: subsidy at inflection {at_inflection:.6f} does not round to 0.577")
 
-    # fee comparison at sigma_eps = sigma_u under the BTC calibration
-    cmp = fee_revenue_comparison(replace(btc, sigma_eps=su), FEE_COMPARISON_VOLUME_USD, FEE_COMPARISON_BPS)
+    # fee comparison: a FEE_COMPARISON_BPS fee on FEE_COMPARISON_VOLUME_USD of volume
+    # against the subsidy at sigma_eps = sigma_u under the BTC calibration
+    revenue = FEE_COMPARISON_VOLUME_USD * (FEE_COMPARISON_BPS / 1e4)
+    sub = privacy_subsidy(replace(btc, sigma_eps=su))
+    shortfall = sub - revenue  # negative is a surplus
+    pct = 100.0 * shortfall / revenue
+    cmp = {"revenue_usd": revenue, "subsidy_usd": sub, "shortfall_usd": shortfall, "shortfall_pct": pct}
     path = emit("fee_comparison.json", _to_json(cmp))
     loaded = json.loads(path.read_text())
     if abs(loaded["revenue_usd"] - 1e6) > 1e-3:

@@ -75,7 +75,6 @@ _RECORD_FORMS = {
     for record in (WelfareDecomposition, SubsidyAnalysis, FeeBreakEven)
 }
 _subsidy = _forms_getter("subsidy")
-_noise_pnl_derivative = _forms_getter("noise_pnl_derivative")
 _gains = _forms_getter("gain_informed", "gain_noise")
 
 
@@ -133,15 +132,6 @@ def subsidy_analysis(params: MarketParams) -> SubsidyAnalysis:
     sigma_eps = sqrt(2)*sigma_u.
     """
     return _project(SubsidyAnalysis, params)
-
-
-def noise_pnl_derivative(params: MarketParams) -> float:
-    """d pi_N / d sigma_eps = sigma_v*sigma_u^2*sigma_eps / (2*(sigma_u^2+sigma_eps^2)^(3/2)).
-
-    Strictly positive for sigma_eps > 0: noise traders lose less as the
-    maker's signal gets coarser.
-    """
-    return _noise_pnl_derivative(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps))
 
 
 def incremental_gains(params: MarketParams) -> tuple[float, float]:

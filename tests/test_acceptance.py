@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
+import json
 import math
 import time
 
@@ -19,7 +20,6 @@ from privacy_lab import (
     estimate_lambda_regression,
     estimate_price_moments,
     estimate_welfare,
-    fee_revenue_comparison,
     incremental_gains,
     privacy_subsidy,
     simulate,
@@ -101,14 +101,14 @@ def test_criterion_02_table2_reproduction(tmp_path):
     report(2, "BTC calibration: subsidies within 1%, fractions to 3 decimals", ok, f"{elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_03_fee_comparison_narrative():
-    params = MarketParams(3000.0, 1000.0, 1000.0)
-    cmp = fee_revenue_comparison(params, 1e9, 10.0)
-    ok = math.isclose(cmp.revenue_usd, 1.0e6, rel_tol=1e-9)
-    ok &= abs(cmp.subsidy_usd - 1.0607e6) / 1.0607e6 <= 0.01
-    ok &= 5.0 <= cmp.shortfall_pct <= 7.0
+def test_criterion_03_fee_comparison_narrative(tmp_path):
+    write_report_bundle(tmp_path)
+    cmp = json.loads((tmp_path / "fee_comparison.json").read_text())
+    ok = math.isclose(cmp["revenue_usd"], 1.0e6, rel_tol=1e-9)
+    ok &= abs(cmp["subsidy_usd"] - 1.0607e6) / 1.0607e6 <= 0.01
+    ok &= 5.0 <= cmp["shortfall_pct"] <= 7.0
     report(3, "fee revenue $1.0e6 vs subsidy ~$1.0607e6, shortfall in [5%, 7%]", ok,
-           f"shortfall {cmp.shortfall_pct:.2f}%")
+           f"shortfall {cmp['shortfall_pct']:.2f}%")
 
 
 def test_criterion_04_oracle_equivalence(grid1000):

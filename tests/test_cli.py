@@ -261,6 +261,10 @@ CONFIGS = {
     "huge_sigma.json": {"market": {"sigma_v": 10**400, "sigma_u": 1}},
     "huge_values.json": {"sweep": {"sigma_eps_values": [0, 10**400]}},
     "array.json": [1, 2],
+    "typo_market.json": {"market": {"sigma_v": 1, "sigma_u": 1, "sigma_esp": 2}},
+    "typo_sim.json": {"sim": {"n_path": 500}},
+    "typo_sweep.json": {"sweep": {"sigma_eps_values": [0, 1], "output": ["fee"]}},
+    "noisy_market.json": {"market": {"sigma_v": 1, "sigma_u": 1, "sigma_eps": 0.5}},
 }
 # config files that are no JSON text json.load can take
 RAW_CONFIGS = {
@@ -314,6 +318,12 @@ class TestUsageErrors:
         (("equilibrium", "--config", "{tmp}/long_int.json"), "config"),
         (("equilibrium", "--config", "{tmp}/array.json"), "config"),
         (("PRIVACY_LAB_THREADS=-1", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
+        # an unknown key is named, quoted, apart from the valid keys it resembles
+        (("equilibrium", "--config", "{tmp}/typo_market.json"), "'sigma_esp'"),
+        (("simulate", *MARKET, "--config", "{tmp}/typo_sim.json"), "'n_path'"),
+        (("sweep", *MARKET, "--config", "{tmp}/typo_sweep.json"), "'output'"),
+        (("simulate", *MARKET, "--sigma-eps", "5", "--batched", "--tau", "4", "--n-paths", "1000"), "--sigma-eps"),
+        (("simulate", "--config", "{tmp}/noisy_market.json", "--batched", "--n-paths", "1000"), "--sigma-eps"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")

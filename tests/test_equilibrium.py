@@ -11,7 +11,6 @@ from privacy_lab import (
     ParamError,
     SimConfig,
     batched_equilibrium,
-    fee_revenue_comparison,
     informed_best_response,
     posterior_slope,
     solve_closed_form,
@@ -97,18 +96,19 @@ class TestValidation:
             make(*args)
         assert exc.value.field == field
 
+    # rows 4, 5 and 7 were deleted with the function they called; the rows
+    # after them keep their ids
     @pytest.mark.parametrize("func,args,field", [
         (welfare_at, (MarketParams(1, 1), 0.0, 1.0), "lam"),
         (welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta"),
         (informed_best_response, (0.0, 0.0, 1.0), "lam"),
         (informed_best_response, (0.5, math.nan, 1.0), "p0"),
-        (fee_revenue_comparison, (MarketParams(1, 1), 0.0, 10.0), "daily_volume_usd"),
-        (fee_revenue_comparison, (MarketParams(1, 1), 1e9, -1.0), "fee_bps"),
-        (informed_best_response, (0.5, 0.0, "1"), "v"),
-        (fee_revenue_comparison, (MarketParams(1, 1), "1e9", 10.0), "daily_volume_usd"),
-        (welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam"),
-        (informed_best_response, ("1", 0.0, 1.0), "lam"),
-        (solve_fixed_point, (MarketParams(1e-200, 1e200),), "lam"),  # lam underflows, as in the closed form
+        pytest.param(informed_best_response, (0.5, 0.0, "1"), "v", id="informed_best_response-args6-v"),
+        pytest.param(welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam", id="welfare_at-args8-lam"),
+        pytest.param(informed_best_response, ("1", 0.0, 1.0), "lam", id="informed_best_response-args9-lam"),
+        pytest.param(  # lam underflows, as in the closed form
+            solve_fixed_point, (MarketParams(1e-200, 1e200),), "lam", id="solve_fixed_point-args10-lam"
+        ),
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:

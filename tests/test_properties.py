@@ -31,10 +31,8 @@ from privacy_lab import (
     SimConfig,
     break_even_fee,
     estimate_price_moments,
-    fee_revenue_comparison,
     incremental_gains,
     informed_best_response,
-    noise_pnl_derivative,
     posterior_slope,
     privacy_subsidy,
     simulate,
@@ -231,7 +229,6 @@ def reference(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, tup
             "inflection": mp.sqrt(2) * su,
             "low_privacy_coeff": sv / (2 * su),
             "high_privacy_slope": sv / 2,
-            "noise_pnl_derivative": sv * su**2 * se / (2 * s2**1.5),
             "gain_informed": sv * gap / 2,
             "gain_noise": sv * su * gap / (2 * s),
             "e_abs_x": e_abs_x,
@@ -257,7 +254,6 @@ def records(p: MarketParams) -> dict[str, float]:
     out.update(vars(subsidy_analysis(p)))
     out.update(vars(break_even_fee(p)))
     out["gain_informed"], out["gain_noise"] = incremental_gains(p)
-    out["noise_pnl_derivative"] = noise_pnl_derivative(p)
     assert privacy_subsidy(p) == out["subsidy"]
     return out
 
@@ -393,8 +389,6 @@ CALLS = (
     (partial(welfare_at, UNIT), {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
     (informed_best_response, {"lam": 0.5, "p0": 0.0, "v": 1.0},
      {"lam": (REAL, 0, True), "p0": (REAL, None, True), "v": (REAL, None, True)}),
-    (partial(fee_revenue_comparison, UNIT), {"daily_volume_usd": 1e9, "fee_bps": 10.0},
-     {"daily_volume_usd": (REAL, 0, True), "fee_bps": (REAL, 0, False)}),
     (sweep_values, {"sigma_eps_values": (0.5, 1.0)}, {"sigma_eps_values": (REAL, 0, False)}),
     (partial(verify_best_response, UNIT, solve_closed_form(UNIT), cfg=SimConfig(2000, 7)),
      {"v": 1.0, "grid_halfwidth": 0.5, "n_grid": 21},

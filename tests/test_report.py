@@ -10,7 +10,6 @@ from privacy_lab import (
     MarketParams,
     ParamError,
     SweepSpec,
-    fee_revenue_comparison,
     privacy_subsidy,
     subsidy_analysis,
     sweep,
@@ -207,31 +206,12 @@ class TestSubsidyCurve:
 
 
 class TestFeeRevenueComparison:
-    BTC_NOISY = MarketParams(3000.0, 1000.0, 1000.0)
-
-    def test_btc_narrative(self):
-        cmp = fee_revenue_comparison(self.BTC_NOISY, 1e9, 10.0)
-        assert math.isclose(cmp.revenue_usd, 1e6, rel_tol=1e-12)
-        assert math.isclose(cmp.subsidy_usd, 1060660.1717798212, rel_tol=1e-12)
-        assert 5.0 <= cmp.shortfall_pct <= 7.0
-        assert math.isclose(cmp.shortfall_pct, 6.066017177982116, rel_tol=1e-9)
-
-    def test_zero_fee_means_shortfall_equals_subsidy(self):
-        cmp = fee_revenue_comparison(self.BTC_NOISY, 1e9, 0.0)
-        assert cmp.revenue_usd == 0.0
-        assert cmp.shortfall_usd == cmp.subsidy_usd
-        assert cmp.shortfall_pct is None
-
-    def test_zero_noise_means_pure_surplus(self):
-        cmp = fee_revenue_comparison(MarketParams(3000.0, 1000.0, 0.0), 1e9, 10.0)
-        assert cmp.subsidy_usd == 0.0
-        assert cmp.shortfall_usd == -cmp.revenue_usd
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            fee_revenue_comparison(self.BTC_NOISY, 0.0, 10.0)
-        with pytest.raises(ValueError):
-            fee_revenue_comparison(self.BTC_NOISY, 1e9, -1.0)
+    def test_btc_narrative(self, bundle):
+        cmp = json.loads((bundle / "fee_comparison.json").read_text())
+        assert math.isclose(cmp["revenue_usd"], 1e6, rel_tol=1e-12)
+        assert math.isclose(cmp["subsidy_usd"], 1060660.1717798212, rel_tol=1e-12)
+        assert 5.0 <= cmp["shortfall_pct"] <= 7.0
+        assert math.isclose(cmp["shortfall_pct"], 6.066017177982116, rel_tol=1e-9)
 
 
 class TestReportBundle:
