@@ -10,7 +10,6 @@ import math
 
 from privacy_lab import (
     MarketParams,
-    informed_best_response,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
@@ -40,7 +39,7 @@ print("positive observed flow moves the quote up:", f"{params.p0 + slope * 2.0:.
 
 print("\n=== the trader's best response is half the edge over price impact ===")
 v = 1.0
-x_star = informed_best_response(cf.lam, params.p0, v)
+x_star = (v - params.p0) / (2.0 * cf.lam)
 print(f"v = {v}: x* = {x_star:.6f} (equals beta*(v - p0) = {cf.beta * v:.6f})")
 for x in (0.5 * x_star, x_star, 1.5 * x_star):
     profit = (v - params.p0) * x - cf.lam * x**2

@@ -29,7 +29,6 @@ _EXPORTS = {
         "Equilibrium",
         "MarketParams",
         "batched_equilibrium",
-        "informed_best_response",
         "posterior_slope",
         "solve_closed_form",
         "solve_fixed_point",

@@ -24,11 +24,6 @@ from dataclasses import fields
 _KEYS = {"lam": "lambda", "passed": "pass"}
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: parses back to the identical double."""
-    return f"{float(x):.17g}"
-
-
 def _record(rec, drop: tuple[str, ...] = ()) -> dict:
     """A record's fields under their output keys, in field order."""
     return {_KEYS.get(f.name, f.name): getattr(rec, f.name) for f in fields(rec) if f.name not in drop}
@@ -48,7 +43,7 @@ def _cell(v) -> str:
         return v
     if isinstance(v, bool):
         return "true" if v else "false"
-    return format_float(v)
+    return f"{float(v):.17g}"
 
 
 # The "%" piece of each cell type whose `_cell` text one "%" conversion

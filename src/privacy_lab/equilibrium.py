@@ -240,18 +240,13 @@ def posterior_slope(params: MarketParams, beta: float) -> float:
     The Gaussian projection gives beta*sigma_v^2 / (beta^2*sigma_v^2 +
     sigma_u^2 + sigma_eps^2).  With b = beta*sigma_v it is evaluated in
     units of m = max(b, sigma_u, sigma_eps), where the three flow std devs
-    lie in [0, 1], so that no sigma is squared on its own.
+    lie in [0, 1], so that no sigma is squared on its own.  `beta` passes
+    `_real` as a finite real number > 0.
     """
-    b = beta * params.sigma_v
+    b = _real("beta", beta, 0) * params.sigma_v
     m = max(b, params.sigma_u, params.sigma_eps)
     r, a, c = b / m, params.sigma_u / m, params.sigma_eps / m
     return r * (params.sigma_v / m) / (r * r + a * a + c * c)
-
-
-def informed_best_response(lam: float, p0: float, v: float) -> float:
-    """Profit-maximizing order size (v - p0) / (2*lam) given price impact lam."""
-    lam, p0, v = _real("lam", lam, 0), _real("p0", p0), _real("v", v)
-    return (v - p0) / (2.0 * lam)
 
 
 def solve_fixed_point(params: MarketParams) -> Equilibrium:

@@ -32,10 +32,10 @@ one chunk at a time.  Workspaces of the default size are shared by every
 run in the process and reused; a chunk too wide for one gets its own.
 
 ``PRIVACY_LAB_THREADS`` caps how many draws of a run go on at once, the
-caller's included (0 or unset = min(cpu count, 8)).  The calling thread draws
-like its min(cap, draws) - 1 helpers from one process-wide pool of cap
-threads, created on first use and replaced when the cap changes; a run at cap
-1 or of one draw uses no pool.  A forked child drops its parent's pool.
+caller's included (0 or unset = min(cpu count, 8); at most 64).  The calling
+thread draws like its min(cap, draws) - 1 helpers from one process-wide pool
+of cap threads, created on first use and replaced when the cap changes; a run
+at cap 1 or of one draw uses no pool.  A forked child drops its parent's pool.
 
 `verify_simulation` and `verify_batched` run a simulation and return its
 `Check` records: each estimate against its closed form, passed within 3 se.
@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _integer, _real, batched_equilibrium
-from .equilibrium import informed_best_response, posterior_slope
+from .equilibrium import posterior_slope
 from .errors import InconclusiveResolution, ParamError
 from .welfare import WelfareDecomposition, welfare_at, welfare_decomposition
 
@@ -91,6 +91,11 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, chunk))))
 
 
+# the largest PRIVACY_LAB_THREADS: a run submits up to cap - 1 helpers at once,
+# and the pool starts a thread for each one that finds none idle
+_MAX_THREADS = 64
+
+
 def _thread_cap() -> int:
     raw = os.environ.get("PRIVACY_LAB_THREADS", "").strip()
     cap = 0
@@ -99,8 +104,8 @@ def _thread_cap() -> int:
             cap = int(raw)
         except ValueError:
             raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be an integer, got {raw!r}") from None
-        if cap < 0:
-            raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be >= 0, got {cap}")
+        if not 0 <= cap <= _MAX_THREADS:
+            raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be in [0, {_MAX_THREADS}], got {cap}")
     return cap or min(os.cpu_count() or 1, 8)
 
 
@@ -269,12 +274,8 @@ class RunningMoments:
     m2: float
 
     @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1)
-
-    @property
     def std(self) -> float:
-        return math.sqrt(self.variance)
+        return math.sqrt(self.m2 / (self.n - 1))
 
     @property
     def se(self) -> float:
@@ -721,7 +722,7 @@ def verify_best_response(
     if _integer("n_grid", n_grid, 3) % 2 == 0:
         raise ParamError("n_grid", f"n_grid must be an odd integer >= 3, got {n_grid!r}")
 
-    x_star = informed_best_response(eq.lam, params.p0, v)
+    x_star = (v - params.p0) / (2.0 * eq.lam)
     half = grid_halfwidth * abs(x_star)
     if not math.isfinite(abs(x_star) + 2.0 * half):
         raise ParamError(

@@ -324,6 +324,7 @@ class TestUsageErrors:
         (("sweep", *MARKET, "--config", "{tmp}/typo_sweep.json"), "'output'"),
         (("simulate", *MARKET, "--sigma-eps", "5", "--batched", "--tau", "4", "--n-paths", "1000"), "--sigma-eps"),
         (("simulate", "--config", "{tmp}/noisy_market.json", "--batched", "--n-paths", "1000"), "--sigma-eps"),
+        (("PRIVACY_LAB_THREADS=65", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")

@@ -11,11 +11,11 @@ from privacy_lab import (
     ParamError,
     SimConfig,
     batched_equilibrium,
-    informed_best_response,
     posterior_slope,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
+    verify_best_response,
     welfare_at,
     welfare_decomposition,
 )
@@ -96,19 +96,15 @@ class TestValidation:
             make(*args)
         assert exc.value.field == field
 
-    # rows 4, 5 and 7 were deleted with the function they called; the rows
-    # after them keep their ids
+    # explicit ids: a row keeps its id when rows before it are removed
     @pytest.mark.parametrize("func,args,field", [
-        (welfare_at, (MarketParams(1, 1), 0.0, 1.0), "lam"),
-        (welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta"),
-        (informed_best_response, (0.0, 0.0, 1.0), "lam"),
-        (informed_best_response, (0.5, math.nan, 1.0), "p0"),
-        pytest.param(informed_best_response, (0.5, 0.0, "1"), "v", id="informed_best_response-args6-v"),
+        pytest.param(welfare_at, (MarketParams(1, 1), 0.0, 1.0), "lam", id="welfare_at-args0-lam"),
+        pytest.param(welfare_at, (MarketParams(1, 1), 0.5, -1.0), "beta", id="welfare_at-args1-beta"),
         pytest.param(welfare_at, (MarketParams(1, 1), math.nan, 1.0), "lam", id="welfare_at-args8-lam"),
-        pytest.param(informed_best_response, ("1", 0.0, 1.0), "lam", id="informed_best_response-args9-lam"),
         pytest.param(  # lam underflows, as in the closed form
             solve_fixed_point, (MarketParams(1e-200, 1e200),), "lam", id="solve_fixed_point-args10-lam"
         ),
+        pytest.param(posterior_slope, (MarketParams(1, 1, 0.5), math.nan), "beta", id="posterior_slope-args11-beta"),
     ])
     def test_function_arguments_name_their_field(self, func, args, field):
         with pytest.raises(ParamError) as exc:
@@ -203,13 +199,13 @@ class TestPosteriorPrice:
 
 
 class TestInformedTrader:
-    def test_no_edge_no_trade(self):
-        assert informed_best_response(0.7, p0=3.0, v=3.0) == 0.0
-
     def test_best_response_values(self):
-        assert informed_best_response(0.5, 0.0, 1.0) == 1.0
-        got = informed_best_response(0.35355339059327373, 0.0, 1.0)
-        assert math.isclose(got, SQRT2, rel_tol=1e-14)
+        # x* = (v - p0)/(2*lam): 1 at lam = 1/2, sqrt(2) at lam = 1/(2*sqrt(2))
+        for params, want in ((MarketParams(1.0, 1.0), 1.0), (MarketParams(1.0, 1.0, 1.0), SQRT2)):
+            chk = verify_best_response(
+                params, solve_closed_form(params), v=1.0, grid_halfwidth=0.5, n_grid=3, cfg=SimConfig(1000, 7)
+            )
+            assert math.isclose(chk.x_star, want, rel_tol=1e-14)
 
     def test_profit_values(self, grid1000):
         # the best response earns (v - p0)^2 / (4*lam) given v; averaged over
@@ -219,18 +215,13 @@ class TestInformedTrader:
             pi_I = welfare_decomposition(p).pi_I
             assert math.isclose(pi_I, p.sigma_v**2 / (4.0 * lam), rel_tol=1e-13)
 
-    def test_rejects_non_positive_lam(self):
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                informed_best_response(lam, 0.0, 1.0)
-
     def test_profit_peaks_at_grid_point_nearest_best_response(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             lam = 10.0 ** rng.uniform(-2, 2)
             p0 = rng.normal(0.0, 5.0)
             v = p0 + rng.normal(0.0, 3.0)
-            x_star = informed_best_response(lam, p0, v)
+            x_star = (v - p0) / (2.0 * lam)  # the x* of verify_best_response
             width = max(1.0, abs(x_star))
             offset = rng.uniform(-0.3, 0.3) * width
             grid = np.linspace(x_star - width + offset, x_star + width + offset, 10_001)

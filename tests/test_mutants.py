@@ -10,6 +10,11 @@ passing row, with its reason.
 So far the rows mutate `_assemble`, which forms the order, the flows and
 the price of each path.  The z-scores in the comments were measured on
 this table's runs.
+
+A second table does the same for the paper bundle's Figure 1 checks: each
+row breaks one closed form of `_closed_forms` as one module reads it, writes
+the bundle with `write_report_bundle`, and asserts the Figure 1 mismatches
+it reports.
 """
 
 from dataclasses import replace
@@ -17,7 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privacy_lab import MarketParams, SimConfig, montecarlo, solve_closed_form, verify_simulation
+from privacy_lab import MarketParams, SimConfig, montecarlo, report, solve_closed_form, verify_simulation
+from privacy_lab import welfare, write_report_bundle
+from privacy_lab.equilibrium import FORMS, _closed_forms
 
 CFG = SimConfig(1_000_000, 42)
 PARAMS = (MarketParams(1.0, 1.0, 0.5), MarketParams(1.0, 1.0, 0.5, p0=100.0), MarketParams(2.0, 0.3, 1.7))
@@ -97,3 +104,60 @@ def test_mutant_fails_exactly_the_named_checks(monkeypatch, mutant, failing):
         checks = verify_simulation(params, solve_closed_form(params), CFG)
         failed = tuple(c.name for c in checks if not c.passed)
         assert failed == names, (params, {c.name: c.z for c in checks})
+
+
+def kernel_with(form, change):
+    """`_closed_forms` with the closed form `form` replaced by
+    change(sigma_eps, value)."""
+    k = FORMS.index(form)
+
+    def mutant(sigma_v, sigma_u, sigma_eps):
+        forms = list(_closed_forms(sigma_v, sigma_u, sigma_eps))
+        forms[k] = change(sigma_eps, forms[k])
+        return tuple(forms)
+
+    return mutant
+
+
+FIGURE1_MUTANTS = [
+    # the report's curve, and Table 1, read the lifted subsidy
+    pytest.param(
+        report,
+        kernel_with("subsidy", lambda se, sub: sub + 1e-3),
+        (
+            "figure1.csv: curve at sigma_eps=0 is 0.001, expected 0",
+            "figure1.csv: curve end 2.452452 does not round to 2.451",
+        ),
+        False,
+        id="report_subsidy_plus_1e-3",
+    ),
+    pytest.param(
+        report,
+        kernel_with("subsidy", lambda se, sub: 1.0 if se > 2.0 else sub),
+        ("figure1.csv: curve is not strictly increasing", "figure1.csv: curve end 1.000000 does not round to 2.451"),
+        False,
+        id="report_subsidy_flat_past_2",
+    ),
+    # only Figure 1 reads the inflection, through the welfare module's kernel
+    pytest.param(
+        welfare,
+        kernel_with("inflection", lambda se, x: x * 1.01),
+        (
+            "figure1.json: inflection 1.4283556979968262 != sqrt(2)",
+            "figure1: subsidy at inflection 0.585048 does not round to 0.577",
+        ),
+        True,
+        id="welfare_inflection_times_1.01",
+    ),
+]
+
+
+@pytest.mark.parametrize("module,kernel,figure1,only", FIGURE1_MUTANTS)
+def test_bundle_reports_the_broken_figure1(monkeypatch, tmp_path, module, kernel, figure1, only):
+    """The bundle's Figure 1 mismatches are exactly `figure1`, and when
+    `only`, it reports no other mismatch."""
+    monkeypatch.setattr(module, "_closed_forms", kernel)
+    mismatches = write_report_bundle(tmp_path).mismatches
+    assert tuple(m for m in mismatches if m.startswith("figure1")) == figure1, mismatches
+    if only:
+        assert mismatches == figure1

@@ -32,7 +32,6 @@ from privacy_lab import (
     break_even_fee,
     estimate_price_moments,
     incremental_gains,
-    informed_best_response,
     posterior_slope,
     privacy_subsidy,
     simulate,
@@ -126,7 +125,7 @@ def test_best_response_maximizes_profit(sv, su, se, z, sign, d):
     def profit(x):
         return edge * x - lam * x * x
 
-    x_star = informed_best_response(lam, 0.0, edge)
+    x_star = edge / (2.0 * lam)  # (v - p0)/(2*lam), as verify_best_response centres its grid
     peak = profit(x_star)
     assert close(peak, edge * (edge / (4.0 * lam)))
     assert peak > max(profit(x_star * (1.0 - d)), profit(x_star * (1.0 + d)))
@@ -387,8 +386,7 @@ CALLS = (
     (SimConfig, {"n_paths": 1000, "seed": 7, "chunk_size": 256},
      {"n_paths": (INTEGER, 1), "seed": (INTEGER, 0), "chunk_size": (INTEGER, 1)}),
     (partial(welfare_at, UNIT), {"lam": 0.5, "beta": 1.0}, {"lam": (REAL, 0, True), "beta": (REAL, 0, True)}),
-    (informed_best_response, {"lam": 0.5, "p0": 0.0, "v": 1.0},
-     {"lam": (REAL, 0, True), "p0": (REAL, None, True), "v": (REAL, None, True)}),
+    (partial(posterior_slope, UNIT), {"beta": 1.0}, {"beta": (REAL, 0, True)}),
     (sweep_values, {"sigma_eps_values": (0.5, 1.0)}, {"sigma_eps_values": (REAL, 0, False)}),
     (partial(verify_best_response, UNIT, solve_closed_form(UNIT), cfg=SimConfig(2000, 7)),
      {"v": 1.0, "grid_halfwidth": 0.5, "n_grid": 21},

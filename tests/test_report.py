@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from privacy_lab import (
     sweep,
     write_report_bundle,
 )
-from privacy_lab._render import _cell, _to_csv, format_float
+from privacy_lab._render import _cell, _to_csv
 from privacy_lab.equilibrium import FORMS, _closed_forms
 from privacy_lab.report import SWEEP_CSV_COLUMNS, ReportRow, regime_label, sweep_to_csv
 from privacy_lab.welfare import FeeBreakEven, SubsidyAnalysis, WelfareDecomposition
@@ -133,8 +134,10 @@ class TestCsvEmission:
         assert _to_csv(("h",), rows) == want
 
     def test_format_float_is_round_trip_exact(self):
+        # a float, and a number of another type (the cell's last line)
         for x in (0.1, 1 / 3, 0.35355339059327373, 1.0607e6, 5e-324):
-            assert float(format_float(x)) == x
+            assert float(_cell(x)) == x
+            assert _cell(np.float64(x)) == _cell(x)
 
 
 @pytest.fixture(scope="module")
