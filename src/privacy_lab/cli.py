@@ -2,9 +2,11 @@
 
 Subcommands: equilibrium, decompose, fee, sweep, simulate, reproduce-paper.
 Market parameters come from flags (--sigma-v, --sigma-u, --sigma-eps, --p0)
-or a JSON config file (--config); flags override the file.  Values go to the
-parameter types as read, and those check them.  Exit codes: 0 success,
-2 usage or validation error, 3 verification failure.
+or a JSON config file (--config); flags override the file.  The keys of
+each config block are the fields of its record: `market` of MarketParams,
+`sim` of SimConfig and `sweep` of SweepSpec after `params_base`.  Values go
+to the records as read, which check them and supply their own defaults.
+Exit codes: 0 success, 2 usage or validation error, 3 verification failure.
 
 Each command computes its records and hands them to `_emit`, which writes
 them in the chosen --format through the renderer in `_render`: JSON of the
@@ -12,8 +14,8 @@ records' fields, CSV of a header and rows, or the command's human template.
 
 At module level this imports only `errors`, `equilibrium` and `_render`.
 Each command imports the rest of what it runs when it runs: `welfare` for
-`decompose` and `fee`, `report` for `sweep`, both for `reproduce-paper`,
-and `montecarlo`, with it numpy, for `simulate` alone.
+`decompose` and `fee`, `report` for `sweep` and `reproduce-paper`, and
+`montecarlo`, with it numpy, for `simulate` alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from ._render import _record, _to_csv, _to_json
@@ -90,16 +92,12 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-# The keys of each config block; a flag of the same name overrides the key.
-_MARKET_KEYS = ("sigma_v", "sigma_u", "sigma_eps", "p0")
-_SIM_KEYS = ("n_paths", "seed", "chunk_size")
-_SWEEP_KEYS = ("sigma_eps_values", "outputs")
-
-
-def _block(args, cfg: dict, name: str, keys: tuple) -> dict:
-    """Config block `name` with the flags given merged over it.  A key the
-    block does not have is a usage error naming it, so a typo is not
-    silently ignored."""
+def _block(args, cfg: dict, name: str, record: type, skip: int = 0) -> dict:
+    """Config block `name` with the flags given merged over it.  Its keys are
+    the fields of `record` after the first `skip`, and a flag of the same name
+    overrides a key.  A key the block does not have is a usage error naming
+    it, so a typo is not silently ignored."""
+    keys = [f.name for f in fields(record)][skip:]
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise UsageError(f"config block {name!r} must be a JSON object, got {block!r}")
@@ -111,12 +109,12 @@ def _block(args, cfg: dict, name: str, keys: tuple) -> dict:
 
 
 def _market_from(args, cfg: dict) -> MarketParams:
-    block = _block(args, cfg, "market", _MARKET_KEYS)
-    missing = [k for k in ("sigma_v", "sigma_u") if k not in block]
+    block = _block(args, cfg, "market", MarketParams)
+    missing = [f.name for f in fields(MarketParams) if f.default is MISSING and f.name not in block]
     if missing:
         flags = ", ".join("--" + m.replace("_", "-") for m in missing)
         raise UsageError(f"missing required market parameter(s): {flags}")
-    return MarketParams(*(block.get(k, 0.0) for k in _MARKET_KEYS))
+    return MarketParams(**block)
 
 
 def _emit(args, payload: dict, human: str, header=(), rows=()) -> None:
@@ -196,13 +194,13 @@ def _sweep_line(r) -> str:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    from .report import OUTPUT_KINDS, SWEEP_CSV_COLUMNS, SweepSpec, _sweep_cells, sweep
+    from .report import SWEEP_CSV_COLUMNS, SweepSpec, _sweep_cells, sweep
 
     params = _market_from(args, cfg)
-    block = _block(args, cfg, "sweep", _SWEEP_KEYS)
+    block = _block(args, cfg, "sweep", SweepSpec, skip=1)  # params_base is the market block
     if "sigma_eps_values" not in block:
         raise UsageError("sweep needs --sigma-eps-values or a config with sweep.sigma_eps_values")
-    spec = SweepSpec(params, block["sigma_eps_values"], block.get("outputs", OUTPUT_KINDS))
+    spec = SweepSpec(params, **block)
     rows = sweep(spec)
     payload = {
         "market": params,
@@ -214,7 +212,7 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    from .montecarlo import DEFAULT_CHUNK_SIZE, SimConfig, verify_batched, verify_simulation
+    from .montecarlo import SimConfig, verify_batched, verify_simulation
 
     if args.tau != 1 and not args.batched:
         raise UsageError(f"--tau {args.tau} has no effect without --batched")
@@ -223,8 +221,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     params = _market_from(args, cfg)
     if params.sigma_eps != 0.0 and args.batched:
         raise UsageError(f"--sigma-eps {params.sigma_eps} has no effect with --batched")
-    sim = _block(args, cfg, "sim", _SIM_KEYS)
-    sim_cfg = SimConfig(sim.get("n_paths", 1_000_000), sim.get("seed", 42), sim.get("chunk_size", DEFAULT_CHUNK_SIZE))
+    sim_cfg = SimConfig(**{"n_paths": 1_000_000, "seed": 42, **_block(args, cfg, "sim", SimConfig)})
     if args.batched:
         checks = verify_batched(BatchParams(params, args.tau), sim_cfg)
     else:

@@ -147,10 +147,10 @@ _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
 
-def _run_chunks(n: int, width: int, draws, finish, first: int = 0):
+def _run_chunks(n: int, width: int, draws, finish):
     """Fold with `_merge` in chunk order, whatever the thread count, the
-    summaries `finish` makes of chunks first, first + 1, ... of n paths, width
-    to a chunk but the last; a run of one chunk returns its summary.  Each
+    summaries `finish` makes of chunks 0, 1, ... of n paths, width to a
+    chunk but the last; a run of one chunk returns its summary.  Each
     `draw(ws, k)` in `draws`, one per stream, fills its rows of chunk k's block
     of a group's (g, _WORKSPACE_ROWS, m) workspace, laid out as the run
     reaches it; `finish` reads it as a (_WORKSPACE_ROWS, g, m) view and
@@ -178,7 +178,7 @@ def _run_chunks(n: int, width: int, draws, finish, first: int = 0):
             groups.append(group)
             for j in range(count):
                 for draw in draws:
-                    yield group, j, first + lo // width + j, draw
+                    yield group, j, lo // width + j, draw
             lo += count * m
 
     groups, todo, lock, stop, total = [], tasks(), threading.Lock(), False, None  # groups in flight, in order
@@ -275,6 +275,8 @@ class RunningMoments:
 
     @property
     def std(self) -> float:
+        """Sample std dev; a ParamError naming n_paths below two paths."""
+        _require_paths(self.n, 2)
         return math.sqrt(self.m2 / (self.n - 1))
 
     @property
@@ -438,7 +440,8 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
     """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
     in the field order of PathRealization, of a new (7, m - first) array."""
-    return _run_chunks(m, m, _path_draws(params, seed), lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)], k)
+    draws = [lambda ws, _, draw=draw: draw(ws, k) for draw in _path_draws(params, seed)]
+    return _run_chunks(m, m, draws, lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)])
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
@@ -514,7 +517,6 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     base's sigma_eps, whose noise flow `_path_draws` sums over the tau
     increments in blocks; only its three P&L rows are reduced.
     """
-    _require_paths(cfg.n_paths, 2)
     params = replace(bp.base, sigma_eps=0.0)
 
     def finish(ws: np.ndarray) -> list[tuple]:
@@ -537,7 +539,6 @@ def _welfare_estimate(noise: RunningMoments, informed: RunningMoments, maker: Ru
 
 def estimate_welfare(sample: PathSample) -> WelfareEstimate:
     """Sample means and standard errors of per-path (v-p)x, (v-p)u, (p-v)(x+u)."""
-    _require_paths(sample.n, 2)
     stats = sample.stats
     return _welfare_estimate(stats.pnl_noise, stats.pnl_informed, stats.pnl_maker)
 
@@ -717,7 +718,6 @@ def verify_best_response(
     and a ParamError naming grid_halfwidth when the grid around x* would
     reach beyond the double range.
     """
-    _require_paths(cfg.n_paths, 2)
     v, grid_halfwidth = _real("v", v), _real("grid_halfwidth", grid_halfwidth, 0)
     if _integer("n_grid", n_grid, 3) % 2 == 0:
         raise ParamError("n_grid", f"n_grid must be an odd integer >= 3, got {n_grid!r}")

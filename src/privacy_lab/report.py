@@ -1,9 +1,10 @@
 """Parameter sweeps and the verified paper bundle.
 
 Sweep rows and bundle artifacts are written through the one renderer in
-`_render` (17-digit floats, rows in input order, no timestamps).  Only
-`write_report_bundle` needs `welfare`, and it imports it when called, so a
-sweep loads neither it nor its records.
+`_render` (17-digit floats, rows in input order, no timestamps).  The
+bundle reads every subsidy it writes from `sweep` rows, and the Figure 1
+inflection from the same kernel, so neither a sweep nor the bundle loads
+`welfare`.
 
 Bundle artifacts (`write_report_bundle`)
 ----------------------------------------
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from ._render import _to_csv, _to_json
-from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _real
+from .equilibrium import FORMS, SQRT2, MarketParams, _closed_forms, _forms_getter, _real
 from .errors import ParamError
 
 SWEEP_CSV_COLUMNS = ("sigma_eps", "lambda", "beta", "pi_I", "pi_N", "pi_M", "subsidy", "d1", "d2", "fee_rate", "note")
@@ -183,6 +184,7 @@ FIGURE1_MAX_SIGMA_EPS = 5.0
 FIGURE1_POINTS = 101
 # the data rows figure1.csv must hold, pinned apart from the grid's constant
 FIGURE1_EXPECTED_ROWS = 101
+_inflection = _forms_getter("inflection")
 
 
 @dataclass(frozen=True)
@@ -201,8 +203,6 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     it against the pinned expected values.  Returns the file list and any
     mismatch descriptions (empty means everything verified).
     """
-    from .welfare import _subsidy, privacy_subsidy, subsidy_analysis
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mismatches: list[str] = []
@@ -223,6 +223,9 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
             mismatches.append(f"{path.name}: {len(parsed)} data rows, expected {n_rows}")
         return parsed
 
+    def subsidies(params: MarketParams, sigma_eps_values) -> list[float]:
+        return [row.subsidy for row in sweep(SweepSpec(params, sigma_eps_values, frozenset({"welfare"})))]
+
     unit = MarketParams(sigma_v=1.0, sigma_u=1.0)
 
     # table1: dimensionless sweep
@@ -238,10 +241,8 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     # table2: BTC calibration, per-day subsidy in USD at each ratio of BTC_RATIOS
     btc = MarketParams(sigma_v=BTC_SIGMA_V_USD, sigma_u=BTC_SIGMA_U_BTC)
     sv, su = btc.sigma_v, btc.sigma_u
-    table2 = []
-    for ratio in BTC_RATIOS:
-        sub = _subsidy(_closed_forms(sv, su, ratio * su))
-        table2.append((ratio, ratio * su, sub, sub / (sv * su)))
+    values = [ratio * su for ratio in BTC_RATIOS]
+    table2 = [(ratio, se, sub, sub / (sv * su)) for ratio, se, sub in zip(BTC_RATIOS, values, subsidies(btc, values))]
     path = emit("table2.csv", _to_csv(_BTC_CSV_COLUMNS, table2))
     parsed = reread_csv(path, len(TABLE2_EXPECTED))
     for rec, (ratio, approx_usd, frac_3) in zip(parsed, TABLE2_EXPECTED):
@@ -255,8 +256,8 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     # ending exactly at the maximum, plus the inflection sidecar
     step = FIGURE1_MAX_SIGMA_EPS / (FIGURE1_POINTS - 1)
     grid = [i * step for i in range(FIGURE1_POINTS - 1)] + [FIGURE1_MAX_SIGMA_EPS]
-    curve = [(se, _subsidy(_closed_forms(unit.sigma_v, unit.sigma_u, se))) for se in grid]
-    inflection = subsidy_analysis(unit).inflection
+    curve = list(zip(grid, subsidies(unit, grid)))
+    inflection = _inflection(_closed_forms(unit.sigma_v, unit.sigma_u, unit.sigma_eps))
     path = emit("figure1.csv", _to_csv(("sigma_eps", "subsidy"), curve))
     emit("figure1.json", json.dumps({"inflection": inflection}, sort_keys=True) + "\n")
     parsed = reread_csv(path, FIGURE1_EXPECTED_ROWS)
@@ -270,14 +271,14 @@ def write_report_bundle(outdir: str | Path) -> BundleResult:
     sidecar = json.loads((outdir / "figure1.json").read_text())
     if abs(sidecar["inflection"] - SQRT2) > 1e-15:
         mismatches.append(f"figure1.json: inflection {sidecar['inflection']!r} != sqrt(2)")
-    at_inflection = privacy_subsidy(replace(unit, sigma_eps=inflection))
+    (at_inflection,) = subsidies(unit, (inflection,))
     if round(at_inflection, 3) != 0.577:
         mismatches.append(f"figure1: subsidy at inflection {at_inflection:.6f} does not round to 0.577")
 
     # fee comparison: a FEE_COMPARISON_BPS fee on FEE_COMPARISON_VOLUME_USD of volume
     # against the subsidy at sigma_eps = sigma_u under the BTC calibration
     revenue = FEE_COMPARISON_VOLUME_USD * (FEE_COMPARISON_BPS / 1e4)
-    sub = privacy_subsidy(replace(btc, sigma_eps=su))
+    (sub,) = subsidies(btc, (su,))
     shortfall = sub - revenue  # negative is a surplus
     pct = 100.0 * shortfall / revenue
     cmp = {"revenue_usd": revenue, "subsidy_usd": sub, "shortfall_usd": shortfall, "shortfall_pct": pct}

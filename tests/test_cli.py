@@ -265,6 +265,7 @@ CONFIGS = {
     "typo_sim.json": {"sim": {"n_path": 500}},
     "typo_sweep.json": {"sweep": {"sigma_eps_values": [0, 1], "output": ["fee"]}},
     "noisy_market.json": {"market": {"sigma_v": 1, "sigma_u": 1, "sigma_eps": 0.5}},
+    "sweep_params_base.json": {"sweep": {"params_base": {}}},
 }
 # config files that are no JSON text json.load can take
 RAW_CONFIGS = {
@@ -325,6 +326,8 @@ class TestUsageErrors:
         (("simulate", *MARKET, "--sigma-eps", "5", "--batched", "--tau", "4", "--n-paths", "1000"), "--sigma-eps"),
         (("simulate", "--config", "{tmp}/noisy_market.json", "--batched", "--n-paths", "1000"), "--sigma-eps"),
         (("PRIVACY_LAB_THREADS=65", "simulate", *MARKET, "--n-paths", "1000"), "PRIVACY_LAB_THREADS"),
+        # the sweep block's keys are SweepSpec's fields after params_base, which is the market block
+        (("sweep", *MARKET, "--sigma-eps-values", "0,1", "--config", "{tmp}/sweep_params_base.json"), "'params_base'"),
     ])
     def test_bad_input_exits_two_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, field):
         (tmp_path / "file").write_text("")

@@ -203,6 +203,15 @@ class TestWelfareEstimation:
         with pytest.raises(ValueError):
             estimate_welfare(simulate(UNIT, UNIT_EQ, SimConfig(1, 1)))
 
+    def test_a_standard_error_of_one_path_names_n_paths(self):
+        # the rule is RunningMoments' own, so a sample's raw stats keep it too
+        params = MarketParams(1, 1, 0.5)
+        stats = simulate(params, solve_closed_form(params), SimConfig(1, 0)).stats
+        for moments in (RunningMoments(1, 0.0, 0.0), stats.pnl_informed):
+            with pytest.raises(ParamError) as exc:
+                moments.se  # noqa: B018
+            assert exc.value.field == "n_paths"
+
     def test_coverage_calibration(self):
         # 3*se intervals for the welfare triple should cover the closed forms
         # in >= 99 of 100 fixed-seed repetitions
