@@ -125,13 +125,13 @@ def increments_not_summed(params, seed, tau=1):
 
 def increments_scaled_by_sqrt_tau(params, seed, tau=1):
     """The summed noise flow of each batch times sqrt(tau)."""
-    value, noise_flow, *rest = _path_draws(params, seed, tau)
+    value, noise_flow = _path_draws(params, seed, tau)  # a batched run draws no privacy stream
 
     def scaled(ws, k):
         noise_flow(ws, k)
         ws[1] *= math.sqrt(tau)
 
-    return value, scaled, *rest
+    return value, scaled
 
 
 MUTANTS = [
