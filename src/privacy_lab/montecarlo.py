@@ -13,7 +13,8 @@ A chunk's summary is one tuple (n, means, m2, co-moments), made by
 `_row_moments` and folded by `_merge`, the one-pass parallel update of Chan,
 Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps its
 fold and its groups of chunks in flight, O(1) memory at any path count, and
-builds its public records from the fold at the end.  Draws within a chunk
+builds its public records from the fold at the end, once it has checked
+that a fold of two or more summaries counts every path.  Draws within a chunk
 come out in path order, so a length-(j+1) prefix of chunk k reproduces its
 first j+1 paths bit for bit and `PathSample.path(i)` replays one chunk prefix
 instead of storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
@@ -159,6 +160,8 @@ def _run_chunks(n: int, width: int, draws, finish):
     thread runs fewer; once the caller finds none left, it cancels helpers
     not yet started.  If a draw or a finish raises, no thread takes another
     pair, and the first error is re-raised once every started helper is done.
+    Raises AssertionError when a fold of two or more summaries does not
+    count n paths.
     """
     cap = _thread_cap()
     per = max(1, DEFAULT_CHUNK_SIZE // width)  # full chunks to a group
@@ -211,7 +214,8 @@ def _run_chunks(n: int, width: int, draws, finish):
             stop = True
             raise
 
-    helpers = min(cap, -(-n // width) * len(draws)) - 1
+    chunks = -(-n // width)
+    helpers = min(cap, chunks * len(draws)) - 1
     futures = _submit(cap, work, helpers) if helpers > 0 else []
     try:
         work()
@@ -220,6 +224,8 @@ def _run_chunks(n: int, width: int, draws, finish):
     for f in futures:
         if not f.cancelled():
             f.result()
+    if chunks > 1 and total[0] != n:  # a run of one chunk folds nothing
+        raise AssertionError(f"the fold counted {total[0]} paths, not {n}")
     return total
 
 

@@ -87,9 +87,15 @@ class SweepSpec:
         object.__setattr__(self, "outputs", frozenset(names))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReportRow:
-    """One sweep row; fields outside the requested output groups stay None."""
+    """One sweep row; fields outside the requested output groups stay None.
+
+    A slotted plain record, neither frozen nor hashable: it is an output row
+    that `sweep` builds and the renderer reads, and a frozen dataclass's
+    `__init__`, one `object.__setattr__` per field, costs several times as
+    much per row.
+    """
 
     sigma_eps: float
     note: str

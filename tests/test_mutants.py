@@ -35,6 +35,9 @@ PARAMS = (MarketParams(1.0, 1.0, 0.5), MarketParams(1.0, 1.0, 0.5, p0=100.0), Ma
 WELFARE = ("π_I", "π_N", "π_M")
 NONE = ()
 RAISES = "the zero-sum check raises"  # a run's entry when it ends in the AssertionError
+MISCOUNTS = "the path-count check raises"  # a run's entry when the fold's count is not n_paths
+# the AssertionError message of each entry that ends a run in one
+RAISED = {RAISES: "did not sum to zero", MISCOUNTS: "the fold counted 65536 paths, not 1000000"}
 
 # the runs of a row, each returning the Check records
 SIMULATE = tuple(partial(verify_simulation, p, solve_closed_form(p), CFG) for p in PARAMS)
@@ -181,9 +184,9 @@ MUTANTS = [
     ),
     # The fold keeps only the first 65536-path chunk, a valid sample whose
     # estimates and se are all read from its own count, so every check
-    # passes on it (max z 0.76 / 0.76 / 1.18).  No check compares the
-    # folded count with cfg.n_paths.
-    pytest.param("_merge", merge_keeps_first, SIMULATE, (NONE, NONE, NONE), id="merge_keeps_first"),
+    # would pass on it (max z 0.76 / 0.76 / 1.18); the runner's own count
+    # check sees it.
+    pytest.param("_merge", merge_keeps_first, SIMULATE, (MISCOUNTS,) * 3, id="merge_keeps_first"),
     # Batched at tau 1 / 4 / 16.  At tau 1 both mutants are the unmutated
     # draw (max z 1.14), and pi_I never fails: its mean does not depend on
     # the spread of u.  z on pi_N / pi_M: 550 / 230 and 1584 / 295 ...
@@ -212,8 +215,8 @@ MUTANTS = [
 def test_mutant_fails_exactly_the_named_checks(monkeypatch, name, mutant, runs, failing):
     monkeypatch.setattr(montecarlo, name, mutant)
     for run, names in zip(runs, failing, strict=True):
-        if names == RAISES:
-            with pytest.raises(AssertionError, match="did not sum to zero"):
+        if names in RAISED:
+            with pytest.raises(AssertionError, match=RAISED[names]):
                 run()
             continue
         checks = run()

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,20 @@ class TestSweep:
         (row,) = sweep(SweepSpec(UNIT, (0.0,), frozenset({"equilibrium", "welfare"})))
         assert (round(row.lam, 3), round(row.beta, 3), round(row.subsidy, 3)) == (0.5, 1.0, 0.0)
         assert row.note == "textbook Kyle"
+        # a slotted plain record: no instance dict, and the dataclass
+        # helpers, equality and repr of a record
+        assert not hasattr(row, "__dict__")
+        assert asdict(row) == {
+            "sigma_eps": 0.0, "note": "textbook Kyle", "lam": 0.5, "beta": 1.0, "pi_I": 0.5, "pi_N": -0.5,
+            "pi_M": 0.0, "subsidy": 0.0, "d1": None, "d2": None, "fee_rate": None,
+        }
+        assert replace(row, note="other") == ReportRow(0.0, "other", 0.5, 1.0, 0.5, -0.5, -0.0, 0.0)
+        assert replace(row, note="other") != row
+        assert ReportRow(**asdict(row)) == row
+        assert repr(row) == (
+            "ReportRow(sigma_eps=0.0, note='textbook Kyle', lam=0.5, beta=1.0, pi_I=0.5, pi_N=-0.5, pi_M=-0.0, "
+            "subsidy=0.0, d1=None, d2=None, fee_rate=None)"
+        )
 
     def test_outputs_control_population(self):
         (row,) = sweep(SweepSpec(UNIT, (1.0,), frozenset({"equilibrium"})))
@@ -106,6 +120,9 @@ class TestCsvEmission:
         by_col = dict(zip(SWEEP_CSV_COLUMNS, cells))
         assert by_col["pi_I"] == "" and by_col["fee_rate"] == ""
         assert by_col["lambda"] != ""
+        # a hand-built row of int, bool and None cells goes through _cell
+        row = ReportRow(2, "note", lam=True, pi_I=3, fee_rate=False)
+        assert sweep_to_csv([row]).split("\n")[1] == "2,true,,3,,,,,,false,note"
 
     MIXED_ROWS = (
         (1.5, None, "a b", True, 3),

@@ -4,12 +4,17 @@
 chunk, through `_draw` or, for the summed increments of a batch, straight
 from `_chunk_rng`.  An `ast` guard keeps draw closures from coming back in
 `simulate_batched`, `verify_best_response` or anywhere else in the package.
+A known-answer table pins the first draws of a few streams, so a numpy whose
+`SeedSequence`, `PCG64` or `standard_normal` changed fails there by name.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from privacy_lab.montecarlo import _chunk_rng
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
 
@@ -70,3 +75,23 @@ def test_guard_catches_draws_outside_path_draws(module, source, bad, tmp_path):
     path = tmp_path / f"{module}.py"
     path.write_text(source)
     assert bool(violations(path)) is bad
+
+
+# float.hex of the first four standard normals of _chunk_rng(seed, stream, k).
+# A seed or chunk index of 2**32 or more is split by SeedSequence into two
+# 32-bit words, so the last two rows pin that split too.
+KNOWN_DRAWS = {
+    (42, 0, 0): ("0x1.3807c1104fc6bp-2", "-0x1.0a3c65fca9a7ep+0", "0x1.803b239e77350p-1", "0x1.e191b2d157f36p-1"),
+    (7, 1, 3): ("0x1.048558cf47ca8p-2", "0x1.01a85e9aaed31p+0", "0x1.cd15382fbc531p-2", "0x1.d7c9e84fcec7ap+0"),
+    (2**32 + 5, 2, 1): ("0x1.3b8842eff563ap-3", "-0x1.5abdf1abc7c22p+0", "0x1.0bf93b0baa952p+0", "-0x1.35bf70846f070p-1"),
+    (42, 1, 2**32 + 3): ("-0x1.218ae561e1c62p+1", "0x1.e6b91c3062254p-3", "-0x1.ddbfc4acd7ccfp+0", "-0x1.5dfcb025fbecdp-1"),
+}
+
+
+@pytest.mark.parametrize("triple", KNOWN_DRAWS)
+def test_streams_draw_their_known_answers(triple):
+    got = tuple(x.hex() for x in _chunk_rng(*triple).standard_normal(4).tolist())
+    assert got == KNOWN_DRAWS[triple], (
+        f"numpy {np.__version__} draws other numbers for _chunk_rng{triple}; the pcg64-seedseq-v1 streams, every "
+        "pinned Monte Carlo bit and every simulate golden file rest on these"
+    )
