@@ -16,7 +16,8 @@ derivatives, break-even fee) comes from the one kernel `_closed_forms`.  It
 returns a plain tuple whose positions are named by `FORMS`, and every record
 of this, the welfare and the report module is read from that tuple by
 position, through an `operator.itemgetter` built once at import
-(`_forms_getter`).
+(`_forms_getter`).  Every target the Monte Carlo checks read, for play at any
+(lam, beta) pair, comes from the second kernel `_play_forms`.
 
 Every numeric input passes one field check, `_real` for a real number and
 `_integer` for a count, which raises a ParamError naming the field.  The
@@ -234,19 +235,38 @@ def solve_closed_form(params: MarketParams) -> Equilibrium:
     return Equilibrium(*_lam_beta(_closed_forms(params.sigma_v, params.sigma_u, params.sigma_eps)))
 
 
-def posterior_slope(params: MarketParams, beta: float) -> float:
-    """Slope of E[v | y_tilde] in y_tilde when the trader uses coefficient beta.
+def _play_forms(sigma_v: float, sigma_u: float, sigma_eps: float, lam: float, beta: float) -> tuple[float, ...]:
+    """Every Monte Carlo target of play at maker slope `lam` and trader
+    coefficient `beta`, not necessarily the equilibrium pair, for valid
+    arguments: (pi_I, pi_N, pi_M, posterior slope, E[p|v] slope, Var(p|v)).
 
-    The Gaussian projection gives beta*sigma_v^2 / (beta^2*sigma_v^2 +
-    sigma_u^2 + sigma_eps^2).  With b = beta*sigma_v it is evaluated in
-    units of m = max(b, sigma_u, sigma_eps), where the three flow std devs
-    lie in [0, 1], so that no sigma is squared on its own.  `beta` passes
-    `_real` as a finite real number > 0.
+    With b = beta*sigma_v: pi_I = b*sigma_v*(1 - lam*beta), pi_N = -lam*sigma_u^2,
+    pi_M = lam*(b^2 + sigma_u^2) - b*sigma_v, the posterior slope is
+    b*sigma_v/(b^2 + sigma_u^2 + sigma_eps^2), and p = p0 + lam*beta*(v - p0) +
+    lam*(u + eps) has slope lam*beta and residual variance
+    lam^2*(sigma_u^2 + sigma_eps^2).  Each is a product of price-scale and
+    flow-scale factors, or a ratio in units of m = max(b, sigma_u, sigma_eps),
+    so no sigma is squared on its own.
     """
-    b = _real("beta", beta, 0) * params.sigma_v
-    m = max(b, params.sigma_u, params.sigma_eps)
-    r, a, c = b / m, params.sigma_u / m, params.sigma_eps / m
-    return r * (params.sigma_v / m) / (r * r + a * a + c * c)
+    b = beta * sigma_v
+    flow, resid_std = math.hypot(b, sigma_u), lam * math.hypot(sigma_u, sigma_eps)
+    m = max(b, sigma_u, sigma_eps)
+    r, a, c = b / m, sigma_u / m, sigma_eps / m
+    return (
+        b * sigma_v * (1.0 - lam * beta),  # pi_I
+        -(lam * sigma_u) * sigma_u,  # pi_N
+        (lam * flow) * flow - b * sigma_v,  # pi_M
+        r * (sigma_v / m) / (r * r + a * a + c * c),  # posterior slope
+        lam * beta,  # E[p|v] slope
+        resid_std * resid_std,  # Var(p|v)
+    )
+
+
+def posterior_slope(params: MarketParams, beta: float) -> float:
+    """Slope of E[v | y_tilde] in y_tilde when the trader uses coefficient beta,
+    read from `_play_forms`.  `beta` passes `_real` as a finite real number > 0."""
+    # the slope does not depend on the maker's lam: 1.0 only fills its place
+    return _play_forms(params.sigma_v, params.sigma_u, params.sigma_eps, 1.0, _real("beta", beta, 0))[3]
 
 
 def solve_fixed_point(params: MarketParams) -> Equilibrium:

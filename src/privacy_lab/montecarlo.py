@@ -53,10 +53,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _integer, _real, batched_equilibrium
-from .equilibrium import posterior_slope
+from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _closed_forms, _forms_getter
+from .equilibrium import _integer, _play_forms, _real, batched_equilibrium
 from .errors import InconclusiveResolution, ParamError
-from .welfare import WelfareDecomposition, welfare_at, welfare_decomposition
 
 RNG_SCHEME = "pcg64-seedseq-v1"
 
@@ -464,9 +463,9 @@ def _pnl(paths: np.ndarray) -> np.ndarray:
     return paths[2:5]
 
 
-def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> list[tuple]:
+def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray) -> list[tuple]:
     """The summaries of the g chunks of a (7, g, m) array of the rows of
-    _chunk_paths, which is overwritten; `work`, if given, is a (2, g, m) one.
+    _chunk_paths, which is overwritten, with `work` a (2, g, m) scratch array.
 
     The rows become, in place, (v, v - p0, pnl_noise, pnl_informed,
     pnl_maker, y_tilde, p), reduced as one block by `_row_moments`.  Raises
@@ -474,7 +473,6 @@ def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray | None = None) -> l
     sum to zero.
     """
     v, u = paths[:2]
-    work = np.empty((2, *v.shape)) if work is None else work
     pnl = _pnl(paths)
     # path-wise zero sum is an algebraic identity, up to float rounding; a
     # path whose P&L scale is not finite is out of the double range, and
@@ -616,18 +614,17 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
     p | v is Gaussian in the model, so the residual variance has the exact
     standard error resid_var*sqrt(2/(n-2)).
     """
-    if params is None:
-        params = sample.params
+    p = sample.params if params is None else params
     s = sample.stats.price_value
     slope, slope_se, resid_var = _ols(s)
-    resid_std = sample.eq.lam * math.hypot(params.sigma_u, params.sigma_eps)
+    targets = _play_forms(p.sigma_v, p.sigma_u, p.sigma_eps, sample.eq.lam, sample.eq.beta)
     return PriceMomentEstimate(
         slope=slope,
         slope_se=slope_se,
         resid_var=resid_var,
         resid_var_se=resid_var * math.sqrt(2.0 / (s.n - 2)),
-        slope_expected=sample.eq.lam * sample.eq.beta,
-        resid_var_expected=resid_std * resid_std,
+        slope_expected=targets[4],
+        resid_var_expected=targets[5],
         n=s.n,
     )
 
@@ -655,24 +652,28 @@ class Check:
         return cls(name, expected, estimate, se, z, z <= 3.0)
 
 
-def _welfare_checks(w: WelfareDecomposition, est: WelfareEstimate) -> list[Check]:
+def _welfare_checks(expected: tuple, est: WelfareEstimate) -> list[Check]:
     return [
-        Check.of(f"π_{a}", getattr(w, f"pi_{a}"), getattr(est, f"mean_pi_{a}"), getattr(est, f"se_pi_{a}"))
-        for a in "INM"
+        Check.of(f"π_{a}", target, getattr(est, f"mean_pi_{a}"), getattr(est, f"se_pi_{a}"))
+        for a, target in zip("INM", expected)
     ]
+
+
+_welfare_forms = _forms_getter("pi_I", "pi_N", "pi_M")
 
 
 def verify_simulation(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> list[Check]:
     """Simulate play at eq, which need not be an equilibrium, and check the
-    welfare triple, the OLS λ and the moments of p given v against their closed forms."""
+    welfare triple, the OLS λ and the moments of p given v against `_play_forms`."""
     sample = simulate(params, eq, cfg)
-    checks = _welfare_checks(welfare_at(params, eq.lam, eq.beta), estimate_welfare(sample))
+    targets = _play_forms(params.sigma_v, params.sigma_u, params.sigma_eps, eq.lam, eq.beta)
+    checks = _welfare_checks(targets[:3], estimate_welfare(sample))  # first: one path fails on n_paths >= 2
     slope = estimate_lambda_regression(sample)
     pm = estimate_price_moments(sample)
     return checks + [
-        Check.of("λ (OLS slope)", posterior_slope(params, eq.beta), slope.slope, slope.se),
-        Check.of("E[p|v] slope", pm.slope_expected, pm.slope, pm.slope_se),
-        Check.of("Var(p|v)", pm.resid_var_expected, pm.resid_var, pm.resid_var_se),
+        Check.of("λ (OLS slope)", targets[3], slope.slope, slope.se),
+        Check.of("E[p|v] slope", targets[4], pm.slope, pm.slope_se),
+        Check.of("Var(p|v)", targets[5], pm.resid_var, pm.resid_var_se),
     ]
 
 
@@ -680,7 +681,8 @@ def verify_batched(bp: BatchParams, cfg: SimConfig) -> list[Check]:
     """Simulate the batched market at its equilibrium and check the welfare
     triple against that of the equivalent one-period market."""
     est = simulate_batched(bp, batched_equilibrium(bp), cfg)
-    return _welfare_checks(welfare_decomposition(_batched_market(bp)), est)
+    m = _batched_market(bp)
+    return _welfare_checks(_welfare_forms(_closed_forms(m.sigma_v, m.sigma_u, m.sigma_eps)), est)
 
 
 @dataclass(frozen=True)

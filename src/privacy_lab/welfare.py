@@ -12,10 +12,9 @@ Sign convention: pi_M is the maker's (non-positive) profit; the subsidy is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .equilibrium import MarketParams, _closed_forms, _forms_getter, _real
+from .equilibrium import MarketParams, _closed_forms, _forms_getter, _play_forms, _real
 
 
 @dataclass(frozen=True)
@@ -94,25 +93,14 @@ def welfare_decomposition(params: MarketParams) -> WelfareDecomposition:
 
 def welfare_at(params: MarketParams, lam: float, beta: float) -> WelfareDecomposition:
     """Expected P&L triple when the maker prices at slope `lam` and the
-    trader uses coefficient `beta`, not necessarily the equilibrium pair.
+    trader uses coefficient `beta`, not necessarily the equilibrium pair,
+    read from `equilibrium._play_forms`.
 
     Used to predict what a simulation with a perturbed strategy should
     report.  At the equilibrium pair this reduces to welfare_decomposition.
-
-    With b = beta*sigma_v, the std dev of the informed order:
-    pi_I = b*sigma_v*(1 - lam*beta), pi_N = -lam*sigma_u^2 and
-    pi_M = lam*(b^2 + sigma_u^2) - b*sigma_v, each evaluated as a product of
-    a price-scale factor (lam*.., sigma_v) and a flow-scale one (b, sigma_u,
-    hypot(b, sigma_u)), so that no sigma is squared on its own.
     """
     lam, beta = _real("lam", lam, 0), _real("beta", beta, 0)
-    sv, su = params.sigma_v, params.sigma_u
-    b = beta * sv
-    flow = math.hypot(b, su)
-    pi_I = b * sv * (1.0 - lam * beta)
-    pi_N = -(lam * su) * su
-    pi_M = (lam * flow) * flow - b * sv
-    return WelfareDecomposition(pi_I=pi_I, pi_N=pi_N, pi_M=pi_M)
+    return WelfareDecomposition(*_play_forms(params.sigma_v, params.sigma_u, params.sigma_eps, lam, beta)[:3])
 
 
 def privacy_subsidy(params: MarketParams) -> float:

@@ -82,7 +82,11 @@ class TestDeterminism:
         # the rows are (v, v - p0, pnl_noise, pnl_informed, pnl_maker, y_tilde, p)
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         stats = simulate(UNIT, UNIT_EQ, cfg).stats
-        chunks = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, min(8192, 50_000 - 8192 * k))[:, None], 0.0)[0] for k in range(7)]
+        widths = [min(8192, 50_000 - 8192 * k) for k in range(7)]
+        chunks = [
+            _stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, m)[:, None], 0.0, np.empty((2, 1, m)))[0]
+            for k, m in enumerate(widths)
+        ]
         n, means, m2, (c_price, c_signal) = functools.reduce(_merge, chunks)
         assert astuple(stats) == (
             (n, means[3], m2[3]),
@@ -171,7 +175,7 @@ class TestPathInvariants:
         paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
         paths[4, 5] += 1.0
         with pytest.raises(AssertionError):
-            _stats_of(paths[:, None], 0.0)
+            _stats_of(paths[:, None], 0.0, np.empty((2, 1, 4096)))
 
     def test_observed_flow_mean_and_variance(self):
         # Var(y_tilde) = beta^2*sigma_v^2 + sigma_u^2 + sigma_eps^2 = 4 here

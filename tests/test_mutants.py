@@ -7,7 +7,8 @@ which check catches what.  A mutant that no check can see stays in the
 table as a passing row, with its reason.
 
 Most rows run `verify_simulation` at 1e6 paths and seed 42 on each parameter
-set of `PARAMS`.  The rows that mutate `_path_draws` run `verify_batched`
+set of `PARAMS`; one of them breaks the targets of `_play_forms` rather than
+the simulator.  The rows that mutate `_path_draws` run `verify_batched`
 at the batch lengths of `BATCHED`, and the narrow-chunk `_merge` rows run
 `NARROW`, whose 64-path chunks make the fold merge often enough to show.
 The z-scores in the comments were measured on this table's runs.
@@ -46,12 +47,13 @@ BATCHED = tuple(
 )
 NARROW = (partial(verify_simulation, PARAMS[0], solve_closed_form(PARAMS[0]), SimConfig(100_000, 42, chunk_size=64)),)
 
-_assemble, _pnl, _ols, _merge, _path_draws = (
+_assemble, _pnl, _ols, _merge, _path_draws, _play_forms = (
     montecarlo._assemble,
     montecarlo._pnl,
     montecarlo._ols,
     montecarlo._merge,
     montecarlo._path_draws,
+    montecarlo._play_forms,
 )
 
 
@@ -121,6 +123,11 @@ def merge_co_corrections_swapped(a, b):
     return n, means, m2, [x + y + d[i] * d[j] * w for x, y, (i, j) in zip(a[3], b[3], _CO_ROWS[::-1])]
 
 
+def targets_1_01(sigma_v, sigma_u, sigma_eps, lam, beta):
+    """Every Monte Carlo target 1% off: each field of the kernel's tuple times 1.01."""
+    return tuple(1.01 * t for t in _play_forms(sigma_v, sigma_u, sigma_eps, lam, beta))
+
+
 def increments_not_summed(params, seed, tau=1):
     """Each batch's noise flow is one increment, not the sum of tau."""
     return _path_draws(params, seed)
@@ -187,6 +194,20 @@ MUTANTS = [
     # would pass on it (max z 0.76 / 0.76 / 1.18); the runner's own count
     # check sees it.
     pytest.param("_merge", merge_keeps_first, SIMULATE, (MISCOUNTS,) * 3, id="merge_keeps_first"),
+    # z 6.3-9.7 / 6.3-9.7 / 5.8-10.0 on the checks that fail.  Two blind
+    # spots at 1e6 paths: pi_M reads z 0.78 on (1, 1, 0.5), where 1% of it is
+    # 0.0011, and pi_N z 2.89 on (2, 0.3, 1.7).
+    pytest.param(
+        "_play_forms",
+        targets_1_01,
+        SIMULATE,
+        (
+            ("π_I", "π_N", "λ (OLS slope)", "E[p|v] slope", "Var(p|v)"),
+            ("π_I", "π_N", "λ (OLS slope)", "E[p|v] slope", "Var(p|v)"),
+            ("π_I", "π_M", "λ (OLS slope)", "E[p|v] slope", "Var(p|v)"),
+        ),
+        id="targets_times_1.01",
+    ),
     # Batched at tau 1 / 4 / 16.  At tau 1 both mutants are the unmutated
     # draw (max z 1.14), and pi_I never fails: its mean does not depend on
     # the spread of u.  z on pi_N / pi_M: 550 / 230 and 1584 / 295 ...

@@ -7,7 +7,8 @@ sweep row holds the point functions' values bit for bit.  A
 40-digit mpmath evaluation of the textbook formulas is the reference for
 every public closed-form record, on the conftest grid and at magnitudes
 where a naive double evaluation overflows or underflows; it is also the
-reference for the expected values the Monte Carlo checks are judged against.
+reference for every target of `_play_forms`, which the Monte Carlo checks
+are judged against, there and over the same 200 orders of magnitude.
 Every numeric argument of the parameter types and of the functions that take
 their own rejects a bad value with a ParamError naming that argument, and a
 real field given an int holds the equal float.
@@ -15,7 +16,7 @@ real field given an int holds the equal float.
 
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 
 import mpmath as mp
@@ -30,11 +31,9 @@ from privacy_lab import (
     ParamError,
     SimConfig,
     break_even_fee,
-    estimate_price_moments,
     incremental_gains,
     posterior_slope,
     privacy_subsidy,
-    simulate,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
@@ -44,6 +43,7 @@ from privacy_lab import (
     welfare_at,
     welfare_decomposition,
 )
+from privacy_lab.equilibrium import _play_forms
 from privacy_lab.report import regime_label
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -314,10 +314,14 @@ def test_fixed_point_fails_where_the_closed_form_does(sv, su, se):
         assert abs(fp.lam - closed.lam) <= 1e-12 * closed.lam + 2 * TINY  # a subnormal lam rounds absolutely
 
 
+# the Monte Carlo targets, in the order `_play_forms` returns them
+PLAY_TARGETS = ("pi_I", "pi_N", "pi_M", "slope", "price_slope", "resid_var")
+
+
 def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
-    """welfare_at, posterior_slope and the expected residual variance of p on
-    v against 40 digits, for the maker at lam and the trader at a scaled
-    beta; a target beyond the double range must come out as inf."""
+    """Every Monte Carlo target of `_play_forms` against 40 digits, for the
+    maker at lam and the trader at a scaled beta; a target beyond the double
+    range must come out as inf."""
     eq = solve_closed_form(p)
     lam, beta = eq.lam, eq.beta * beta_scale
     with mp.workdps(40):
@@ -326,31 +330,22 @@ def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
         impact = l * (b * b * sv * sv + su * su)  # lam * Var(x + u)
         slope = informed / (b * b * sv * sv + su * su + se * se)
         resid_var = l * l * (su * su + se * se)
-        want = {
-            "pi_I": (informed * (1 - l * b), informed + impact),
-            "pi_N": (-l * su * su, l * su * su),
-            "pi_M": (impact - informed, informed + impact),
-            "slope": (slope, slope),
-            "resid_var": (resid_var, resid_var),
-        }
-    w = welfare_at(p, lam, beta)
-    sample = simulate(p, replace(eq, beta=beta), SimConfig(100, 1))
-    got = {
-        "pi_I": w.pi_I,
-        "pi_N": w.pi_N,
-        "pi_M": w.pi_M,
-        "slope": posterior_slope(p, beta),
-        "resid_var": estimate_price_moments(sample, p).resid_var_expected,
-    }
-    for name, value in got.items():
-        target, scale = want[name]
+        want = (
+            (informed * (1 - l * b), informed + impact),
+            (-l * su * su, l * su * su),
+            (impact - informed, informed + impact),
+            (slope, slope),
+            (l * b, l * b),
+            (resid_var, resid_var),
+        )
+    got = _play_forms(p.sigma_v, p.sigma_u, p.sigma_eps, lam, beta)
+    for name, value, (target, scale) in zip(PLAY_TARGETS, got, want, strict=True):
         if abs(target) > sys.float_info.max:
             assert value == math.copysign(math.inf, target), (name, p)
         else:
             assert abs(mp.mpf(value) - target) <= REF_RTOL * scale + 2 * TINY, (name, p, value, target)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 100-path sample moments overflow
 @pytest.mark.parametrize("beta_scale", (1.0, 1.2))
 @pytest.mark.parametrize("p", (
     MarketParams(1.0, 1.0, 1e160),
@@ -365,6 +360,13 @@ def test_simulation_targets_on_grid(grid1000):
     for p in grid1000:
         for beta_scale in (1.0, 1.2):
             assert_simulation_targets_match(p, beta_scale)
+
+
+@PROPERTY
+@given(magnitude, magnitude, sigma_eps, st.sampled_from((0.5, 1.0, 1.2, 2.0)))
+def test_simulation_targets_match_the_reference(sv, su, se, beta_scale):
+    # at beta_scale 2 the trader's lam*beta is 1, so pi_I is 0 up to rounding
+    assert_simulation_targets_match(MarketParams(sv, su, se), beta_scale)
 
 
 UNIT = MarketParams(1.0, 1.0, 0.5)

@@ -93,9 +93,10 @@ def test_grouped_run_is_the_fold_of_its_chunks(chunk_size, chunks, last, sigma_e
     params = MarketParams(2.0, 0.7, sigma_eps, p0=5.0)
     eq = solve_closed_form(params)
     stats = simulate(params, eq, SimConfig(n, seed, chunk_size=chunk_size)).stats
+    widths = [min(chunk_size, n - k * chunk_size) for k in range(chunks)]
     alone = [
-        _stats_of(_chunk_paths(params, eq, seed, k, min(chunk_size, n - k * chunk_size))[:, None], params.p0)[0]
-        for k in range(chunks)
+        _stats_of(_chunk_paths(params, eq, seed, k, m)[:, None], params.p0, np.empty((2, 1, m)))[0]
+        for k, m in enumerate(widths)
     ]
     n, means, m2, (c_price, c_signal) = functools.reduce(_merge, alone)
     assert repr(astuple(stats)) == repr((
