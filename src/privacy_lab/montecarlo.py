@@ -14,10 +14,10 @@ A chunk's summary is one tuple (n, means, m2, co-moments), made by
 Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps its
 fold and its groups of chunks in flight, O(1) memory at any path count, and
 builds its public records from the fold at the end, once it has checked
-that a fold of two or more summaries counts every path.  Draws within a chunk
-come out in path order, so a length-(j+1) prefix of chunk k reproduces its
-first j+1 paths bit for bit and `PathSample.path(i)` replays one chunk prefix
-instead of storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
+that the fold counts every path.  Draws within a chunk come out in path
+order, so a length-(j+1) prefix of chunk k reproduces its first j+1 paths
+bit for bit and `PathSample.path(i)` replays one chunk prefix instead of
+storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
 the other streams, each seeded on its own, are unaffected.
 
 One runner, `_run_chunks`, and one chunk layout serve every entry point: a
@@ -150,17 +150,17 @@ _idle_workspaces: list[np.ndarray] = []
 def _run_chunks(n: int, width: int, draws, finish):
     """Fold with `_merge` in chunk order, whatever the thread count, the
     summaries `finish` makes of chunks 0, 1, ... of n paths, width to a
-    chunk but the last; a run of one chunk returns its summary.  Each
-    `draw(ws, k)` in `draws`, one per stream, fills its rows of chunk k's block
-    of a group's (g, _WORKSPACE_ROWS, m) workspace, laid out as the run
-    reaches it; `finish` reads it as a (_WORKSPACE_ROWS, g, m) view and
-    returns the g summaries, folded once every earlier group's are.  The
+    chunk but the last, and return the fold: a tuple whose [0] counts its
+    paths, as each summary's does.  Each `draw(ws, k)` in `draws`, one per
+    stream, fills its rows of chunk k's block of a group's
+    (g, _WORKSPACE_ROWS, m) workspace, laid out as the run reaches it;
+    `finish` reads it as a (_WORKSPACE_ROWS, g, m) view and returns the g
+    summaries, folded once every earlier group's are.  The
     caller and its helpers take (chunk, draw) pairs in order, so a slower
     thread runs fewer; once the caller finds none left, it cancels helpers
     not yet started.  If a draw or a finish raises, no thread takes another
     pair, and the first error is re-raised once every started helper is done.
-    Raises AssertionError when a fold of two or more summaries does not
-    count n paths.
+    Raises AssertionError when the fold does not count n paths.
     """
     cap = _thread_cap()
     per = max(1, DEFAULT_CHUNK_SIZE // width)  # full chunks to a group
@@ -223,7 +223,7 @@ def _run_chunks(n: int, width: int, draws, finish):
     for f in futures:
         if not f.cancelled():
             f.result()
-    if chunks > 1 and total[0] != n:  # a run of one chunk folds nothing
+    if total[0] != n:
         raise AssertionError(f"the fold counted {total[0]} paths, not {n}")
     return total
 
@@ -446,7 +446,7 @@ def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: in
     """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
     in the field order of PathRealization, of a new (7, m - first) array."""
     draws = [lambda ws, _, draw=draw: draw(ws, k) for draw in _path_draws(params, seed)]
-    return _run_chunks(m, m, draws, lambda ws: [_assemble(ws[:7, 0, first:].copy(), params, eq)])
+    return _run_chunks(m, m, draws, lambda ws: [(m, _assemble(ws[:7, 0, first:].copy(), params, eq))])[1]
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:

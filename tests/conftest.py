@@ -1,9 +1,26 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from privacy_lab import MarketParams
 
 GRID_SEED = 20260809
+
+
+def _load_oracle():
+    """bench/oracle.py, the 40-digit mpmath reference that the tests and the
+    bench share, loaded from its file so no other bench module is importable.
+    Loading it sets mpmath's working precision to 40 digits for the session."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 
 def make_param_grid(n=1000, seed=GRID_SEED):

@@ -11,6 +11,7 @@ import time
 import mpmath as mp
 import numpy as np
 
+from conftest import oracle
 from privacy_lab import (
     BatchParams,
     MarketParams,
@@ -152,30 +153,26 @@ def test_criterion_05_identity_suite(grid1000):
 
 
 def test_criterion_06_derivative_suite(grid1000):
-    # independent oracle: central differences of the subsidy closed form at
-    # step 1e-5*sigma_u, evaluated in extended precision because the float64
+    # central differences of bench/oracle.py's subsidy at step
+    # 1e-5*sigma_u, evaluated at 60 digits because the float64
     # roundoff floor at that step (~1e-5 relative on d2) sits above the
     # 1e-6 acceptance tolerance
-    mp.mp.dps = 60
-
-    def subsidy_mp(sv, su, se):
-        sv, su, se = mp.mpf(sv), mp.mpf(su), mp.mpf(se)
-        return sv * se**2 / (2 * mp.sqrt(su**2 + se**2))
+    def subsidy_mp(p, se):
+        return oracle.closed_forms(p.sigma_v, p.sigma_u, se)["subsidy"][0]
 
     worst_d1 = worst_d2 = 0.0
-    for p in grid1000:
-        a = subsidy_analysis(p)
-        h = mp.mpf(1e-5) * mp.mpf(p.sigma_u)
-        se0 = mp.mpf(p.sigma_eps)
-        f_hi = subsidy_mp(p.sigma_v, p.sigma_u, se0 + h)
-        f_lo = subsidy_mp(p.sigma_v, p.sigma_u, se0 - h)
-        f_0 = subsidy_mp(p.sigma_v, p.sigma_u, se0)
-        fd1 = float((f_hi - f_lo) / (2 * h))
-        fd2 = float((f_hi - 2 * f_0 + f_lo) / h**2)
-        if a.d1 != 0.0:
-            worst_d1 = max(worst_d1, abs(a.d1 - fd1) / abs(a.d1))
-        if a.d2 != 0.0:
-            worst_d2 = max(worst_d2, abs(a.d2 - fd2) / abs(a.d2))
+    with mp.workdps(60):
+        for p in grid1000:
+            a = subsidy_analysis(p)
+            h = mp.mpf(1e-5) * mp.mpf(p.sigma_u)
+            se0 = mp.mpf(p.sigma_eps)
+            f_hi, f_lo, f_0 = subsidy_mp(p, se0 + h), subsidy_mp(p, se0 - h), subsidy_mp(p, se0)
+            fd1 = float((f_hi - f_lo) / (2 * h))
+            fd2 = float((f_hi - 2 * f_0 + f_lo) / h**2)
+            if a.d1 != 0.0:
+                worst_d1 = max(worst_d1, abs(a.d1 - fd1) / abs(a.d1))
+            if a.d2 != 0.0:
+                worst_d2 = max(worst_d2, abs(a.d2 - fd2) / abs(a.d2))
     ok = worst_d1 <= 1e-6 and worst_d2 <= 1e-6
 
     bracket_ok = True

@@ -3,12 +3,13 @@
 Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split,
 fee neutrality, the informed trader's best response and the no-privacy
 price impact over sigmas spanning 200 orders of magnitude, and that every
-sweep row holds the point functions' values bit for bit.  A
-40-digit mpmath evaluation of the textbook formulas is the reference for
-every public closed-form record, on the conftest grid and at magnitudes
-where a naive double evaluation overflows or underflows; it is also the
-reference for every target of `_play_forms`, which the Monte Carlo checks
-are judged against, there and over the same 200 orders of magnitude.
+sweep row holds the point functions' values bit for bit.
+`bench/oracle.py`, the one 40-digit mpmath reference that the tests and the
+bench share, checks every public closed-form record, on the conftest grid
+and at magnitudes where a naive double evaluation overflows or underflows;
+it also checks every target of `_play_forms`, which the Monte Carlo checks
+are judged against, there and over the same 200 orders of magnitude, and
+the batched market's price impact and welfare targets on the grid.
 Every numeric argument of the parameter types and of the functions that take
 their own rejects a bad value with a ParamError naming that argument, and a
 real field given an int holds the equal float.
@@ -19,17 +20,18 @@ import sys
 from dataclasses import fields
 from functools import partial
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle
 from privacy_lab import (
     BatchParams,
     Equilibrium,
     MarketParams,
     ParamError,
     SimConfig,
+    batched_equilibrium,
     break_even_fee,
     incremental_gains,
     posterior_slope,
@@ -39,6 +41,7 @@ from privacy_lab import (
     subsidy_analysis,
     sweep,
     SweepSpec,
+    verify_batched,
     verify_best_response,
     welfare_at,
     welfare_decomposition,
@@ -151,12 +154,10 @@ def test_halved_forms_near_the_double_limit(sv, big, small, big_privacy):
     # 2*hypot(sigma_u, sigma_eps) and 2*sigma_u overflow past ~9e307; the
     # forms that halve a ratio by them must not
     p = MarketParams(sv, small, big) if big_privacy else MarketParams(sv, big, small)
-    ref = reference(p.sigma_v, p.sigma_u, p.sigma_eps)
+    forms = oracle.closed_forms(p.sigma_v, p.sigma_u, p.sigma_eps)
     eq, analysis = solve_closed_form(p), subsidy_analysis(p)
     got = {"lam": eq.lam, "beta": eq.beta, "d2": analysis.d2, "low_privacy_coeff": analysis.low_privacy_coeff}
-    for name, value in got.items():
-        want, scale = ref[name]
-        assert abs(mp.mpf(value) - want) <= REF_RTOL * scale + 2 * TINY, (name, p, value, want)
+    assert oracle.mismatches(got, forms, REF_RTOL) == [], p
 
 
 # the ReportRow fields each sweep output group populates
@@ -205,46 +206,6 @@ def test_sweep_rows_equal_the_point_records(sv, su, values, outputs):
                 assert got is None, (name, outputs)
 
 
-def reference(sigma_v: float, sigma_u: float, sigma_eps: float) -> dict[str, tuple[mp.mpf, mp.mpf]]:
-    """Textbook closed forms in 40 digits, as name -> (value, scale); the
-    scale of a difference of terms is the size of those terms."""
-    with mp.workdps(40):
-        sv, su, se = mp.mpf(sigma_v), mp.mpf(sigma_u), mp.mpf(sigma_eps)
-        s2 = su**2 + se**2
-        s = mp.sqrt(s2)
-        coef = mp.sqrt(2 / mp.pi)
-        e_abs_x, e_abs_u = s * coef, su * coef
-        subsidy = sv * se**2 / (2 * s)
-        fee_rate = subsidy / (e_abs_x + e_abs_u)
-        gap = se**2 / (s + su)
-        values = {
-            "lam": sv / (2 * s),
-            "beta": s / sv,
-            "pi_I": sv * s / 2,
-            "pi_N": -sv * su**2 / (2 * s),
-            "pi_M": -subsidy,
-            "subsidy": subsidy,
-            "d1": sv * se * (2 * su**2 + se**2) / (2 * s2**1.5),
-            "inflection": mp.sqrt(2) * su,
-            "low_privacy_coeff": sv / (2 * su),
-            "high_privacy_slope": sv / 2,
-            "gain_informed": sv * gap / 2,
-            "gain_noise": sv * su * gap / (2 * s),
-            "e_abs_x": e_abs_x,
-            "e_abs_u": e_abs_u,
-            "q_total": e_abs_x + e_abs_u,
-            "fee_rate": fee_rate,
-            "fee_on_informed": fee_rate * e_abs_x,
-            "fee_on_noise": fee_rate * e_abs_u,
-        }
-        out = {k: (v, abs(v)) for k, v in values.items()}
-        for net, pnl, fee in (("net_pi_I", "pi_I", "fee_on_informed"), ("net_pi_N", "pi_N", "fee_on_noise")):
-            out[net] = (values[pnl] - values[fee], abs(values[pnl]) + abs(values[fee]))
-        d2_terms = sv * su**2 / (2 * s2**2.5)
-        out["d2"] = (d2_terms * (2 * su**2 - se**2), d2_terms * (2 * su**2 + se**2))
-        return out
-
-
 def records(p: MarketParams) -> dict[str, float]:
     """Every field of every public closed-form record at `p`."""
     eq = solve_closed_form(p)
@@ -258,13 +219,10 @@ def records(p: MarketParams) -> dict[str, float]:
 
 
 def assert_matches_reference(p: MarketParams) -> None:
-    ref = reference(p.sigma_v, p.sigma_u, p.sigma_eps)
+    forms = oracle.closed_forms(p.sigma_v, p.sigma_u, p.sigma_eps)
     got = records(p)
-    assert got.keys() == ref.keys()
-    for name, value in got.items():
-        want, scale = ref[name]
-        assert math.isfinite(value), (name, p)
-        assert abs(mp.mpf(value) - want) <= REF_RTOL * scale + 2 * TINY, (name, p, value, want)
+    assert got.keys() == forms.keys()
+    assert oracle.mismatches(got, forms, REF_RTOL) == [], p
 
 
 @pytest.mark.parametrize("p", EXTREMES, ids=("huge_eps", "tiny_all"))
@@ -283,9 +241,9 @@ def test_reference_on_grid(grid1000):
 
 @pytest.mark.parametrize("p", EXTREMES, ids=("huge_eps", "tiny_all"))
 def test_fixed_point_at_extreme_magnitudes(p):
-    lam, _ = reference(p.sigma_v, p.sigma_u, p.sigma_eps)["lam"]
+    lam, _ = oracle.closed_forms(p.sigma_v, p.sigma_u, p.sigma_eps)["lam"]
     fp = solve_fixed_point(p)
-    assert abs(mp.mpf(fp.lam) - lam) <= 1e-12 * lam
+    assert abs(fp.lam - lam) <= 1e-12 * lam
     assert fp.beta == 1.0 / (2.0 * fp.lam)
 
 
@@ -314,36 +272,20 @@ def test_fixed_point_fails_where_the_closed_form_does(sv, su, se):
         assert abs(fp.lam - closed.lam) <= 1e-12 * closed.lam + 2 * TINY  # a subnormal lam rounds absolutely
 
 
-# the Monte Carlo targets, in the order `_play_forms` returns them
-PLAY_TARGETS = ("pi_I", "pi_N", "pi_M", "slope", "price_slope", "resid_var")
-
-
 def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
     """Every Monte Carlo target of `_play_forms` against 40 digits, for the
     maker at lam and the trader at a scaled beta; a target beyond the double
-    range must come out as inf."""
+    range must come out as inf.  The oracle names the targets in the order
+    `_play_forms` returns them."""
     eq = solve_closed_form(p)
     lam, beta = eq.lam, eq.beta * beta_scale
-    with mp.workdps(40):
-        sv, su, se, l, b = (mp.mpf(x) for x in (p.sigma_v, p.sigma_u, p.sigma_eps, lam, beta))
-        informed = b * sv * sv
-        impact = l * (b * b * sv * sv + su * su)  # lam * Var(x + u)
-        slope = informed / (b * b * sv * sv + su * su + se * se)
-        resid_var = l * l * (su * su + se * se)
-        want = (
-            (informed * (1 - l * b), informed + impact),
-            (-l * su * su, l * su * su),
-            (impact - informed, informed + impact),
-            (slope, slope),
-            (l * b, l * b),
-            (resid_var, resid_var),
-        )
+    want = oracle.simulation_targets(p.sigma_v, p.sigma_u, p.sigma_eps, lam, beta)
     got = _play_forms(p.sigma_v, p.sigma_u, p.sigma_eps, lam, beta)
-    for name, value, (target, scale) in zip(PLAY_TARGETS, got, want, strict=True):
-        if abs(target) > sys.float_info.max:
-            assert value == math.copysign(math.inf, target), (name, p)
+    for value, (name, target) in zip(got, want.items(), strict=True):
+        if abs(target[0]) > sys.float_info.max:
+            assert value == math.copysign(math.inf, target[0]), (name, p)
         else:
-            assert abs(mp.mpf(value) - target) <= REF_RTOL * scale + 2 * TINY, (name, p, value, target)
+            assert oracle.agrees(value, target, REF_RTOL), (name, p, value, target[0])
 
 
 @pytest.mark.parametrize("beta_scale", (1.0, 1.2))
@@ -367,6 +309,18 @@ def test_simulation_targets_on_grid(grid1000):
 def test_simulation_targets_match_the_reference(sv, su, se, beta_scale):
     # at beta_scale 2 the trader's lam*beta is 1, so pi_I is 0 up to rounding
     assert_simulation_targets_match(MarketParams(sv, su, se), beta_scale)
+
+
+@pytest.mark.parametrize("tau", (1, 4, 16))
+def test_batched_targets_on_grid(grid1000, tau):
+    # a two-path run is enough to read each check's expected value
+    for p in grid1000[:100]:
+        bp = BatchParams(MarketParams(p.sigma_v, p.sigma_u, p0=1.0), tau)
+        got = {"lam": batched_equilibrium(bp).lam}
+        got.update((c.name.replace("π", "pi"), c.expected) for c in verify_batched(bp, SimConfig(2, 0)))
+        want = oracle.batched_targets(p.sigma_v, p.sigma_u, tau)
+        assert got.keys() == want.keys()
+        assert oracle.mismatches(got, want, REF_RTOL) == [], (p, tau)
 
 
 UNIT = MarketParams(1.0, 1.0, 0.5)
