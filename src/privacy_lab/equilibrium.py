@@ -8,8 +8,9 @@ p = p0 + lambda*y_tilde.
 
 The module solves for the equilibrium pair (lambda, beta) two independent
 ways: in closed form, and numerically as the fixed point of the posterior
-projection composed with the trader's best response.  The fixed-point route
-never touches the closed form, so the two can cross-check each other.
+projection composed with the trader's best response, found by iterating the
+two in turn.  The fixed-point route never touches the closed form, so the two
+can cross-check each other.
 
 Every closed form of the model (equilibrium, welfare split, subsidy and its
 derivatives, break-even fee) comes from the one kernel `_closed_forms`.  It
@@ -34,9 +35,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ParamError
-
-# relative tolerance of the fixed-point bisection
-_FIXED_POINT_TOL = 1e-12
 
 SQRT2 = math.sqrt(2.0)
 
@@ -274,34 +272,32 @@ def solve_fixed_point(params: MarketParams) -> Equilibrium:
 
     Works in units where sigma_v = 1 and m = max(sigma_u, sigma_eps) = 1, so
     the noise variance n = (sigma_u/m)^2 + (sigma_eps/m)^2 lies in [1, 2]
-    at any magnitude of the inputs.  There it bisects
-    h(lam) = lam - b/(b^2 + n), with b = 1/(2*lam) the trader's best response
-    and b/(b^2 + n) the Gaussian projection slope of the value on the
-    observed flow.  h has the sign of 4*lam^2*n - 1, so it is negative at
-    lam = 1/4 and positive at lam = 1 for every n in [1, 2]: that bracket
-    holds for all valid params.  The root is rescaled by sigma_v/m, and
-    satisfies |lam - lam_true| <= 1e-12 * lam_true (`_FIXED_POINT_TOL`).
-    The bracket is 3/4 wide and lo never drops below 1/4, so after at most
-    42 halvings hi - lo <= 3/4 * 2**-42 < 1e-12 * lo: the bisection always
-    stops, and needs no iteration budget.
+    at any magnitude of the inputs.  There it iterates g(lam) = b/(b^2 + n),
+    the Gaussian projection slope of the value on the observed flow when the
+    trader plays the best response b = 1/(2*lam), from lam = 1/4 until a step
+    no longer raises lam.  The fixed point is r = 1/(2*sqrt(n)), rescaled by
+    sigma_v/m, and the iteration stops at it without a tolerance or an
+    iteration budget:
+
+    - By AM-GM, g(lam) <= r, with equality only at lam = r.  So from
+      1/4 < r the iterates rise toward r.
+    - The relative error e = (r - lam)/r squares at each step:
+      e' = e^2/(1 + (1 - e)^2).  It is at most 1/2 at lam = 1/4, so six
+      steps take it below 2**-53, and rounding ends the rise within 2 ulps
+      of r.
+    - A strictly increasing sequence of doubles that is bounded above must
+      end.
     """
     m = max(params.sigma_u, params.sigma_eps)
     noise_var = (params.sigma_u / m) ** 2 + (params.sigma_eps / m) ** 2
 
-    lo, hi = 0.25, 1.0
+    lam = 0.25
     while True:
-        lam = 0.5 * (lo + hi)
         b = 0.5 / lam
-        h_mid = lam - b / (b * b + noise_var)
-        if h_mid == 0.0:
+        nxt = b / (b * b + noise_var)
+        if nxt <= lam:
             break
-        if h_mid < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= _FIXED_POINT_TOL * lo:
-            lam = 0.5 * (lo + hi)
-            break
+        lam = nxt
 
     # the rescaled root leaves the double range where the closed form's does,
     # and fails its field check by the same name

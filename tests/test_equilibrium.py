@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from privacy_lab import (
     welfare_at,
     welfare_decomposition,
 )
+from privacy_lab import equilibrium
 
 SQRT2 = math.sqrt(2.0)
 
@@ -176,6 +178,23 @@ class TestFixedPoint:
     def test_beta_is_best_response_to_lam(self):
         fp = solve_fixed_point(MarketParams(2.0, 0.5, 1.5))
         assert fp.beta == 1.0 / (2.0 * fp.lam)
+
+    def test_within_ulps_of_closed_form_on_grid(self, grid1000):
+        for p in grid1000:
+            lam_cf = solve_closed_form(p).lam
+            assert abs(solve_fixed_point(p).lam - lam_cf) <= 8 * math.ulp(lam_cf), p
+
+    def test_calls_no_closed_form_and_no_sqrt(self, monkeypatch):
+        # the oracle stays independent: no closed form, hypot or sqrt on its route
+        params = [MarketParams(1.0, 1.0, 1.0), MarketParams(3000.0, 1000.0, 1000.0), MarketParams(1.0, 1.0, 0.0)]
+        want = [solve_fixed_point(p) for p in params]
+
+        def closed_forms(*args):
+            raise AssertionError("solve_fixed_point called _closed_forms")
+
+        monkeypatch.setattr(equilibrium, "_closed_forms", closed_forms)
+        monkeypatch.setattr(equilibrium, "math", SimpleNamespace(isfinite=math.isfinite))
+        assert [solve_fixed_point(p) for p in params] == want
 
 
 class TestPosteriorPrice:

@@ -272,6 +272,18 @@ def test_fixed_point_fails_where_the_closed_form_does(sv, su, se):
         assert abs(fp.lam - closed.lam) <= 1e-12 * closed.lam + 2 * TINY  # a subnormal lam rounds absolutely
 
 
+@PROPERTY
+@given(wide, wide.flatmap(lambda su: st.tuples(st.just(su), st.one_of(st.just(0.0), st.just(su), wide))))
+def test_fixed_point_within_ulps_of_the_closed_form(sv, su_se):
+    # sigma_eps in {0, sigma_u, any} puts the unit noise variance at 1, at 2
+    # and between them
+    p = MarketParams(sv, *su_se)
+    fp = outcome(solve_fixed_point, p)
+    if not isinstance(fp, str):  # where it fails, the test above checks it fails as the closed form does
+        lam = solve_closed_form(p).lam
+        assert abs(fp.lam - lam) <= 8 * math.ulp(lam) + 2 * TINY  # a subnormal lam rounds absolutely
+
+
 def assert_simulation_targets_match(p: MarketParams, beta_scale: float) -> None:
     """Every Monte Carlo target of `_play_forms` against 40 digits, for the
     maker at lam and the trader at a scaled beta; a target beyond the double
