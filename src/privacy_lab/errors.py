@@ -14,7 +14,8 @@ class ParamError(PrivacyLabError, ValueError):
 
 
 class InconclusiveResolution(PrivacyLabError, RuntimeError):
-    """Statistical error too large to resolve adjacent profit-grid points.
+    """Statistical error, or double precision, too coarse to resolve
+    adjacent profit-grid points.
 
     Increase the path count or widen the grid spacing and rerun.
     """

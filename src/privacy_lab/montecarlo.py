@@ -558,7 +558,6 @@ class SlopeEstimate:
 
     slope: float
     se: float
-    n: int
 
 
 def _square_over(a: float, b: float) -> float:
@@ -574,17 +573,19 @@ def _square_over(a: float, b: float) -> float:
 
 def _ols(s: RunningCross) -> tuple[float, float, float]:
     """Slope of y on x, its standard error and the residual variance sse/(n - 2);
-    all NaN when the spread m2_x of x underflowed to 0 (sigmas near 1e-200)."""
+    all NaN when the spread m2_x of x underflowed to 0 (sigmas near 1e-200),
+    and the se and residual variance NaN when sse rounds below zero: a fit
+    too near exact for double precision to resolve its residuals."""
     _require_paths(s.n, 100)
     if s.m2_x == 0:
         return math.nan, math.nan, math.nan
     resid_var = (s.m2_y - _square_over(s.c_xy, s.m2_x)) / (s.n - 2)
+    resid_var = resid_var if resid_var >= 0 else math.nan
     return s.c_xy / s.m2_x, math.sqrt(resid_var / s.m2_x), resid_var
 
 
 def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:
-    slope, se, _ = _ols(sample.stats.signal_value)
-    return SlopeEstimate(slope=slope, se=se, n=sample.stats.signal_value.n)
+    return SlopeEstimate(*_ols(sample.stats.signal_value)[:2])
 
 
 @dataclass(frozen=True)
@@ -605,7 +606,6 @@ class PriceMomentEstimate:
     resid_var_se: float
     slope_expected: float
     resid_var_expected: float
-    n: int
 
 
 def estimate_price_moments(sample: PathSample, params: MarketParams | None = None) -> PriceMomentEstimate:
@@ -625,7 +625,6 @@ def estimate_price_moments(sample: PathSample, params: MarketParams | None = Non
         resid_var_se=resid_var * math.sqrt(2.0 / (s.n - 2)),
         slope_expected=targets[4],
         resid_var_expected=targets[5],
-        n=s.n,
     )
 
 
@@ -721,16 +720,18 @@ def verify_best_response(
     z = u + eps; the per-path profit is affine in z, so every mean and
     standard error follows exactly from the accumulated moments of z.
 
-    Raises InconclusiveResolution when 3 standard errors of an adjacent-point
-    profit difference exceed the curvature gap lam*step^2 between neighbors,
-    and a ParamError naming grid_halfwidth when the grid around x* would
-    reach beyond the double range.
+    Raises InconclusiveResolution unless 0 < 3*se(z-bar) < step and the
+    analytic curve, in doubles, peaks strictly at x*.  The first is 3 se of an
+    adjacent-point profit difference against the curvature gap lam*step^2,
+    both divided by lam*step; the second fails once profits are so small that
+    the gap rounds away.  At v = p0 the grid is the one no-trade point.  A
+    ParamError names grid_halfwidth when the grid would leave the double range.
     """
     v, grid_halfwidth = _real("v", v), _real("grid_halfwidth", grid_halfwidth, 0)
     if _integer("n_grid", n_grid, 3) % 2 == 0:
         raise ParamError("n_grid", f"n_grid must be an odd integer >= 3, got {n_grid!r}")
 
-    x_star = (v - params.p0) / (2.0 * eq.lam)
+    x_star = 0.5 * (v - params.p0) / eq.lam  # 2*lam can overflow where x* is finite
     half = grid_halfwidth * abs(x_star)
     if not math.isfinite(abs(x_star) + 2.0 * half):
         raise ParamError(
@@ -752,15 +753,12 @@ def verify_best_response(
     estimates = analytic - eq.lam * grid * z_mean
     ses = np.abs(eq.lam * grid) * z_se
 
-    step = float(grid[1] - grid[0])
-    if step > 0:
-        se_diff = eq.lam * step * z_se
-        gap = eq.lam * (step * step)  # step**2 raises OverflowError where this is inf
-        if 3.0 * se_diff >= gap:
-            raise InconclusiveResolution(
-                f"3*se of adjacent profit difference ({3 * se_diff:.3g}) >= curvature gap "
-                f"({gap:.3g}); increase n_paths or widen the grid"
-            )
+    step, peak = float(grid[1] - grid[0]), analytic[n_grid // 2 - 1 : n_grid // 2 + 2]
+    if step > 0 and not (0 < 3.0 * z_se < step and peak[1] > max(peak[0], peak[2])):
+        raise InconclusiveResolution(
+            f"3*se of the mean noise flow ({3.0 * z_se:.3g}) is not in (0, grid step {step:.3g}), or the "
+            f"profit curve rounds its peak away ({peak.tolist()}); increase n_paths or widen the grid"
+        )
 
     k_max = int(np.argmax(estimates))
     return BestResponseCheck(

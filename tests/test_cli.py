@@ -349,6 +349,7 @@ class TestUsageErrors:
         ("--sigma-v", "1e160", "--sigma-u", "1"),
         ("--sigma-v", "1", "--sigma-u", "1e-160", "--sigma-eps", "1e-160"),
         ("--sigma-v", "1e-200", "--sigma-u", "1e-200"),
+        ("--sigma-v", "1", "--sigma-u", "1", "--beta-scale", "1e8"),  # a residual sum of squares below 0
     ])
     def test_extreme_magnitude_simulate_never_tracebacks(self, capsys, sigmas):
         # valid inputs whose sample moments can overflow, or underflow to a

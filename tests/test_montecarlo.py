@@ -31,6 +31,7 @@ from privacy_lab import (
     simulate_batched,
     solve_closed_form,
     verify_best_response,
+    verify_simulation,
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
@@ -258,6 +259,23 @@ class TestRegressionEstimators:
         with pytest.raises(ValueError):
             estimate_lambda_regression(simulate(UNIT, UNIT_EQ, SimConfig(50, 1)))
 
+    def test_unresolvable_fit_fails_its_checks(self):
+        # at beta x 1e8 the flow is all but exactly 1e8*beta*(v - p0), and the
+        # residual sum of squares can round below zero (on seeds 1, 3, 11, 15
+        # and 42): the fit reports a NaN se, and the checks that read it fail
+        p = MarketParams(1.0, 1.0)
+        eq = solve_closed_form(p)
+        eq = replace(eq, beta=eq.beta * 1e8)
+        unresolved = 0
+        for seed in (*range(20), 42):
+            checks = verify_simulation(p, eq, SimConfig(1000, seed))
+            assert len(checks) == 6
+            for check in checks:
+                if math.isnan(check.se):
+                    unresolved += 1
+                    assert check.z == math.inf and not check.passed
+        assert unresolved > 0
+
 
 class TestPriceMoments:
     def test_slope_and_residual_variance(self):
@@ -381,11 +399,32 @@ class TestBestResponse:
         assert chk.ses.tolist() == (np.abs(lam_x) * zm.se).tolist()
 
     def test_overflowing_curvature_gap_is_inconclusive(self):
-        # the grid around x* ~ 1e160 has step**2 beyond the double range
+        # z = u + eps at sigma_eps = 1e160 squares beyond the double range, so
+        # z's second moment and its se are inf and no grid step exceeds 3 se
         params = MarketParams(1.0, 1.0, 1e160)
         with pytest.raises(InconclusiveResolution), pytest.warns(RuntimeWarning, match="overflow"):
             verify_best_response(params, solve_closed_form(params), v=1.0, grid_halfwidth=0.5, n_grid=21,
                                  cfg=SimConfig(1000, 7))
+
+    def test_optimum_past_an_overflowing_two_lam(self):
+        # lam = 9.44e307, so 2*lam overflows, yet x* = (v - p0)/(2*lam) is 0.9
+        params = MarketParams(1.7e308, 0.9)
+        eq, cfg = solve_closed_form(params), SimConfig(20_000, 7)
+        chk = verify_best_response(params, eq, v=1.7e308, grid_halfwidth=0.5, n_grid=21, cfg=cfg)
+        assert chk.x_star == 0.9
+        assert abs(chk.argmax_x - chk.x_star) <= chk.grid_step
+        # at v = 1 the grid step, ~2.6e-310, is far below 3 se of the mean noise
+        with pytest.raises(InconclusiveResolution):
+            verify_best_response(params, eq, v=1.0, grid_halfwidth=0.5, n_grid=21, cfg=cfg)
+
+    def test_profit_curve_below_the_normal_range_is_inconclusive(self):
+        # 3 se of the mean noise is below the grid step 5e-163, but profits of
+        # ~5e-323 round the curvature gap lam*step^2 ~ 1e-325 away, so the
+        # argmax would be any grid point
+        params = MarketParams(1e-161, 1e-161)
+        with pytest.raises(InconclusiveResolution, match="rounds its peak away"):
+            verify_best_response(params, solve_closed_form(params), v=1e-161, grid_halfwidth=0.5, n_grid=21,
+                                 cfg=SimConfig(20_000, 42))
 
 
 class TestBatchedSimulation:

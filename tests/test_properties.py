@@ -2,8 +2,9 @@
 
 Hypothesis checks the scale covariance, lam*beta = 1/2, the zero-sum split,
 fee neutrality, the informed trader's best response and the no-privacy
-price impact over sigmas spanning 200 orders of magnitude, and that every
-sweep row holds the point functions' values bit for bit.
+price impact over sigmas spanning 200 orders of magnitude, that every
+sweep row holds the point functions' values bit for bit, and that the Monte
+Carlo best-response check scales exactly under power-of-two rescaling.
 `bench/oracle.py`, the one 40-digit mpmath reference that the tests and the
 bench share, checks every public closed-form record, on the conftest grid
 and at magnitudes where a naive double evaluation overflows or underflows;
@@ -28,6 +29,7 @@ from conftest import oracle
 from privacy_lab import (
     BatchParams,
     Equilibrium,
+    InconclusiveResolution,
     MarketParams,
     ParamError,
     SimConfig,
@@ -133,6 +135,42 @@ def test_best_response_maximizes_profit(sv, su, se, z, sign, d):
     assert close(peak, edge * (edge / (4.0 * lam)))
     assert peak > max(profit(x_star * (1.0 - d)), profit(x_star * (1.0 + d)))
     assert close(welfare_decomposition(p).pi_I, sv * (sv / (4.0 * lam)))
+
+
+def best_response_or_inconclusive(params, v):
+    try:
+        return verify_best_response(params, solve_closed_form(params), v, 0.5, 5, SimConfig(2000, 11))
+    except InconclusiveResolution:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(-200, 200), st.integers(-200, 200),
+)
+def test_best_response_is_power_of_two_covariant(sv, su, se, v, p0, j, k):
+    # value side times 2**j and noise side times 2**k: lam scales by 2**(j - k),
+    # the order sizes by 2**k and the profits by 2**(j + k), all exactly; the
+    # resolution rule compares order sizes with order sizes and profits with
+    # profits, so both runs resolve or neither does
+    base = best_response_or_inconclusive(MarketParams(sv, su, se, p0), v)
+    scaled = best_response_or_inconclusive(
+        MarketParams(math.ldexp(sv, j), math.ldexp(su, k), math.ldexp(se, k), math.ldexp(p0, j)), math.ldexp(v, j)
+    )
+    if base is None or scaled is None:
+        assert base is scaled
+        return
+
+    def times(xs, e):
+        return [math.ldexp(float(x), e) for x in xs]
+
+    for field in ("x_star", "grid_step", "argmax_x"):
+        assert getattr(scaled, field) == math.ldexp(getattr(base, field), k), field
+    assert scaled.grid.tolist() == times(base.grid, k)
+    for field in ("analytic", "estimates", "ses"):
+        assert getattr(scaled, field).tolist() == times(getattr(base, field), j + k), field
+    assert scaled.n_paths == base.n_paths
 
 
 @PROPERTY
