@@ -81,6 +81,8 @@ class MarketParams:
         sees the executed flow exactly.
     p0: common prior mean of the value; only differences v - p0 enter
         the math, so any finite level (including 0 or negative) is fine.
+        The simulator plays v - p0 too, and adds p0 only to the levels it
+        reports: the price and value means and a replayed path's v and p.
 
     Each field passes `_real`: a value that is not a real number (a bool is
     not one), lies past the double range, is not finite, or is out of range,

@@ -21,22 +21,25 @@ storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
 the other streams, each seeded on its own, are unaffected.
 
 One runner, `_run_chunks`, and one chunk layout serve every entry point: a
-chunk's rows are (v, u, eps, x, y, y_tilde, p) and two work rows, and only
-`_path_draws` draws a stream into them.  The runner's unit of parallel work
-is one stream's draw for one chunk, so a run of a single chunk, and a path
-replay, still spread over the threads.  Up to DEFAULT_CHUNK_SIZE // m
-consecutive chunks of width m share one workspace, a float buffer of all
-their rows, and the thread that completes the group's last draw assembles
-and reduces them in one pass over a (rows, chunks, m) view; each chunk's
-row is still summed on its own, so the summaries are bit for bit those of
-one chunk at a time.  Workspaces of the default size are shared by every
-run in the process and reused; a chunk too wide for one gets its own.
+chunk's rows are (u, w, eps, x, y, y_tilde, q) and two work rows, and only
+`_path_draws` draws a stream into them.  They play the game in centred units,
+w = v - p0 and q = p - p0, and the price level enters only `price_value`'s
+two means and the v and p of `PathSample.path(i)`.  The runner's unit of
+parallel work is one stream's draw for one chunk, so a run of a single chunk,
+and a path replay, still spread over the threads.  Up to
+DEFAULT_CHUNK_SIZE // m consecutive chunks of width m share one workspace, a
+float buffer of all their rows; the thread that completes a group's last draw
+assembles and reduces them in one pass over a (rows, chunks, m) view, each
+chunk's row summed on its own, so the summaries are bit for bit those of one
+chunk at a time.  Idle workspaces of the default size are shared by every
+run in the process; a chunk too wide for one gets its own.
 
 ``PRIVACY_LAB_THREADS`` caps how many draws of a run go on at once, the
-caller's included (0 or unset = min(cpu count, 8); at most 64).  The calling
-thread draws like its min(cap, draws) - 1 helpers from one process-wide pool
-of cap threads, created on first use and replaced when the cap changes; a run
-at cap 1 or of one draw uses no pool.  A forked child drops its parent's pool.
+caller's included (0 or unset = the CPUs the process may run on, at most 8;
+at most 64).  The calling thread draws like its min(cap, draws) - 1 helpers
+from one process-wide pool of cap threads, created on first use and replaced
+when the cap changes; a run at cap 1 or of one draw uses no pool.  A forked
+child drops its parent's pool.
 
 `verify_simulation` and `verify_batched` run a simulation and return its
 `Check` records: each estimate against its closed form, passed within 3 se.
@@ -106,7 +109,7 @@ def _thread_cap() -> int:
             raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be an integer, got {raw!r}") from None
         if not 0 <= cap <= _MAX_THREADS:
             raise ParamError("PRIVACY_LAB_THREADS", f"PRIVACY_LAB_THREADS must be in [0, {_MAX_THREADS}], got {cap}")
-    return cap or min(os.cpu_count() or 1, 8)
+    return cap or min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 8)
 
 
 # One process-wide pool, sized by the thread cap and replaced when the cap
@@ -233,9 +236,9 @@ def _run_chunks(n: int, width: int, draws, finish):
 # merge, so path counts up to 1e8 need O(1) memory.
 # ---------------------------------------------------------------------------
 
-# the rows (i, j) of each co-moment of _row_moments, in the layout _stats_of
-# leaves: (v, p) and (v - p0, y_tilde)
-_CO_ROWS = ((0, 6), (1, 5))
+# the rows (i, j) of each co-moment of _row_moments, in the block _stats_of
+# reduces: (w, q) and (w, y_tilde)
+_CO_ROWS = ((0, 5), (0, 4))
 
 
 def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> list[tuple]:
@@ -248,7 +251,7 @@ def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> list[tuple
     rows -= means[:, :, None]
     co = [[]] * rows.shape[1]
     if work is not None:
-        np.multiply(rows[:2], rows[6:4:-1], out=work)  # the pairs of _CO_ROWS
+        np.multiply(rows[0], rows[5:3:-1], out=work)  # the pairs of _CO_ROWS
         co = work.sum(axis=2).T.tolist()
     m2 = np.square(rows, out=rows).sum(axis=2)
     return [(n, *s) for s in zip(means.T.tolist(), m2.T.tolist(), co)]
@@ -362,7 +365,8 @@ class PathSample:
         if not 0 <= index < self.n:
             raise IndexError(f"path index {i!r} out of range for {self.n} paths")
         k, j = divmod(index, self.cfg.chunk_size)
-        return PathRealization(*_chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist())
+        u, w, eps, x, y, y_tilde, q = _chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist()
+        return PathRealization(self.params.p0 + w, u, eps, x, y, y_tilde, self.params.p0 + q)
 
 
 @dataclass(frozen=True)
@@ -389,7 +393,7 @@ _INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well i
 
 def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     """The draws of a chunk's paths, one per seeded stream, each filling its
-    row v (plus p0), u or eps of the (v, u, eps, x, y, y_tilde, p) rows.
+    row u, w = v - p0 or eps of the (u, w, eps, x, y, y_tilde, q) rows.
 
     At tau > 1 the noise flow sums tau increments per path, drawn in stream
     order into the rows after eps in blocks of at most _INCREMENT_BLOCK
@@ -398,13 +402,12 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     """
 
     def value(ws, k):
-        _draw(seed, STREAM_VALUE, k, ws[0], params.sigma_v)
-        ws[0] += params.p0
+        _draw(seed, STREAM_VALUE, k, ws[1], params.sigma_v)
 
     def noise_flow(ws, k):
         if tau == 1:
-            return _draw(seed, STREAM_NOISE_FLOW, k, ws[1], params.sigma_u)
-        u, spare = ws[1], ws[3:].reshape(-1)
+            return _draw(seed, STREAM_NOISE_FLOW, k, ws[0], params.sigma_u)
+        u, spare = ws[0], ws[3:].reshape(-1)
         width = min(tau, _INCREMENT_BLOCK)  # increments of one path drawn at a time
         if spare.size < width:  # a chunk of a few paths
             spare = np.empty(width)
@@ -427,65 +430,61 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
 
 
 def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed: bool = True) -> np.ndarray:
-    """Fill the rows x, y, y_tilde and p of `paths` from its drawn v, u and
-    eps rows.  With no privacy stream p prices y, and eps = 0 and y_tilde = y
-    are written only when `observed`: the batched run reads neither."""
-    v, u, eps, x, y, y_tilde, p = paths
-    np.multiply(np.subtract(v, params.p0, out=x), eq.beta, out=x)
+    """Fill the rows x, y, y_tilde and q = p - p0 of `paths` from its drawn u,
+    w = v - p0 and eps rows.  With no privacy stream q prices y, and eps = 0 and
+    y_tilde = y are written only when `observed`: the batched run reads neither."""
+    u, w, eps, x, y, y_tilde, q = paths
+    np.multiply(w, eq.beta, out=x)
     flow = np.add(x, u, out=y)
     if params.sigma_eps > 0:
         flow = np.add(y, eps, out=y_tilde)
     elif observed:
         eps.fill(0.0)
         np.copyto(y_tilde, y)
-    np.add(np.multiply(flow, eq.lam, out=p), params.p0, out=p)
+    np.multiply(flow, eq.lam, out=q)
     return paths
 
 
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
-    """Paths first..m-1 of chunk k as the rows (v, u, eps, x, y, y_tilde, p),
-    in the field order of PathRealization, of a new (7, m - first) array."""
+    """Paths first..m-1 of chunk k as the centred rows (u, w, eps, x, y,
+    y_tilde, q) of `_assemble`, of a new (7, m - first) array."""
     draws = [lambda ws, _, draw=draw: draw(ws, k) for draw in _path_draws(params, seed)]
     return _run_chunks(m, m, draws, lambda ws: [(m, _assemble(ws[:7, 0, first:].copy(), params, eq))])[1]
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
     """The P&L step: rows eps, x and y of assembled paths become, and are
-    returned as, pnl_noise (v - p)u, pnl_informed (v - p)x and pnl_maker
-    (p - v)y, in place.  The eps row, free once y_tilde is formed, holds
-    v - p until last; p - v is its exact negation, so pnl_maker is -(v - p)y
-    bit for bit and no other row is touched."""
-    v, u, eps, x, y, _, p = paths
-    edge = np.subtract(v, p, out=eps)
+    returned as, pnl_noise (v - p)u, pnl_informed (v - p)x and -pnl_maker
+    (v - p)y, in place, the eps row holding v - p = w - q until last.  IEEE
+    rounding is sign-symmetric, so pnl_maker's mean and m2 follow bit for bit."""
+    u, w, eps, x, y, _, q = paths
+    edge = np.subtract(w, q, out=eps)
     np.multiply(edge, x, out=x)
-    np.negative(np.multiply(edge, y, out=y), out=y)
+    np.multiply(edge, y, out=y)
     np.multiply(edge, u, out=eps)
     return paths[2:5]
 
 
-def _stats_of(paths: np.ndarray, p0: float, work: np.ndarray) -> list[tuple]:
+def _stats_of(paths: np.ndarray, work: np.ndarray) -> list[tuple]:
     """The summaries of the g chunks of a (7, g, m) array of the rows of
     _chunk_paths, which is overwritten, with `work` a (2, g, m) scratch array.
 
-    The rows become, in place, (v, v - p0, pnl_noise, pnl_informed,
-    pnl_maker, y_tilde, p), reduced as one block by `_row_moments`.  Raises
-    AssertionError when the P&L of a path within the double range does not
-    sum to zero.
+    Rows 1 to 6 become, in place, (w, pnl_noise, pnl_informed, -pnl_maker,
+    y_tilde, q), reduced as one block by `_row_moments`.  Raises AssertionError
+    when the P&L of a path within the double range does not sum to zero.
     """
-    v, u = paths[:2]
     pnl = _pnl(paths)
     # path-wise zero sum is an algebraic identity, up to float rounding; a
     # path whose P&L scale is not finite is out of the double range, and
     # the Check records fail its estimates with z = inf
-    resid, scale, mag = *work, u
-    np.abs(np.add.reduce(pnl, axis=0, out=resid), out=resid)
+    resid, scale, mag = *work, paths[0]
+    np.abs(np.subtract(np.add(pnl[0], pnl[1], out=resid), pnl[2], out=resid), out=resid)
     np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
     np.add(scale, np.abs(pnl[2], out=mag), out=scale)
     np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
     if not np.all(resid <= scale) and np.isfinite(scale[~(resid <= scale)]).any():
         raise AssertionError("path-wise P&L did not sum to zero")
-    np.subtract(v, p0, out=u)
-    return _row_moments(paths, work)
+    return _row_moments(paths[1:], work)
 
 
 def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSample:
@@ -499,15 +498,15 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     """
 
     def finish(ws: np.ndarray) -> list[tuple]:
-        return _stats_of(_assemble(ws[:7], params, eq), params.p0, ws[7:])
+        return _stats_of(_assemble(ws[:7], params, eq), ws[7:])
 
     n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed), finish)
     stats = SampleStats(
-        pnl_informed=RunningMoments(n, means[3], m2[3]),
-        pnl_noise=RunningMoments(n, means[2], m2[2]),
-        pnl_maker=RunningMoments(n, means[4], m2[4]),
-        signal_value=RunningCross(n, means[5], means[1], m2[5], m2[1], c_signal),
-        price_value=RunningCross(n, means[0], means[6], m2[0], m2[6], c_price),
+        pnl_informed=RunningMoments(n, means[2], m2[2]),
+        pnl_noise=RunningMoments(n, means[1], m2[1]),
+        pnl_maker=RunningMoments(n, -means[3], m2[3]),  # _pnl leaves it negated
+        signal_value=RunningCross(n, means[4], means[0], m2[4], m2[0], c_signal),
+        price_value=RunningCross(n, params.p0 + means[0], params.p0 + means[5], m2[0], m2[5], c_price),
     )
     return PathSample(params=params, eq=eq, cfg=cfg, stats=stats)
 
@@ -527,6 +526,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
         return _row_moments(_pnl(_assemble(ws[:7], params, eq, observed=False)))
 
     n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed, bp.tau), finish)
+    means[2] = -means[2]  # _pnl leaves the maker's P&L negated
     return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
 
 
@@ -742,8 +742,8 @@ def verify_best_response(
 
     def finish(ws: np.ndarray) -> list[tuple]:
         if params.sigma_eps > 0:
-            ws[1] += ws[2]
-        return _row_moments(ws[1:2])
+            ws[0] += ws[2]
+        return _row_moments(ws[:1])
 
     n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed)[1:], finish)
     z_se = RunningMoments(n, z_mean, z_m2).se

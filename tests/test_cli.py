@@ -160,6 +160,14 @@ class TestSimulateCommand:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
+    def test_large_price_level_passes(self, capsys):
+        # the simulator plays v - p0, so a level of 1e16 rounds no value draw away
+        rc, out, _ = run(capsys, "simulate", "--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "0.5",
+                         "--p0", "1e16", "--n-paths", "1000000", "--seed", "42")
+        assert rc == 0
+        assert out.count("PASS") == 6
+        assert "FAIL" not in out
+
     def test_statistical_failure_exits_three(self, capsys):
         # seed 315 at n=2000 puts one estimate just past 3 se of its target
         rc, out, _ = run(capsys, "simulate", "--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "1",

@@ -80,21 +80,22 @@ class TestDeterminism:
 
     def test_materialized_and_summary_agree(self):
         # the run's statistics are those of its chunks' paths, folded in order;
-        # the rows are (v, v - p0, pnl_noise, pnl_informed, pnl_maker, y_tilde, p)
+        # the rows are (w, pnl_noise, pnl_informed, -pnl_maker, y_tilde, q),
+        # with w = v - p0 and q = p - p0
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         stats = simulate(UNIT, UNIT_EQ, cfg).stats
         widths = [min(8192, 50_000 - 8192 * k) for k in range(7)]
         chunks = [
-            _stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, m)[:, None], 0.0, np.empty((2, 1, m)))[0]
+            _stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, m)[:, None], np.empty((2, 1, m)))[0]
             for k, m in enumerate(widths)
         ]
         n, means, m2, (c_price, c_signal) = functools.reduce(_merge, chunks)
         assert astuple(stats) == (
-            (n, means[3], m2[3]),
             (n, means[2], m2[2]),
-            (n, means[4], m2[4]),
-            (n, means[5], means[1], m2[5], m2[1], c_signal),
-            (n, means[0], means[6], m2[0], m2[6], c_price),
+            (n, means[1], m2[1]),
+            (n, -means[3], m2[3]),
+            (n, means[4], means[0], m2[4], m2[0], c_signal),
+            (n, UNIT.p0 + means[0], UNIT.p0 + means[5], m2[0], m2[5], c_price),
         )
 
     def test_optimized_interpreter_gives_the_same_stats(self):
@@ -117,13 +118,14 @@ class TestDeterminism:
 
 class TestPathInvariants:
     def test_stored_identities_hold_exactly(self):
+        # on the centred rows: w = v - p0 and q = p - p0
         p = MarketParams(2.0, 0.7, 1.3, p0=5.0)
         eq = solve_closed_form(p)
-        v, u, eps, x, y, y_tilde, price = _chunk_paths(p, eq, 11, 0, 10_000)
+        u, w, eps, x, y, y_tilde, q = _chunk_paths(p, eq, 11, 0, 10_000)
         assert np.array_equal(y, x + u)
         assert np.array_equal(y_tilde, y + eps)
-        assert np.array_equal(x, eq.beta * (v - p.p0))
-        assert np.array_equal(price, p.p0 + eq.lam * y_tilde)
+        assert np.array_equal(x, eq.beta * w)
+        assert np.array_equal(q, eq.lam * y_tilde)
 
     def test_single_path_access(self):
         sample = simulate(UNIT, UNIT_EQ, SimConfig(100, 3))
@@ -138,7 +140,8 @@ class TestPathInvariants:
         sample = simulate(p, eq, SimConfig(n, 19, chunk_size=cs))
         for i in (0, cs - 1, cs, n - 1):
             chunk = _chunk_paths(p, eq, 19, i // cs, min(cs, n - i // cs * cs))
-            assert astuple(sample.path(i)) == tuple(float(a[i % cs]) for a in chunk)
+            u, w, eps, x, y, y_tilde, q = (float(a[i % cs]) for a in chunk)
+            assert astuple(sample.path(i)) == (p.p0 + w, u, eps, x, y, y_tilde, p.p0 + q)
         for i in (n, -1):
             with pytest.raises(IndexError):
                 sample.path(i)
@@ -166,9 +169,10 @@ class TestPathInvariants:
             assert np.array_equal(noisy[1], quiet[1])
 
     def test_pathwise_zero_sum(self):
-        v, u, _, x, y, _, p = _chunk_paths(UNIT, UNIT_EQ, 13, 0, 50_000)
-        terms = (v - p) * x + (v - p) * u + (p - v) * y
-        scale = np.abs((v - p) * x) + np.abs((v - p) * u) + np.abs((p - v) * y)
+        # v - p = w - q on the centred rows
+        u, w, _, x, y, _, q = _chunk_paths(UNIT, UNIT_EQ, 13, 0, 50_000)
+        terms = (w - q) * x + (w - q) * u + (q - w) * y
+        scale = np.abs((w - q) * x) + np.abs((w - q) * u) + np.abs((q - w) * y)
         assert np.all(np.abs(terms) <= 1e-12 * scale + 1e-300)
 
     def test_broken_zero_sum_trips_the_check(self):
@@ -176,7 +180,7 @@ class TestPathInvariants:
         paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
         paths[4, 5] += 1.0
         with pytest.raises(AssertionError):
-            _stats_of(paths[:, None], 0.0, np.empty((2, 1, 4096)))
+            _stats_of(paths[:, None], np.empty((2, 1, 4096)))
 
     def test_observed_flow_mean_and_variance(self):
         # Var(y_tilde) = beta^2*sigma_v^2 + sigma_u^2 + sigma_eps^2 = 4 here
@@ -311,8 +315,8 @@ class TestPriceMoments:
         intercept = s.mean_y - pm.slope * s.mean_x
         parts = []
         for k in range(4):
-            v, *_, p = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            parts += _row_moments((p - (intercept + pm.slope * v))[None, None] ** 2)
+            _, w, *_, q = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
+            parts += _row_moments((q - (intercept + pm.slope * w))[None, None] ** 2)  # v = w and p = q at p0 = 0
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         squares = RunningMoments(n, mean, m2)
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
@@ -389,7 +393,7 @@ class TestBestResponse:
         eq = solve_closed_form(params)
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
-            _, u, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
+            u, _, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
             parts += _row_moments((u + eps)[None, None])
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         zm = RunningMoments(n, mean, m2)
@@ -452,18 +456,19 @@ class TestBatchedSimulation:
     @staticmethod
     def one_draw_per_chunk(bp, eq, cfg):
         """The P&L moments of a run that draws each chunk's (m, tau)
-        increments at once and sums them with numpy."""
+        increments at once and sums them with numpy, played in centred units
+        w = v - p0 and q = p - p0."""
         p, tau = bp.base, bp.tau
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
             m = min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size)
-            v = p.p0 + p.sigma_v * _chunk_rng(cfg.seed, 0, k).standard_normal(m)
+            w = p.sigma_v * _chunk_rng(cfg.seed, 0, k).standard_normal(m)
             u = (p.sigma_u * _chunk_rng(cfg.seed, 1, k).standard_normal((m, tau))).sum(axis=1)
-            x = eq.beta * (v - p.p0)
+            x = eq.beta * w
             y = x + u
-            price = p.p0 + eq.lam * y
-            edge = v - price
-            parts += _row_moments(np.array([edge * x, edge * u, (price - v) * y])[:, None])
+            q = eq.lam * y
+            edge = w - q
+            parts += _row_moments(np.array([edge * x, edge * u, (q - w) * y])[:, None])
         n, means, m2, _ = functools.reduce(_merge, parts)
         return [RunningMoments(n, mean, q) for mean, q in zip(means, m2)]
 
@@ -656,6 +661,21 @@ class TestWorkerPool:
         monkeypatch.setenv("PRIVACY_LAB_THREADS", "1")
         simulate(UNIT, UNIT_EQ, SimConfig(50_000, 37, chunk_size=4096))
         assert montecarlo._pool is None
+
+    def test_default_cap_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # one CPU allowed of eight: the caller draws every chunk and submits no helper
+        submitted = []
+        monkeypatch.delenv("PRIVACY_LAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo, "_submit", lambda *args: submitted.append(args) or [])
+        assert montecarlo._thread_cap() == 1
+        assert simulate(UNIT, UNIT_EQ, POOL_CFG).n == POOL_CFG.n_paths
+        assert submitted == []
+        # without an affinity mask, the CPU count, still at most 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 12)
+        assert montecarlo._thread_cap() == 8
 
     def test_changing_the_cap_keeps_the_bits(self, monkeypatch):
         runs = []

@@ -11,6 +11,9 @@ set of `PARAMS`; one of them breaks the targets of `_play_forms` rather than
 the simulator.  The rows that mutate `_path_draws` run `verify_batched`
 at the batch lengths of `BATCHED`, and the narrow-chunk `_merge` rows run
 `NARROW`, whose 64-path chunks make the fold merge often enough to show.
+The simulator plays in centred units, w = v - p0 and q = p - p0, so the
+price level enters only `PathSample.path(i)`; the rows that mutate it run
+`REPLAY`, the same six checks read from paths replayed one at a time.
 The z-scores in the comments were measured on this table's runs.
 
 A second table does the same for the paper bundle's Figure 1 checks: each
@@ -20,8 +23,9 @@ it reports.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ import pytest
 from privacy_lab import BatchParams, MarketParams, SimConfig, montecarlo, report, solve_closed_form, verify_batched
 from privacy_lab import verify_simulation, write_report_bundle
 from privacy_lab.equilibrium import FORMS, _closed_forms
-from privacy_lab.montecarlo import _CO_ROWS
+from privacy_lab.montecarlo import _CO_ROWS, PathSample, RunningCross, RunningMoments, SampleStats
 
 CFG = SimConfig(1_000_000, 42)
 PARAMS = (MarketParams(1.0, 1.0, 0.5), MarketParams(1.0, 1.0, 0.5, p0=100.0), MarketParams(2.0, 0.3, 1.7))
@@ -46,6 +50,35 @@ BATCHED = tuple(
     partial(verify_batched, BatchParams(MarketParams(1.0, 1.0), tau), SimConfig(200_000, 42)) for tau in (1, 4, 16)
 )
 NARROW = (partial(verify_simulation, PARAMS[0], solve_closed_form(PARAMS[0]), SimConfig(100_000, 42, chunk_size=64)),)
+
+
+def replayed(sample: PathSample) -> PathSample:
+    """`sample` with the statistics of the paths its path(i) replays, in
+    levels, each moment by two passes."""
+    v, u, eps, x, y, y_tilde, p = np.array([astuple(sample.path(i)) for i in range(sample.n)]).T
+
+    def moments(a):
+        mean = float(a.mean())
+        return RunningMoments(a.size, mean, float(((a - mean) ** 2).sum()))
+
+    def cross(a, b):
+        ma, mb = moments(a), moments(b)
+        return RunningCross(a.size, ma.mean, mb.mean, ma.m2, mb.m2, float(((a - ma.mean) * (b - mb.mean)).sum()))
+
+    edge = v - p
+    pnl = (moments(edge * x), moments(edge * u), moments(-edge * y))
+    return replace(sample, stats=SampleStats(*pnl, cross(y_tilde, v - sample.params.p0), cross(v, p)))
+
+
+def verify_replayed(params: MarketParams, cfg: SimConfig) -> list:
+    """verify_simulation's checks of a run, read from its replayed paths."""
+    eq = solve_closed_form(params)
+    sample = replayed(montecarlo.simulate(params, eq, cfg))
+    with mock.patch.object(montecarlo, "simulate", lambda *args: sample):
+        return verify_simulation(params, eq, cfg)
+
+
+REPLAY = tuple(partial(verify_replayed, p, SimConfig(1000, 42)) for p in PARAMS)
 
 _assemble, _pnl, _ols, _merge, _path_draws, _play_forms = (
     montecarlo._assemble,
@@ -66,25 +99,29 @@ def trader_at_beta_1_01(paths, params, eq, observed=True):
 
 
 def eps_left_out_of_price(paths, params, eq, observed=True):
-    """p = p0 + lam*y; y_tilde, which the maker is said to see, unchanged."""
+    """q = p - p0 = lam*y; y_tilde, which the maker is said to see, unchanged."""
     _assemble(paths, params, eq, observed)
-    _, _, _, _, y, _, p = paths
-    np.add(np.multiply(y, eq.lam, out=p), params.p0, out=p)
+    _, _, _, _, y, _, q = paths
+    np.multiply(y, eq.lam, out=q)
     return paths
 
 
-def p0_left_out_of_price(paths, params, eq, observed=True):
-    """p = lam*y_tilde."""
-    _assemble(paths, params, eq, observed)
-    np.multiply(paths[5], eq.lam, out=paths[6])
-    return paths
+class P0LeftOutOfPrice(PathSample):
+    """path(i).p = lam*y_tilde."""
+
+    def path(self, i):
+        r = super().path(i)
+        return replace(r, p=self.eq.lam * r.y_tilde)
 
 
-def p0_left_out_of_order(paths, params, eq, observed=True):
-    """x = beta*v, not beta*(v - p0); the flows and price follow from it."""
-    _assemble(paths, replace(params, p0=0.0), eq, observed)
-    np.add(paths[6], params.p0, out=paths[6])  # p = p0 + lam*y_tilde again
-    return paths
+class P0LeftOutOfOrder(PathSample):
+    """path(i).x = beta*v, not beta*(v - p0); the flows and price follow from it."""
+
+    def path(self, i):
+        r = super().path(i)
+        x = self.eq.beta * r.v
+        y_tilde = x + r.u + r.eps
+        return replace(r, x=x, y=x + r.u, y_tilde=y_tilde, p=self.params.p0 + self.eq.lam * y_tilde)
 
 
 def pnl_informed_and_noise_swapped(paths):
@@ -139,7 +176,7 @@ def increments_scaled_by_sqrt_tau(params, seed, tau=1):
 
     def scaled(ws, k):
         noise_flow(ws, k)
-        ws[1] *= math.sqrt(tau)
+        ws[0] *= math.sqrt(tau)
 
     return value, scaled
 
@@ -167,16 +204,18 @@ MUTANTS = [
     # z 177 / 177 / 2.27e4: the price loses variance; the OLS lambda still
     # regresses v on the y_tilde it is given
     pytest.param("_assemble", eps_left_out_of_price, SIMULATE, (("Var(p|v)",),) * 3, id="eps_left_out_of_price"),
+    # Replayed at 1000 paths, unmutated: max z 1.67 / 1.67 / 1.37
+    pytest.param("PathSample", PathSample, REPLAY, (NONE, NONE, NONE), id="replay_unmutated"),
     # An equivalent mutant to every check, at any p0: x, u and y have mean
     # zero, so a price shifted by a constant moves no expected P&L, and the
     # slope and residual variance of p given v do not see a constant.
-    pytest.param("_assemble", p0_left_out_of_price, SIMULATE, (NONE, NONE, NONE), id="p0_left_out_of_price"),
-    # z 1.0e5 on pi_I and 5.4e4 on pi_M at p0 = 100: the order's mean
+    pytest.param("PathSample", P0LeftOutOfPrice, REPLAY, (NONE, NONE, NONE), id="p0_left_out_of_price"),
+    # z 3.3e3 on pi_I and 1.8e3 on pi_M at p0 = 100: the order's mean
     # beta*p0 lifts the mean price by lam*beta*p0 = p0/2, so the trader hands
     # the maker about beta*p0^2/2 a period; pi_N, with u of mean zero, does
     # not move.  At p0 = 0 it is the unmutated run.
     pytest.param(
-        "_assemble", p0_left_out_of_order, SIMULATE, (NONE, ("π_I", "π_M"), NONE), id="p0_left_out_of_order"
+        "PathSample", P0LeftOutOfOrder, REPLAY, (NONE, ("π_I", "π_M"), NONE), id="p0_left_out_of_order"
     ),
     # z 1204 / 1040, 1204 / 1040 and 4164 / 595 on pi_I / pi_N.  The rows
     # still sum to zero path by path, and the price checks read no P&L.

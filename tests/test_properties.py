@@ -10,7 +10,10 @@ bench share, checks every public closed-form record, on the conftest grid
 and at magnitudes where a naive double evaluation overflows or underflows;
 it also checks every target of `_play_forms`, which the Monte Carlo checks
 are judged against, there and over the same 200 orders of magnitude, and
-the batched market's price impact and welfare targets on the grid.
+the batched market's price impact and welfare targets on the grid.  In the
+unit region, sigma_v and the larger noise sigma in [1, 2), every field and
+target is checked against it as well.  The simulator's statistics are those
+of the run at p0 = 0 bit for bit, but for the price level in two means.
 Every numeric argument of the parameter types and of the functions that take
 their own rejects a bad value with a ParamError naming that argument, and a
 real field given an int holds the equal float.
@@ -18,12 +21,13 @@ real field given an int holds the equal float.
 
 import math
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields, replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from conftest import oracle
 from privacy_lab import (
@@ -38,6 +42,7 @@ from privacy_lab import (
     incremental_gains,
     posterior_slope,
     privacy_subsidy,
+    simulate,
     solve_closed_form,
     solve_fixed_point,
     subsidy_analysis,
@@ -359,6 +364,51 @@ def test_simulation_targets_on_grid(grid1000):
 def test_simulation_targets_match_the_reference(sv, su, se, beta_scale):
     # at beta_scale 2 the trader's lam*beta is 1, so pi_I is 0 up to rounding
     assert_simulation_targets_match(MarketParams(sv, su, se), beta_scale)
+
+
+unit = st.floats(1.0, 2.0, exclude_max=True)
+
+
+@PROPERTY
+@given(unit, unit, st.floats(-323.0, 0.0).map(lambda e: 10.0**e), st.integers(0, 99))
+def test_reference_in_the_unit_region(sv, big, small, case):
+    # sigma_v and the larger noise sigma in [1, 2), the smaller log-uniform in
+    # [1e-323, 1] in either order, and sigma_eps = 0 one time in 50: scaling
+    # by powers of two takes every input into these two families.  The
+    # oracle's net_pi_* is not used: each is +-sigma_v*sigma_u/2 exactly.
+    su, se = (big, 0.0) if case < 2 else (big, small) if case % 2 else (small, big)
+    p = MarketParams(sv, su, se)
+    forms = oracle.closed_forms(sv, su, se)
+    classical = mpf(sv) * mpf(su) / 2
+    forms["net_pi_I"], forms["net_pi_N"] = (classical, classical), (-classical, classical)
+    # a true value beyond the double range, such as low_privacy_coeff at a
+    # subnormal sigma_u, is the output boundary's business
+    got = {k: v for k, v in records(p).items() if abs(forms[k][0]) <= sys.float_info.max}
+    assert oracle.mismatches(got, forms, REF_RTOL) == [], p
+    assert_simulation_targets_match(p, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from((0.0, 1.3)), st.integers(1, 5000))
+@example(1e16, 1.3, 4096)
+@example(1e300, 1.3, 4096)
+@example(-1e300, 0.0, 4096)
+def test_price_level_enters_only_the_price_means(p0, sigma_eps, chunk_size):
+    # the simulator plays v - p0: every m2, co-moment and P&L mean is that of
+    # the run at p0 = 0 bit for bit, and price_value's means are p0 plus its means
+    centred = MarketParams(2.0, 0.7, sigma_eps)
+    eq, cfg = solve_closed_form(centred), SimConfig(3000, 5, chunk_size)
+    base = simulate(centred, eq, cfg)
+    level = simulate(replace(centred, p0=p0), eq, cfg)
+    prices = base.stats.price_value
+    assert level.stats.price_value.mean_x == p0 + prices.mean_x
+    assert level.stats.price_value.mean_y == p0 + prices.mean_y
+    means = {"mean_x": level.stats.price_value.mean_x, "mean_y": level.stats.price_value.mean_y}
+    assert repr(level.stats) == repr(replace(base.stats, price_value=replace(prices, **means)))
+    # so are the replayed paths, but for their v and p
+    for i in (0, cfg.n_paths - 1):
+        v, *flows, p = astuple(base.path(i))
+        assert astuple(level.path(i)) == (p0 + v, *flows, p0 + p)
 
 
 @pytest.mark.parametrize("tau", (1, 4, 16))

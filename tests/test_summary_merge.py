@@ -47,10 +47,10 @@ def two_pass(sample: np.ndarray, paired: bool) -> tuple:
     rho=st.floats(-1.0, 1.0),
 )
 def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc, scale, rho):
-    # the paired layout has the seven rows whose _CO_ROWS pairs are co-moments,
+    # the paired layout has the six rows whose _CO_ROWS pairs are co-moments,
     # each pair correlated by rho
     rng = np.random.default_rng(seed)
-    sample = rng.standard_normal((7 if paired else rows, sum(sizes)))
+    sample = rng.standard_normal((6 if paired else rows, sum(sizes)))
     if paired:
         for i, j in _CO_ROWS:
             sample[j] = rho * sample[i] + math.sqrt(1.0 - rho * rho) * sample[j]
@@ -95,16 +95,18 @@ def test_grouped_run_is_the_fold_of_its_chunks(chunk_size, chunks, last, sigma_e
     stats = simulate(params, eq, SimConfig(n, seed, chunk_size=chunk_size)).stats
     widths = [min(chunk_size, n - k * chunk_size) for k in range(chunks)]
     alone = [
-        _stats_of(_chunk_paths(params, eq, seed, k, m)[:, None], params.p0, np.empty((2, 1, m)))[0]
+        _stats_of(_chunk_paths(params, eq, seed, k, m)[:, None], np.empty((2, 1, m)))[0]
         for k, m in enumerate(widths)
     ]
+    # the rows (w, pnl_noise, pnl_informed, -pnl_maker, y_tilde, q), in
+    # centred units: p0 enters only the price_value means
     n, means, m2, (c_price, c_signal) = functools.reduce(_merge, alone)
     assert repr(astuple(stats)) == repr((
-        (n, means[3], m2[3]),
         (n, means[2], m2[2]),
-        (n, means[4], m2[4]),
-        (n, means[5], means[1], m2[5], m2[1], c_signal),
-        (n, means[0], means[6], m2[0], m2[6], c_price),
+        (n, means[1], m2[1]),
+        (n, -means[3], m2[3]),
+        (n, means[4], means[0], m2[4], m2[0], c_signal),
+        (n, params.p0 + means[0], params.p0 + means[5], m2[0], m2[5], c_price),
     ))  # repr tells -0.0 from 0.0
 
 
