@@ -1,4 +1,5 @@
-"""The one output renderer of every CLI output and bundle artifact.
+"""The one output renderer of every CLI output and every bundle artifact
+but figure1.json, a one-line `json.dumps(..., sort_keys=True)` of its own.
 
 Bytes are deterministic: floats carry 17 significant digits (round-trip
 exact), rows follow the input order, and no timestamps or environment data

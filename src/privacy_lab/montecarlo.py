@@ -236,22 +236,25 @@ def _run_chunks(n: int, width: int, draws, finish):
 # merge, so path counts up to 1e8 need O(1) memory.
 # ---------------------------------------------------------------------------
 
-# the rows (i, j) of each co-moment of _row_moments, in the block _stats_of
-# reduces: (w, q) and (w, y_tilde)
+# the rows (i, j) of each co-moment a chunk summary holds, in the block
+# _stats_of reduces: (w, q) and (w, y_tilde).  _row_moments multiplies these
+# pairs and _merge folds them, so this list is the one place that names them.
 _CO_ROWS = ((0, 5), (0, 4))
 
 
 def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> list[tuple]:
     """The summaries (n, means, m2, co) of the g chunks of a (r, g, m) array,
     which is overwritten: each row's mean and centered second moment, and,
-    when `work`, a (2, g, m) array, is given, the co-moments of _CO_ROWS.
-    Each chunk's row is contiguous, and numpy sums it pairwise on its own."""
+    when `work`, a (len(_CO_ROWS), g, m) array, is given, the co-moments of
+    _CO_ROWS.  Each chunk's row is contiguous, and numpy sums it pairwise on
+    its own."""
     n = rows.shape[2]
     means = rows.sum(axis=2) / n
     rows -= means[:, :, None]
     co = [[]] * rows.shape[1]
     if work is not None:
-        np.multiply(rows[0], rows[5:3:-1], out=work)  # the pairs of _CO_ROWS
+        for k, (i, j) in enumerate(_CO_ROWS):
+            np.multiply(rows[i], rows[j], out=work[k])
         co = work.sum(axis=2).T.tolist()
     m2 = np.square(rows, out=rows).sum(axis=2)
     return [(n, *s) for s in zip(means.T.tolist(), m2.T.tolist(), co)]
@@ -560,28 +563,21 @@ class SlopeEstimate:
     se: float
 
 
-def _square_over(a: float, b: float) -> float:
-    """a**2 / b where a**2 alone may overflow: float ** raises OverflowError
-    there.  The plain form stays wherever it does not overflow, because
-    a*(a/b) rounds differently and would move the low bits of those
-    estimates."""
-    try:
-        return a**2 / b
-    except OverflowError:
-        return a * (a / b)
-
-
 def _ols(s: RunningCross) -> tuple[float, float, float]:
-    """Slope of y on x, its standard error and the residual variance sse/(n - 2);
-    all NaN when the spread m2_x of x underflowed to 0 (sigmas near 1e-200),
-    and the se and residual variance NaN when sse rounds below zero: a fit
-    too near exact for double precision to resolve its residuals."""
+    """Slope c_xy/m2_x of y on x, its standard error and the residual variance
+    (m2_y - slope*c_xy)/(n - 2), one formula at every magnitude: it never forms
+    c_xy**2, and by Cauchy-Schwarz 0 <= slope*c_xy <= m2_y, so no intermediate
+    leaves the range of the moments.  All NaN when the spread m2_x of x
+    underflowed to 0 (sigmas near 1e-200), and the se and residual variance
+    NaN when the residual sum rounds below zero: a fit too near exact for
+    double precision to resolve its residuals."""
     _require_paths(s.n, 100)
     if s.m2_x == 0:
         return math.nan, math.nan, math.nan
-    resid_var = (s.m2_y - _square_over(s.c_xy, s.m2_x)) / (s.n - 2)
+    slope = s.c_xy / s.m2_x
+    resid_var = (s.m2_y - slope * s.c_xy) / (s.n - 2)
     resid_var = resid_var if resid_var >= 0 else math.nan
-    return s.c_xy / s.m2_x, math.sqrt(resid_var / s.m2_x), resid_var
+    return slope, math.sqrt(resid_var / s.m2_x), resid_var
 
 
 def estimate_lambda_regression(sample: PathSample) -> SlopeEstimate:

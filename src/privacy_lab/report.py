@@ -1,7 +1,8 @@
 """Parameter sweeps and the verified paper bundle.
 
 Sweep rows and bundle artifacts are written through the one renderer in
-`_render` (17-digit floats, rows in input order, no timestamps).  The
+`_render` (17-digit floats, rows in input order, no timestamps), but for
+figure1.json, one `json.dumps(..., sort_keys=True)` line of its own.  The
 bundle reads every subsidy it writes from `sweep` rows, and the Figure 1
 inflection from the same kernel, so neither a sweep nor the bundle loads
 `welfare`.

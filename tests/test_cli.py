@@ -168,6 +168,15 @@ class TestSimulateCommand:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
+    def test_tiny_sigmas_pass_the_regression_checks(self, capsys):
+        # the co-moments are ~1e-200, whose square underflows; the residual
+        # variance never forms it, so Var(p|v) and the slope ses read true
+        _, out, _ = run(capsys, "simulate", "--sigma-v", "1e-100", "--sigma-u", "1e-100", "--sigma-eps", "1e-100",
+                        "--n-paths", "10000", "--seed", "42", "--format", "json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("λ (OLS slope)", "E[p|v] slope", "Var(p|v)"):
+            assert checks[name]["pass"], checks[name]
+
     def test_statistical_failure_exits_three(self, capsys):
         # seed 315 at n=2000 puts one estimate just past 3 se of its target
         rc, out, _ = run(capsys, "simulate", "--sigma-v", "1", "--sigma-u", "1", "--sigma-eps", "1",

@@ -35,7 +35,8 @@ from privacy_lab import (
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
-from privacy_lab.montecarlo import RunningMoments, _chunk_paths, _chunk_rng, _merge, _row_moments, _stats_of
+from privacy_lab.montecarlo import RunningCross, RunningMoments, _chunk_paths, _chunk_rng, _merge, _ols, _row_moments
+from privacy_lab.montecarlo import _stats_of
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
@@ -262,6 +263,14 @@ class TestRegressionEstimators:
     def test_needs_hundred_paths(self):
         with pytest.raises(ValueError):
             estimate_lambda_regression(simulate(UNIT, UNIT_EQ, SimConfig(50, 1)))
+
+    @pytest.mark.parametrize("m2", [1e-170, 1e200])
+    def test_residual_stays_in_the_range_of_the_moments(self, m2):
+        # c_xy**2 would underflow to 0 at 1e-170, doubling the residual, and
+        # overflow at 1e200; slope*c_xy never leaves the moments' range
+        slope, se, resid_var = _ols(RunningCross(1000, 0.0, 0.0, m2, 2 * m2, m2))
+        assert (slope, resid_var) == (1.0, m2 / 998)
+        assert se == math.sqrt(resid_var / m2)
 
     def test_unresolvable_fit_fails_its_checks(self):
         # at beta x 1e8 the flow is all but exactly 1e8*beta*(v - p0), and the

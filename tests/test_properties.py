@@ -12,8 +12,11 @@ it also checks every target of `_play_forms`, which the Monte Carlo checks
 are judged against, there and over the same 200 orders of magnitude, and
 the batched market's price impact and welfare targets on the grid.  In the
 unit region, sigma_v and the larger noise sigma in [1, 2), every field and
-target is checked against it as well.  The simulator's statistics are those
-of the run at p0 = 0 bit for bit, but for the price level in two means.
+target is checked against it as well.  Every closed form and target scales
+by its own power of two, exactly, when the sigmas do; the kernels do not yet
+hold this over the whole double range (ROADMAP item 7), so that property is
+an expected failure.  The simulator's statistics are those of the run at
+p0 = 0 bit for bit, but for the price level in two means.
 Every numeric argument of the parameter types and of the functions that take
 their own rejects a bad value with a ParamError naming that argument, and a
 real field given an int holds the equal float.
@@ -53,7 +56,7 @@ from privacy_lab import (
     welfare_at,
     welfare_decomposition,
 )
-from privacy_lab.equilibrium import _play_forms
+from privacy_lab.equilibrium import FORMS, _closed_forms, _play_forms
 from privacy_lab.report import regime_label
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -386,6 +389,87 @@ def test_reference_in_the_unit_region(sv, big, small, case):
     got = {k: v for k, v in records(p).items() if abs(forms[k][0]) <= sys.float_info.max}
     assert oracle.mismatches(got, forms, REF_RTOL) == [], p
     assert_simulation_targets_match(p, 1.0)
+
+
+# The binary exponents (e_v, e_n) of each closed form, in FORMS order, and of
+# each `_play_forms` target, in its order: with sigma_v times 2**j and sigma_u
+# and sigma_eps times 2**k, so lam times 2**(j - k) and beta times 2**(k - j),
+# the true value is times 2**(e_v*j + e_n*k).
+FORM_EXPONENTS = dict(zip(FORMS, (
+    (1, -1), (-1, 1),  # lam, beta
+    (1, 1), (1, 1), (1, 1), (1, 1),  # pi_I, pi_N, pi_M, subsidy
+    (1, 0), (1, -1), (0, 1),  # d1, d2, inflection
+    (1, -1), (1, 0),  # low_privacy_coeff, high_privacy_slope
+    (1, 1), (1, 1),  # gain_informed, gain_noise
+    (0, 1), (0, 1), (0, 1),  # e_abs_x, e_abs_u, q_total
+    (1, 0), (1, 1), (1, 1),  # fee_rate, fee_on_informed, fee_on_noise
+    (1, 1), (1, 1),  # net_pi_I, net_pi_N
+), strict=True))
+PLAY_EXPONENTS = {
+    "pi_I": (1, 1), "pi_N": (1, 1), "pi_M": (1, 1), "lambda_ols": (1, -1), "price_slope": (0, 0), "resid_var": (2, 0),
+}
+
+
+def times_two_to(value: float, e: int) -> float | None:
+    """value * 2**e, exactly, where value and the product are normal doubles
+    or value is 0; None otherwise."""
+    if value == 0:
+        return value
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        return None
+    if not sys.float_info.min_exp <= math.frexp(value)[1] + e <= sys.float_info.max_exp:
+        return None
+    return math.ldexp(value, e)
+
+
+def covariance_breaks(sv, su, se, j, k, beta_scale) -> list[tuple]:
+    """(kernel, name, base value, scaled value) of each closed form and each
+    `_play_forms` target, at beta times beta_scale, whose value at the scaled
+    sigmas is not its base value times its power of two.  A value counts only
+    where that product is a normal double or the base value is 0, which must
+    stay 0, and a kernel only where its scaled arguments are exact."""
+    scaled = [times_two_to(x, e) for x, e in ((sv, j), (su, k), (se, k))]
+    if None in scaled:
+        return []
+    forms = _closed_forms(sv, su, se)
+    runs = [("_closed_forms", FORM_EXPONENTS, forms, _closed_forms(*scaled))]
+    lam, beta = forms[0], forms[1] * beta_scale
+    play = times_two_to(lam, j - k), times_two_to(beta, k - j)
+    if None not in play:
+        runs.append(("_play_forms", PLAY_EXPONENTS, _play_forms(sv, su, se, lam, beta), _play_forms(*scaled, *play)))
+    breaks = []
+    for kernel, exponents, base, got in runs:
+        for (name, (e_v, e_n)), b, g in zip(exponents.items(), base, got, strict=True):
+            want = times_two_to(b, e_v * j + e_n * k)
+            if want is not None and g != want:
+                breaks.append((kernel, name, b, g))
+    return breaks
+
+
+log_uniform_30 = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+shift = st.integers(-990, 990)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: a product in _closed_forms or _play_forms can over- or underflow, or go subnormal, "
+    "before its result does"
+))
+@PROPERTY
+@given(log_uniform_30, log_uniform_30, log_uniform_30, st.integers(0, 9), shift, shift,
+       st.sampled_from((0.5, 1.0, 1.2, 2.0)))
+# item 7's sets: fee_on_* at (1, 1e150, 1e-10), where fee_rate is subnormal;
+# pi_N at (1e50, 1e275, 1e300), where 0.5*sv*su overflows; and (2.95e268,
+# 2.37e78, 1.31e-263) at beta x 2, where _play_forms' pi triple is 0 or beyond
+# the double range, but gain_noise is inf*0 = NaN for a true 0
+@example(2.0**60, 1e150, 1e-10, 1, -60, 0, 1.0)
+@example(1e50, math.ldexp(1e275, -990), math.ldexp(1e300, -990), 1, 0, 990, 1.0)
+@example(math.ldexp(2.9499891896526597e+268, -892), 2.374375700585957e+78, 1.3098724312481742e-263, 1, 892, 0, 2.0)
+def test_kernels_are_power_of_two_covariant(sv, su, se, case, j, k, beta_scale):
+    # sigma_v times 2**j and the noise sigmas times 2**k, with sigma_eps = 0
+    # one time in ten: every closed form, which each public record reads by
+    # position, and every Monte Carlo target scales by its own power of two,
+    # exactly, as long as no intermediate leaves the normal range
+    assert covariance_breaks(sv, su, se if case else 0.0, j, k, beta_scale) == [], (sv, su, se, j, k, beta_scale)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)

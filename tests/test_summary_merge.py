@@ -3,7 +3,8 @@
 A chunk's summary is the tuple (n, means, m2, co-moments) of
 `montecarlo._row_moments`, and `montecarlo._merge` is the one fold of two
 summaries.  Hypothesis checks that folding the chunks of any split, chunks of
-one path included, gives the moments of the whole sample, and that a run,
+one path included, gives the moments of the whole sample, for whatever
+co-moment pairs `_CO_ROWS` lists, and that a run,
 which reduces chunks side by side in groups, gives bit for bit the fold of
 its chunks reduced one at a time; an `ast` guard keeps `merge` methods, and
 calls of them, from coming back in the package.
@@ -14,13 +15,14 @@ import functools
 import math
 from dataclasses import astuple
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privacy_lab import MarketParams, SimConfig, simulate, solve_closed_form
+from privacy_lab import MarketParams, SimConfig, montecarlo, simulate, solve_closed_form
 from privacy_lab.montecarlo import _CO_ROWS, _chunk_paths, _merge, _row_moments, _stats_of
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
@@ -28,11 +30,18 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
 RTOL = 1e-12
 
 
-def two_pass(sample: np.ndarray, paired: bool) -> tuple:
-    """(n, means, m2, co) of the rows of `sample`, by centering on the means first."""
+# co-moment pair lists a summary may hold: today's, its reverse, and three
+# pairs over the six rows, so that _row_moments and _merge are seen to read
+# whatever _CO_ROWS lists
+PAIR_LISTS = (_CO_ROWS, _CO_ROWS[::-1], ((3, 1), (2, 5), (4, 0)))
+
+
+def two_pass(sample: np.ndarray, pairs: tuple) -> tuple:
+    """(n, means, m2, co) of the rows of `sample`, by centering on the means
+    first, with the co-moments of `pairs`."""
     means = sample.sum(axis=1) / sample.shape[1]
     dev = sample - means[:, None]
-    co = [float((dev[i] * dev[j]).sum()) for i, j in _CO_ROWS] if paired else []
+    co = [float((dev[i] * dev[j]).sum()) for i, j in pairs]
     return sample.shape[1], means.tolist(), (dev * dev).sum(axis=1).tolist(), co
 
 
@@ -45,25 +54,27 @@ def two_pass(sample: np.ndarray, paired: bool) -> tuple:
     loc=st.floats(-10.0, 10.0),
     scale=st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
     rho=st.floats(-1.0, 1.0),
+    pair_list=st.sampled_from(PAIR_LISTS),
 )
-def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc, scale, rho):
-    # the paired layout has the six rows whose _CO_ROWS pairs are co-moments,
-    # each pair correlated by rho
+def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc, scale, rho, pair_list):
+    # the paired layout has six rows, each pair of the list correlated by rho;
+    # the list is patched in, as hypothesis takes no function-scoped fixture
+    pairs = pair_list if paired else ()
     rng = np.random.default_rng(seed)
     sample = rng.standard_normal((6 if paired else rows, sum(sizes)))
-    if paired:
-        for i, j in _CO_ROWS:
-            sample[j] = rho * sample[i] + math.sqrt(1.0 - rho * rho) * sample[j]
+    for i, j in pairs:
+        sample[j] = rho * sample[i] + math.sqrt(1.0 - rho * rho) * sample[j]
     sample = scale * (loc + sample)
 
     parts, lo = [], 0
-    for m in sizes:
-        chunk = sample[:, lo : lo + m].copy()
-        parts += _row_moments(chunk[:, None], np.empty((2, 1, m)) if paired else None)
-        lo += m
-    n, means, m2, co = functools.reduce(_merge, parts)
+    with patch.object(montecarlo, "_CO_ROWS", pairs):
+        for m in sizes:
+            chunk = sample[:, lo : lo + m].copy()
+            parts += _row_moments(chunk[:, None], np.empty((len(pairs), 1, m)) if paired else None)
+            lo += m
+        n, means, m2, co = functools.reduce(_merge, parts)
 
-    want_n, want_means, want_m2, want_co = two_pass(sample, paired)
+    want_n, want_means, want_m2, want_co = two_pass(sample, pairs)
     assert n == want_n
     # each statistic within RTOL of its own scale: a mean of its row's
     # largest magnitude, a co-moment of the geometric mean of its rows' m2
@@ -72,7 +83,7 @@ def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc
     for got, want in zip(m2, want_m2):
         assert abs(got - want) <= RTOL * want
     assert len(co) == len(want_co)
-    for (i, j), got, want in zip(_CO_ROWS, co, want_co):
+    for (i, j), got, want in zip(pairs, co, want_co):
         # a product of roots, as m2_i * m2_j alone underflows at tiny scales
         assert abs(got - want) <= RTOL * math.sqrt(want_m2[i]) * math.sqrt(want_m2[j])
 
