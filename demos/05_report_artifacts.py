@@ -26,10 +26,11 @@ for line in sweep_to_csv(rows).split("\n")[:3]:
     print(" ", line)
 
 print("\n=== the full verified bundle ===")
-outdir = Path(tempfile.mkdtemp(prefix="privacy_lab_bundle_"))
-result = write_report_bundle(outdir)
-for f in result.files:
-    print(f"  wrote {f}")
-print("verified against pinned values:" , "OK" if result.ok else result.mismatches)
-print("\nthe same bundle is available from the command line:")
-print(f"  privacy-lab reproduce-paper --outdir {outdir}")
+with tempfile.TemporaryDirectory(prefix="privacy_lab_bundle_") as tmp:
+    outdir = Path(tmp)
+    result = write_report_bundle(outdir)
+    for f in result.files:
+        print(f"  wrote {f}")
+    print("verified against pinned values:" , "OK" if result.ok else result.mismatches)
+    print("\nthe same bundle is available from the command line:")
+    print(f"  privacy-lab reproduce-paper --outdir {outdir}")

@@ -10,29 +10,29 @@ per-chunk summaries are folded in ascending chunk index, and chunks and
 streams are independent by construction.
 
 A chunk's summary is one tuple (n, means, m2, co-moments), made by
-`_row_moments` and folded by `_merge`, the one-pass parallel update of Chan,
-Golub & LeVeque (1979) with co-moments as in Pébay (2008).  A run keeps its
-fold and its groups of chunks in flight, O(1) memory at any path count, and
-builds its public records from the fold at the end, once it has checked
-that the fold counts every path.  Draws within a chunk come out in path
-order, so a length-(j+1) prefix of chunk k reproduces its first j+1 paths
-bit for bit and `PathSample.path(i)` replays one chunk prefix instead of
-storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
+`_per_chunk` from `_row_moments`' blocks and folded by `_merge`, the one-pass
+parallel update of Chan, Golub & LeVeque (1979) with co-moments as in Pébay
+(2008).  A run keeps its fold and its groups of chunks in flight, O(1) memory
+at any path count, and builds its public records from the fold at the end,
+once it has checked that the fold counts every path.  Draws within a chunk come
+out in path order, so a length-(j+1) prefix of chunk k reproduces its first
+j+1 paths bit for bit and `PathSample.path(i)` replays one chunk prefix
+instead of storing paths.  At sigma_eps = 0 the privacy stream is not drawn;
 the other streams, each seeded on its own, are unaffected.
 
 One runner, `_run_chunks`, and one chunk layout serve every entry point: a
-chunk's rows are (u, w, eps, x, y, y_tilde, q) and two work rows, and only
-`_path_draws` draws a stream into them.  They play the game in centred units,
-w = v - p0 and q = p - p0, and the price level enters only `price_value`'s
-two means and the v and p of `PathSample.path(i)`.  The runner's unit of
-parallel work is one stream's draw for one chunk, so a run of a single chunk,
-and a path replay, still spread over the threads.  Up to
-DEFAULT_CHUNK_SIZE // m consecutive chunks of width m share one workspace, a
-float buffer of all their rows; the thread that completes a group's last draw
-assembles and reduces them in one pass over a (rows, chunks, m) view, each
+chunk's seven rows are (u, eps, x, y, y_tilde, q, w), and only `_path_draws`
+draws a stream into them.  They play the game in centred units, w = v - p0 and
+q = p - p0, and the price level enters only `price_value`'s two means and the
+v and p of `PathSample.path(i)`.  The runner's unit of parallel work is one
+stream's draw for one chunk, so a run of a single chunk, and a path replay,
+still spread over the threads.  Up to DEFAULT_CHUNK_SIZE // m consecutive
+chunks of width m share one workspace, a float buffer of all their rows and
+nothing more; the thread that completes a group's last draw assembles and
+reduces them over a (rows, chunks, m) view, a block of rows at a time, each
 chunk's row summed on its own, so the summaries are bit for bit those of one
-chunk at a time.  Idle workspaces of the default size are shared by every
-run in the process; a chunk too wide for one gets its own.
+chunk at a time.  Idle workspaces of the default size are shared by every run
+in the process; a chunk too wide for one gets its own.
 
 ``PRIVACY_LAB_THREADS`` caps how many draws of a run go on at once, the
 caller's included (0 or unset = the CPUs the process may run on, at most 8;
@@ -145,7 +145,7 @@ def _submit(cap: int, fn, count: int) -> list[Future]:
 # Idle workspaces of the default size, shared by every run and guarded by
 # _pool_lock.  A run keeps at most one per thread of its cap: a group of
 # chunks in flight always has a thread drawing or reducing it.
-_WORKSPACE_ROWS = 9  # the seven path rows of _chunk_paths and two work rows
+_WORKSPACE_ROWS = 7  # the path rows of _chunk_paths; the finish reuses spent ones as scratch
 _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
@@ -236,28 +236,28 @@ def _run_chunks(n: int, width: int, draws, finish):
 # merge, so path counts up to 1e8 need O(1) memory.
 # ---------------------------------------------------------------------------
 
-# the rows (i, j) of each co-moment a chunk summary holds, in the block
-# _stats_of reduces: (w, q) and (w, y_tilde).  _row_moments multiplies these
-# pairs and _merge folds them, so this list is the one place that names them.
-_CO_ROWS = ((0, 5), (0, 4))
+_CO_ROWS = ((2, 1), (2, 0))  # (w, q) and (w, y_tilde) of _stats_of's rows: the one list of co-moment pairs
 
 
-def _row_moments(rows: np.ndarray, work: np.ndarray | None = None) -> list[tuple]:
+def _row_moments(rows: np.ndarray, scratch: np.ndarray | None = None) -> tuple:
     """The summaries (n, means, m2, co) of the g chunks of a (r, g, m) array,
-    which is overwritten: each row's mean and centered second moment, and,
-    when `work`, a (len(_CO_ROWS), g, m) array, is given, the co-moments of
-    _CO_ROWS.  Each chunk's row is contiguous, and numpy sums it pairwise on
-    its own."""
+    which is overwritten, side by side as (r, g) arrays, the co-moments of
+    _CO_ROWS formed pair by pair in the (g, m) `scratch` row (none without
+    it).  Each chunk's row is contiguous, and numpy sums it pairwise on its own."""
     n = rows.shape[2]
     means = rows.sum(axis=2) / n
     rows -= means[:, :, None]
-    co = [[]] * rows.shape[1]
-    if work is not None:
-        for k, (i, j) in enumerate(_CO_ROWS):
-            np.multiply(rows[i], rows[j], out=work[k])
-        co = work.sum(axis=2).T.tolist()
-    m2 = np.square(rows, out=rows).sum(axis=2)
-    return [(n, *s) for s in zip(means.T.tolist(), m2.T.tolist(), co)]
+    pairs = _CO_ROWS if scratch is not None else ()
+    co = np.empty((len(pairs), rows.shape[1]))
+    for k, (i, j) in enumerate(pairs):
+        np.multiply(rows[i], rows[j], out=scratch).sum(axis=1, out=co[k])
+    return n, means, np.square(rows, out=rows).sum(axis=2), co
+
+
+def _per_chunk(*blocks: tuple) -> list[tuple]:
+    """One summary per chunk of `_row_moments`' blocks of the same chunks, in order."""
+    means, m2, co = (np.concatenate(arrays).T.tolist() for arrays in list(zip(*blocks))[1:])
+    return [(blocks[0][0], *s) for s in zip(means, m2, co)]
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -368,7 +368,7 @@ class PathSample:
         if not 0 <= index < self.n:
             raise IndexError(f"path index {i!r} out of range for {self.n} paths")
         k, j = divmod(index, self.cfg.chunk_size)
-        u, w, eps, x, y, y_tilde, q = _chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist()
+        u, eps, x, y, y_tilde, q, w = _chunk_paths(self.params, self.eq, self.cfg.seed, k, j + 1, j).ravel().tolist()
         return PathRealization(self.params.p0 + w, u, eps, x, y, y_tilde, self.params.p0 + q)
 
 
@@ -396,21 +396,21 @@ _INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well i
 
 def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     """The draws of a chunk's paths, one per seeded stream, each filling its
-    row u, w = v - p0 or eps of the (u, w, eps, x, y, y_tilde, q) rows.
+    row u, eps or w = v - p0 of the (u, eps, x, y, y_tilde, q, w) rows.
 
     At tau > 1 the noise flow sums tau increments per path, drawn in stream
-    order into the rows after eps in blocks of at most _INCREMENT_BLOCK
-    floats: whole paths, each summed as numpy sums its row, or a longer path
-    block by block.
+    order into the four rows between eps and w, clear of the other draws, in
+    blocks of at most _INCREMENT_BLOCK floats: whole paths, each summed as
+    numpy sums its row, or a longer path block by block.
     """
 
     def value(ws, k):
-        _draw(seed, STREAM_VALUE, k, ws[1], params.sigma_v)
+        _draw(seed, STREAM_VALUE, k, ws[6], params.sigma_v)
 
     def noise_flow(ws, k):
         if tau == 1:
             return _draw(seed, STREAM_NOISE_FLOW, k, ws[0], params.sigma_u)
-        u, spare = ws[0], ws[3:].reshape(-1)
+        u, spare = ws[0], ws[2:6].reshape(-1)
         width = min(tau, _INCREMENT_BLOCK)  # increments of one path drawn at a time
         if spare.size < width:  # a chunk of a few paths
             spare = np.empty(width)
@@ -427,7 +427,7 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
                     total += part
 
     def privacy(ws, k):
-        _draw(seed, STREAM_PRIVACY, k, ws[2], params.sigma_eps)
+        _draw(seed, STREAM_PRIVACY, k, ws[1], params.sigma_eps)
 
     return (value, noise_flow, privacy) if params.sigma_eps > 0 else (value, noise_flow)
 
@@ -436,7 +436,7 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed
     """Fill the rows x, y, y_tilde and q = p - p0 of `paths` from its drawn u,
     w = v - p0 and eps rows.  With no privacy stream q prices y, and eps = 0 and
     y_tilde = y are written only when `observed`: the batched run reads neither."""
-    u, w, eps, x, y, y_tilde, q = paths
+    u, eps, x, y, y_tilde, q, w = paths
     np.multiply(w, eq.beta, out=x)
     flow = np.add(x, u, out=y)
     if params.sigma_eps > 0:
@@ -449,10 +449,10 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed
 
 
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
-    """Paths first..m-1 of chunk k as the centred rows (u, w, eps, x, y,
-    y_tilde, q) of `_assemble`, of a new (7, m - first) array."""
+    """Paths first..m-1 of chunk k as the centred rows (u, eps, x, y,
+    y_tilde, q, w) of `_assemble`, of a new (7, m - first) array."""
     draws = [lambda ws, _, draw=draw: draw(ws, k) for draw in _path_draws(params, seed)]
-    return _run_chunks(m, m, draws, lambda ws: [(m, _assemble(ws[:7, 0, first:].copy(), params, eq))])[1]
+    return _run_chunks(m, m, draws, lambda ws: [(m, _assemble(ws[:, 0, first:].copy(), params, eq))])[1]
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
@@ -460,34 +460,34 @@ def _pnl(paths: np.ndarray) -> np.ndarray:
     returned as, pnl_noise (v - p)u, pnl_informed (v - p)x and -pnl_maker
     (v - p)y, in place, the eps row holding v - p = w - q until last.  IEEE
     rounding is sign-symmetric, so pnl_maker's mean and m2 follow bit for bit."""
-    u, w, eps, x, y, _, q = paths
+    u, eps, x, y, _, q, w = paths
     edge = np.subtract(w, q, out=eps)
     np.multiply(edge, x, out=x)
     np.multiply(edge, y, out=y)
     np.multiply(edge, u, out=eps)
-    return paths[2:5]
+    return paths[1:4]
 
 
-def _stats_of(paths: np.ndarray, work: np.ndarray) -> list[tuple]:
+def _stats_of(paths: np.ndarray) -> list[tuple]:
     """The summaries of the g chunks of a (7, g, m) array of the rows of
-    _chunk_paths, which is overwritten, with `work` a (2, g, m) scratch array.
-
-    Rows 1 to 6 become, in place, (w, pnl_noise, pnl_informed, -pnl_maker,
-    y_tilde, q), reduced as one block by `_row_moments`.  Raises AssertionError
-    when the P&L of a path within the double range does not sum to zero.
-    """
+    _chunk_paths, which is overwritten, over (y_tilde, q, w, pnl_noise,
+    pnl_informed, -pnl_maker), in an order that needs no eighth row: the level
+    block first, its co-moments in the u row `_pnl` spent, the zero-sum check
+    in the spent level rows, the P&L block last.  Raises AssertionError when
+    the P&L of a path within the double range does not sum to zero."""
     pnl = _pnl(paths)
+    level = _row_moments(paths[4:], paths[0])
     # path-wise zero sum is an algebraic identity, up to float rounding; a
     # path whose P&L scale is not finite is out of the double range, and
     # the Check records fail its estimates with z = inf
-    resid, scale, mag = *work, paths[0]
+    resid, scale, mag = paths[4:]
     np.abs(np.subtract(np.add(pnl[0], pnl[1], out=resid), pnl[2], out=resid), out=resid)
     np.add(np.abs(pnl[0], out=scale), np.abs(pnl[1], out=mag), out=scale)
     np.add(scale, np.abs(pnl[2], out=mag), out=scale)
     np.add(np.multiply(1e-12, scale, out=scale), 1e-300, out=scale)
     if not np.all(resid <= scale) and np.isfinite(scale[~(resid <= scale)]).any():
         raise AssertionError("path-wise P&L did not sum to zero")
-    return _row_moments(paths[1:], work)
+    return _per_chunk(level, _row_moments(pnl))
 
 
 def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSample:
@@ -501,15 +501,15 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     """
 
     def finish(ws: np.ndarray) -> list[tuple]:
-        return _stats_of(_assemble(ws[:7], params, eq), ws[7:])
+        return _stats_of(_assemble(ws, params, eq))
 
     n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed), finish)
-    stats = SampleStats(
-        pnl_informed=RunningMoments(n, means[2], m2[2]),
-        pnl_noise=RunningMoments(n, means[1], m2[1]),
-        pnl_maker=RunningMoments(n, -means[3], m2[3]),  # _pnl leaves it negated
-        signal_value=RunningCross(n, means[4], means[0], m2[4], m2[0], c_signal),
-        price_value=RunningCross(n, params.p0 + means[0], params.p0 + means[5], m2[0], m2[5], c_price),
+    stats = SampleStats(  # the rows (y_tilde, q, w, pnl_noise, pnl_informed, -pnl_maker)
+        pnl_informed=RunningMoments(n, means[4], m2[4]),
+        pnl_noise=RunningMoments(n, means[3], m2[3]),
+        pnl_maker=RunningMoments(n, -means[5], m2[5]),  # _pnl leaves it negated
+        signal_value=RunningCross(n, means[0], means[2], m2[0], m2[2], c_signal),
+        price_value=RunningCross(n, params.p0 + means[2], params.p0 + means[1], m2[2], m2[1], c_price),
     )
     return PathSample(params=params, eq=eq, cfg=cfg, stats=stats)
 
@@ -526,7 +526,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     params = replace(bp.base, sigma_eps=0.0)
 
     def finish(ws: np.ndarray) -> list[tuple]:
-        return _row_moments(_pnl(_assemble(ws[:7], params, eq, observed=False)))
+        return _per_chunk(_row_moments(_pnl(_assemble(ws, params, eq, observed=False))))
 
     n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed, bp.tau), finish)
     means[2] = -means[2]  # _pnl leaves the maker's P&L negated
@@ -738,8 +738,8 @@ def verify_best_response(
 
     def finish(ws: np.ndarray) -> list[tuple]:
         if params.sigma_eps > 0:
-            ws[0] += ws[2]
-        return _row_moments(ws[:1])
+            ws[0] += ws[1]
+        return _per_chunk(_row_moments(ws[:1]))
 
     n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed)[1:], finish)
     z_se = RunningMoments(n, z_mean, z_m2).se

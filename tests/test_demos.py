@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.glob("privacy_lab_bundle_*")) == []  # nothing left in its TMPDIR

@@ -35,8 +35,8 @@ from privacy_lab import (
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
-from privacy_lab.montecarlo import RunningCross, RunningMoments, _chunk_paths, _chunk_rng, _merge, _ols, _row_moments
-from privacy_lab.montecarlo import _stats_of
+from privacy_lab.montecarlo import RunningCross, RunningMoments, _chunk_paths, _chunk_rng, _merge, _ols, _per_chunk
+from privacy_lab.montecarlo import _row_moments, _stats_of
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
@@ -81,22 +81,19 @@ class TestDeterminism:
 
     def test_materialized_and_summary_agree(self):
         # the run's statistics are those of its chunks' paths, folded in order;
-        # the rows are (w, pnl_noise, pnl_informed, -pnl_maker, y_tilde, q),
+        # the rows are (y_tilde, q, w, pnl_noise, pnl_informed, -pnl_maker),
         # with w = v - p0 and q = p - p0
         cfg = SimConfig(50_000, 5, chunk_size=8192)
         stats = simulate(UNIT, UNIT_EQ, cfg).stats
         widths = [min(8192, 50_000 - 8192 * k) for k in range(7)]
-        chunks = [
-            _stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, m)[:, None], np.empty((2, 1, m)))[0]
-            for k, m in enumerate(widths)
-        ]
+        chunks = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, 5, k, m)[:, None])[0] for k, m in enumerate(widths)]
         n, means, m2, (c_price, c_signal) = functools.reduce(_merge, chunks)
         assert astuple(stats) == (
-            (n, means[2], m2[2]),
-            (n, means[1], m2[1]),
-            (n, -means[3], m2[3]),
-            (n, means[4], means[0], m2[4], m2[0], c_signal),
-            (n, UNIT.p0 + means[0], UNIT.p0 + means[5], m2[0], m2[5], c_price),
+            (n, means[4], m2[4]),
+            (n, means[3], m2[3]),
+            (n, -means[5], m2[5]),
+            (n, means[0], means[2], m2[0], m2[2], c_signal),
+            (n, UNIT.p0 + means[2], UNIT.p0 + means[1], m2[2], m2[1], c_price),
         )
 
     def test_optimized_interpreter_gives_the_same_stats(self):
@@ -122,7 +119,7 @@ class TestPathInvariants:
         # on the centred rows: w = v - p0 and q = p - p0
         p = MarketParams(2.0, 0.7, 1.3, p0=5.0)
         eq = solve_closed_form(p)
-        u, w, eps, x, y, y_tilde, q = _chunk_paths(p, eq, 11, 0, 10_000)
+        u, eps, x, y, y_tilde, q, w = _chunk_paths(p, eq, 11, 0, 10_000)
         assert np.array_equal(y, x + u)
         assert np.array_equal(y_tilde, y + eps)
         assert np.array_equal(x, eq.beta * w)
@@ -141,7 +138,7 @@ class TestPathInvariants:
         sample = simulate(p, eq, SimConfig(n, 19, chunk_size=cs))
         for i in (0, cs - 1, cs, n - 1):
             chunk = _chunk_paths(p, eq, 19, i // cs, min(cs, n - i // cs * cs))
-            u, w, eps, x, y, y_tilde, q = (float(a[i % cs]) for a in chunk)
+            u, eps, x, y, y_tilde, q, w = (float(a[i % cs]) for a in chunk)
             assert astuple(sample.path(i)) == (p.p0 + w, u, eps, x, y, y_tilde, p.p0 + q)
         for i in (n, -1):
             with pytest.raises(IndexError):
@@ -157,7 +154,7 @@ class TestPathInvariants:
 
     def test_no_privacy_noise_means_exact_signal(self):
         p = MarketParams(1.0, 1.0, 0.0)
-        _, _, eps, _, y, y_tilde, _ = _chunk_paths(p, solve_closed_form(p), 21, 0, 10_000)
+        _, eps, _, y, y_tilde, _, _ = _chunk_paths(p, solve_closed_form(p), 21, 0, 10_000)
         assert np.array_equal(y_tilde, y)
         assert not eps.any()
 
@@ -166,12 +163,12 @@ class TestPathInvariants:
         for k in (0, 1):
             noisy = _chunk_paths(UNIT, UNIT_EQ, 17, k, 5_000)
             quiet = _chunk_paths(quiet_p, solve_closed_form(quiet_p), 17, k, 5_000)
-            assert np.array_equal(noisy[0], quiet[0])
-            assert np.array_equal(noisy[1], quiet[1])
+            assert np.array_equal(noisy[0], quiet[0])  # u
+            assert np.array_equal(noisy[6], quiet[6])  # w
 
     def test_pathwise_zero_sum(self):
         # v - p = w - q on the centred rows
-        u, w, _, x, y, _, q = _chunk_paths(UNIT, UNIT_EQ, 13, 0, 50_000)
+        u, _, x, y, _, q, w = _chunk_paths(UNIT, UNIT_EQ, 13, 0, 50_000)
         terms = (w - q) * x + (w - q) * u + (q - w) * y
         scale = np.abs((w - q) * x) + np.abs((w - q) * u) + np.abs((q - w) * y)
         assert np.all(np.abs(terms) <= 1e-12 * scale + 1e-300)
@@ -179,9 +176,9 @@ class TestPathInvariants:
     def test_broken_zero_sum_trips_the_check(self):
         # p enters all three P&L terms alike, so it is y = x + u that must break
         paths = _chunk_paths(UNIT, UNIT_EQ, 13, 1, 4096)
-        paths[4, 5] += 1.0
+        paths[3, 5] += 1.0  # the y row
         with pytest.raises(AssertionError):
-            _stats_of(paths[:, None], np.empty((2, 1, 4096)))
+            _stats_of(paths[:, None])
 
     def test_observed_flow_mean_and_variance(self):
         # Var(y_tilde) = beta^2*sigma_v^2 + sigma_u^2 + sigma_eps^2 = 4 here
@@ -324,8 +321,9 @@ class TestPriceMoments:
         intercept = s.mean_y - pm.slope * s.mean_x
         parts = []
         for k in range(4):
-            _, w, *_, q = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
-            parts += _row_moments((q - (intercept + pm.slope * w))[None, None] ** 2)  # v = w and p = q at p0 = 0
+            *_, q, w = _chunk_paths(UNIT, UNIT_EQ, 4, k, min(65_536, 200_000 - 65_536 * k))
+            # v = w and p = q at p0 = 0
+            parts += _per_chunk(_row_moments((q - (intercept + pm.slope * w))[None, None] ** 2))
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         squares = RunningMoments(n, mean, m2)
         assert pm.resid_var_se == pm.resid_var * math.sqrt(2.0 / (200_000 - 2))
@@ -402,8 +400,8 @@ class TestBestResponse:
         eq = solve_closed_form(params)
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
-            u, _, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
-            parts += _row_moments((u + eps)[None, None])
+            u, eps, *_ = _chunk_paths(params, eq, cfg.seed, k, min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size))
+            parts += _per_chunk(_row_moments((u + eps)[None, None]))
         n, (mean,), (m2,), _ = functools.reduce(_merge, parts)
         zm = RunningMoments(n, mean, m2)
         chk = verify_best_response(params, eq, v=params.p0 + 1.0, grid_halfwidth=0.5, n_grid=5, cfg=cfg)
@@ -477,7 +475,7 @@ class TestBatchedSimulation:
             y = x + u
             q = eq.lam * y
             edge = w - q
-            parts += _row_moments(np.array([edge * x, edge * u, (q - w) * y])[:, None])
+            parts += _per_chunk(_row_moments(np.array([edge * x, edge * u, (q - w) * y])[:, None]))
         n, means, m2, _ = functools.reduce(_merge, parts)
         return [RunningMoments(n, mean, q) for mean, q in zip(means, m2)]
 
@@ -608,9 +606,25 @@ class TestWorkerPool:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before >= 9 * 8 * 2**20  # a wide workspace was in use
+        assert peak - before >= 7 * 8 * 2**20  # a wide workspace was in use
         assert after - before < 2**20  # and none outlived the call
         assert [w.size for w in idle] == [montecarlo._WORKSPACE_SIZE]
+
+    def test_a_run_holds_one_seven_row_workspace_per_thread(self, monkeypatch):
+        # a default chunk's workspace is its 7 path rows, so two threads hold
+        # at most two of 7 x 65536 floats, and little else
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+        monkeypatch.setenv("PRIVACY_LAB_THREADS", "2")
+        simulate(UNIT, UNIT_EQ, SimConfig(1000, 9))  # the pool's threads start outside the traced run
+        montecarlo._idle_workspaces.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate(UNIT, UNIT_EQ, SimConfig(1_000_000, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * 7 * 65_536 * 8 + 256 * 1024
 
     def test_runner_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # one idle workspace per thread, so neither traced run allocates one

@@ -101,7 +101,7 @@ def trader_at_beta_1_01(paths, params, eq, observed=True):
 def eps_left_out_of_price(paths, params, eq, observed=True):
     """q = p - p0 = lam*y; y_tilde, which the maker is said to see, unchanged."""
     _assemble(paths, params, eq, observed)
-    _, _, _, _, y, _, q = paths
+    _, _, _, y, _, q, _ = paths
     np.multiply(y, eq.lam, out=q)
     return paths
 

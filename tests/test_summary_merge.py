@@ -1,13 +1,14 @@
 """One reduction and one merge for every Monte Carlo summary.
 
-A chunk's summary is the tuple (n, means, m2, co-moments) of
-`montecarlo._row_moments`, and `montecarlo._merge` is the one fold of two
-summaries.  Hypothesis checks that folding the chunks of any split, chunks of
-one path included, gives the moments of the whole sample, for whatever
-co-moment pairs `_CO_ROWS` lists, and that a run,
-which reduces chunks side by side in groups, gives bit for bit the fold of
-its chunks reduced one at a time; an `ast` guard keeps `merge` methods, and
-calls of them, from coming back in the package.
+A chunk's summary is the tuple (n, means, m2, co-moments) that
+`montecarlo._per_chunk` takes from `montecarlo._row_moments`, and
+`montecarlo._merge` is the one fold of two summaries.  Hypothesis checks that
+folding the chunks of any split, chunks of one path included, gives the
+moments of the whole sample, for whatever co-moment pairs `_CO_ROWS` lists,
+all formed in one scratch row, and that a run, which reduces chunks side by
+side in groups, gives bit for bit the fold of its chunks reduced one at a
+time; an `ast` guard keeps `merge` methods, and calls of them, from coming
+back in the package.
 """
 
 import ast
@@ -23,17 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privacy_lab import MarketParams, SimConfig, montecarlo, simulate, solve_closed_form
-from privacy_lab.montecarlo import _CO_ROWS, _chunk_paths, _merge, _row_moments, _stats_of
+from privacy_lab.montecarlo import _CO_ROWS, _chunk_paths, _merge, _per_chunk, _row_moments, _stats_of
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
 
 RTOL = 1e-12
 
 
-# co-moment pair lists a summary may hold: today's, its reverse, and three
-# pairs over the six rows, so that _row_moments and _merge are seen to read
-# whatever _CO_ROWS lists
+# co-moment pair lists a summary may hold: today's, its reverse, three pairs
+# over the six rows, or any drawn list of one to four pairs of distinct rows,
+# so that _row_moments and _merge are seen to read whatever _CO_ROWS lists,
+# however many pairs go through _row_moments' one scratch row
 PAIR_LISTS = (_CO_ROWS, _CO_ROWS[::-1], ((3, 1), (2, 5), (4, 0)))
+ROW_PAIRS = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
 
 
 def two_pass(sample: np.ndarray, pairs: tuple) -> tuple:
@@ -54,7 +57,7 @@ def two_pass(sample: np.ndarray, pairs: tuple) -> tuple:
     loc=st.floats(-10.0, 10.0),
     scale=st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
     rho=st.floats(-1.0, 1.0),
-    pair_list=st.sampled_from(PAIR_LISTS),
+    pair_list=st.one_of(st.sampled_from(PAIR_LISTS), st.lists(ROW_PAIRS, min_size=1, max_size=4).map(tuple)),
 )
 def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc, scale, rho, pair_list):
     # the paired layout has six rows, each pair of the list correlated by rho;
@@ -70,10 +73,13 @@ def test_folded_chunks_match_the_two_pass_moments(sizes, paired, rows, seed, loc
     with patch.object(montecarlo, "_CO_ROWS", pairs):
         for m in sizes:
             chunk = sample[:, lo : lo + m].copy()
-            parts += _row_moments(chunk[:, None], np.empty((len(pairs), 1, m)) if paired else None)
+            parts += _per_chunk(_row_moments(chunk[:, None], np.empty((1, m)) if paired else None))
             lo += m
         n, means, m2, co = functools.reduce(_merge, parts)
 
+    # a chunk alone is reduced exactly as the two passes reduce it: each pair
+    # in turn through the scratch row leaves no trace on the next
+    assert parts[0] == two_pass(sample[:, : sizes[0]], pairs)
     want_n, want_means, want_m2, want_co = two_pass(sample, pairs)
     assert n == want_n
     # each statistic within RTOL of its own scale: a mean of its row's
@@ -105,19 +111,16 @@ def test_grouped_run_is_the_fold_of_its_chunks(chunk_size, chunks, last, sigma_e
     eq = solve_closed_form(params)
     stats = simulate(params, eq, SimConfig(n, seed, chunk_size=chunk_size)).stats
     widths = [min(chunk_size, n - k * chunk_size) for k in range(chunks)]
-    alone = [
-        _stats_of(_chunk_paths(params, eq, seed, k, m)[:, None], np.empty((2, 1, m)))[0]
-        for k, m in enumerate(widths)
-    ]
-    # the rows (w, pnl_noise, pnl_informed, -pnl_maker, y_tilde, q), in
+    alone = [_stats_of(_chunk_paths(params, eq, seed, k, m)[:, None])[0] for k, m in enumerate(widths)]
+    # the rows (y_tilde, q, w, pnl_noise, pnl_informed, -pnl_maker), in
     # centred units: p0 enters only the price_value means
     n, means, m2, (c_price, c_signal) = functools.reduce(_merge, alone)
     assert repr(astuple(stats)) == repr((
-        (n, means[2], m2[2]),
-        (n, means[1], m2[1]),
-        (n, -means[3], m2[3]),
-        (n, means[4], means[0], m2[4], m2[0], c_signal),
-        (n, params.p0 + means[0], params.p0 + means[5], m2[0], m2[5], c_price),
+        (n, means[4], m2[4]),
+        (n, means[3], m2[3]),
+        (n, -means[5], m2[5]),
+        (n, means[0], means[2], m2[0], m2[2], c_signal),
+        (n, params.p0 + means[2], params.p0 + means[1], m2[2], m2[1], c_price),
     ))  # repr tells -0.0 from 0.0
 
 
