@@ -3,7 +3,11 @@
 Randomness contract (scheme ``RNG_SCHEME``, frozen): path i belongs to chunk
 k = i // chunk_size and offset i % chunk_size.  Each (stream, chunk) pair owns
 an independent PCG64 generator seeded with ``SeedSequence((seed, stream, k))``;
-streams are 0 = terminal value, 1 = noise flow, 2 = privacy noise.  Within a
+streams are 0 = terminal value, 1 = noise flow, 2 = privacy noise.  The
+generator starts from that sequence's four 64-bit state words, which
+`_seed_words` computes for every stream and a block of chunks at once by
+replaying SeedSequence's mixing exactly (a run of one chunk asks SeedSequence
+itself), so the scheme's name and every bit are unchanged.  Within a
 chunk, draws come out of ``standard_normal`` in path order.  Results therefore
 depend only on (seed, chunk_size), never on thread count or execution order:
 per-chunk summaries are folded in ascending chunk index, and chunks and
@@ -47,6 +51,8 @@ child drops its parent's pool.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import os
@@ -55,6 +61,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import BatchParams, Equilibrium, MarketParams, _batched_market, _closed_forms, _forms_getter
 from .equilibrium import _integer, _play_forms, _real, batched_equilibrium
@@ -90,8 +97,117 @@ def _require_paths(n: int, needed: int) -> None:
         raise ParamError("n_paths", f"n_paths must be >= {needed} for this estimate, got {n}")
 
 
-def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, chunk))))
+def _chunk_rng(seed: int, stream: int, chunk: int, words: np.ndarray | None = None) -> np.random.Generator:
+    """The generator of (stream, chunk): PCG64 started from the four state
+    words of SeedSequence((seed, stream, chunk)).  `words` holds them when
+    the runner has computed them, with a block of chunks, by `_seed_words`;
+    without it SeedSequence makes them here.  Either way the generator, the
+    scheme ``RNG_SCHEME`` and every draw are those of
+    ``PCG64(SeedSequence((seed, stream, chunk)))``."""
+    seq = np.random.SeedSequence((seed, stream, chunk)) if words is None else _StateWords(words)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state is already known: PCG64 asks it for four
+    uint64 words and gets `words`."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx): its pool of four
+# 32-bit words, the hash multipliers of mixing (A) and of output (B), and mix's
+_POOL = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _words32(n: int) -> list[int]:
+    """n as SeedSequence reads an int: its 32-bit words, least first, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier of SeedSequence's first `count` hash steps from
+    `init`, as (count, 1) uint32 columns: step t xors in h_t and multiplies by
+    h_t+1 = h_t * mult."""
+    xors, mults, h = [], [], init
+    for _ in range(count):
+        xors.append(h)
+        h = h * mult & _MASK32
+        mults.append(h)
+    steps = np.array([xors, mults], np.uint32)[:, :, None]
+    steps.flags.writeable = False  # shared by every caller
+    return steps[0], steps[1]
+
+
+def _hashed(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of `words` by each row of a step's constants."""
+    h = np.bitwise_xor(words, xors)
+    h *= mults
+    h ^= h >> 16
+    return h
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of each word of x with the word of y beside it, in
+    place in x, spending y."""
+    y *= _MIX_R
+    x *= _MIX_L
+    x -= y
+    x ^= x >> 16
+    return x
+
+
+_OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]  # each pool word's others
+
+
+def _seed_words(seed: int, streams, chunks: range) -> np.ndarray:
+    """SeedSequence((seed, stream, k)).generate_state(4, np.uint64) for every
+    stream and every k in `chunks`, as a (streams, chunks, 4) uint64 array:
+    numpy's entropy mixing and output replayed exactly in uint32 arithmetic,
+    each step at once over every (stream, chunk) pair."""
+    key, parts, lo = _words32(seed), [], chunks.start
+    while lo < chunks.stop:  # the chunks whose index has as many 32-bit words as lo's
+        hi = min(chunks.stop, 1 << 32 * len(_words32(lo)))
+        parts.append(_pool_state(key, streams, lo, hi))
+        lo = hi
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _pool_state(key: list[int], streams, lo: int, hi: int) -> np.ndarray:
+    """`_seed_words` of chunks lo..hi-1, whose indices have the same number of 32-bit words."""
+    width = len(_words32(lo))
+    size = len(key) + 1 + width  # words of entropy: the seed's, the stream and the chunk index's
+    entropy = np.zeros((max(size, _POOL), len(streams), hi - lo), np.uint32)  # beyond `size`, the pool's zero padding
+    entropy[: len(key)] = np.array(key, np.uint32)[:, None, None]
+    entropy[len(key)] = np.array(streams, np.uint32)[:, None]
+    ks = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
+    for i in range(width):
+        entropy[len(key) + 1 + i] = (ks >> 32 * i & _MASK32).astype(np.uint32)
+    entropy = entropy.reshape(len(entropy), -1)
+    xa, ma = _hash_steps(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = _hashed(entropy[:_POOL], xa[:_POOL], ma[:_POOL])
+    t = _POOL
+    for src, dst in enumerate(_OTHERS):  # each pool word into the others, in order
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], xa[t : t + 3], ma[t : t + 3]))
+        t += 3
+    for word in entropy[_POOL:]:  # then each word of entropy the pool did not hold, into every pool word
+        _mixed(pool, _hashed(word, xa[t : t + _POOL], ma[t : t + _POOL]))
+        t += _POOL
+    xb, mb = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashed(np.concatenate((pool, pool)), xb, mb)  # eight 32-bit words, cycling through the pool
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return words.reshape(len(streams), hi - lo, 4)
 
 
 # the largest PRIVACY_LAB_THREADS: a run submits up to cap - 1 helpers at once,
@@ -149,16 +265,23 @@ _WORKSPACE_ROWS = 7  # the path rows of _chunk_paths; the finish reuses spent on
 _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
+_SEED_BLOCK = 256  # chunks whose state words are computed at once: 24 KiB at three streams
 
-def _run_chunks(n: int, width: int, draws, finish):
+
+def _run_chunks(n: int, width: int, seed: int, draws, finish, k0: int = 0):
     """Fold with `_merge` in chunk order, whatever the thread count, the
-    summaries `finish` makes of chunks 0, 1, ... of n paths, width to a
-    chunk but the last, and return the fold: a tuple whose [0] counts its
-    paths, as each summary's does.  Each `draw(ws, k)` in `draws`, one per
-    stream, fills its rows of chunk k's block of a group's
-    (g, _WORKSPACE_ROWS, m) workspace, laid out as the run reaches it;
-    `finish` reads it as a (_WORKSPACE_ROWS, g, m) view and returns the g
-    summaries, folded once every earlier group's are.  The
+    summaries `finish` makes of chunks k0, k0 + 1, ... of n paths, width to
+    a chunk but the last, and return the fold: a tuple whose [0] counts its
+    paths, as each summary's does.  Each `(stream, draw)` in `draws` has
+    `draw(ws, k, words)` fill its rows of chunk k's block of a group's
+    (g, _WORKSPACE_ROWS, m) workspace, laid out as the run reaches it, from
+    `_chunk_rng(seed, stream, k, words)`; `finish` reads it as a
+    (_WORKSPACE_ROWS, g, m) view and returns the g summaries, folded once
+    every earlier group's are.  `words` are the stream's state words for
+    chunk k, which `_seed_words` computes for every stream and up to
+    _SEED_BLOCK chunks at once, under the runner's lock as the layout reaches
+    them and the first block before any helper starts; in a run of one chunk
+    they are None, since its few generators cost less built one by one.  The
     caller and its helpers take (chunk, draw) pairs in order, so a slower
     thread runs fewer; once the caller finds none left, it cancels helpers
     not yet started.  If a draw or a finish raises, no thread takes another
@@ -167,9 +290,21 @@ def _run_chunks(n: int, width: int, draws, finish):
     """
     cap = _thread_cap()
     per = max(1, DEFAULT_CHUNK_SIZE // width)  # full chunks to a group
+    chunks = -(-n // width)
+
+    # each chunk's state words, a row per stream, a block of chunks at a time
+    # and the first now, before any helper waits on it
+    if chunks == 1:
+        rows = iter([(None,) * len(draws)])
+    else:
+        blocks = (
+            _seed_words(seed, [s for s, _ in draws], range(lo, min(lo + _SEED_BLOCK, k0 + chunks))).transpose(1, 0, 2)
+            for lo in range(k0, k0 + chunks, _SEED_BLOCK)
+        )
+        rows = itertools.chain.from_iterable(itertools.chain([next(blocks)], blocks))
 
     def tasks():
-        # (group, block index, chunk index, draw) in order; a group is [its
+        # (group, block index, chunk index, draw, words) in order; a group is [its
         # workspace, its draws not yet completed, its summaries once finished]
         lo = 0
         while lo < n:
@@ -182,8 +317,8 @@ def _run_chunks(n: int, width: int, draws, finish):
             group = [buf[:size].reshape(count, _WORKSPACE_ROWS, m), count * len(draws), None]
             groups.append(group)
             for j in range(count):
-                for draw in draws:
-                    yield group, j, lo // width + j, draw
+                for (_, draw), words in zip(draws, next(rows)):
+                    yield group, j, k0 + lo // width + j, draw, words
             lo += count * m
 
     groups, todo, lock, stop, total = [], tasks(), threading.Lock(), False, None  # groups in flight, in order
@@ -196,8 +331,8 @@ def _run_chunks(n: int, width: int, draws, finish):
                     task = None if stop else next(todo, None)
                 if task is None:
                     return
-                group, j, k, draw = task
-                draw(group[0][j], k)
+                group, j, k, draw, words = task
+                draw(group[0][j], k, words)
                 with lock:
                     group[1] -= 1
                     last = group[1] == 0
@@ -216,7 +351,6 @@ def _run_chunks(n: int, width: int, draws, finish):
             stop = True
             raise
 
-    chunks = -(-n // width)
     helpers = min(cap, chunks * len(draws)) - 1
     futures = _submit(cap, work, helpers) if helpers > 0 else []
     try:
@@ -385,9 +519,10 @@ class WelfareEstimate:
     n: int
 
 
-def _draw(seed: int, stream: int, k: int, row: np.ndarray, scale: float) -> None:
-    """Fill `row` with `scale` times the first standard normals of (stream, chunk k)."""
-    _chunk_rng(seed, stream, k).standard_normal(row.size, out=row)
+def _draw(seed: int, stream: int, k: int, words, row: np.ndarray, scale: float) -> None:
+    """Fill `row` with `scale` times the first standard normals of (stream,
+    chunk k), whose state words are `words` (see `_chunk_rng`)."""
+    _chunk_rng(seed, stream, k, words).standard_normal(row.size, out=row)
     row *= scale
 
 
@@ -395,8 +530,9 @@ _INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well i
 
 
 def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
-    """The draws of a chunk's paths, one per seeded stream, each filling its
-    row u, eps or w = v - p0 of the (u, eps, x, y, y_tilde, q, w) rows.
+    """The draws of a chunk's paths, a (stream, draw) pair per seeded stream,
+    each `draw(ws, k, words)` of `_run_chunks` filling its row u, eps or
+    w = v - p0 of the (u, eps, x, y, y_tilde, q, w) rows.
 
     At tau > 1 the noise flow sums tau increments per path, drawn in stream
     order into the four rows between eps and w, clear of the other draws, in
@@ -404,18 +540,18 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     numpy sums its row, or a longer path block by block.
     """
 
-    def value(ws, k):
-        _draw(seed, STREAM_VALUE, k, ws[6], params.sigma_v)
+    def value(ws, k, words):
+        _draw(seed, STREAM_VALUE, k, words, ws[6], params.sigma_v)
 
-    def noise_flow(ws, k):
+    def noise_flow(ws, k, words):
         if tau == 1:
-            return _draw(seed, STREAM_NOISE_FLOW, k, ws[0], params.sigma_u)
+            return _draw(seed, STREAM_NOISE_FLOW, k, words, ws[0], params.sigma_u)
         u, spare = ws[0], ws[2:6].reshape(-1)
         width = min(tau, _INCREMENT_BLOCK)  # increments of one path drawn at a time
         if spare.size < width:  # a chunk of a few paths
             spare = np.empty(width)
         step = max(1, min(spare.size, _INCREMENT_BLOCK) // tau)  # paths drawn at a time
-        rng = _chunk_rng(seed, STREAM_NOISE_FLOW, k)
+        rng = _chunk_rng(seed, STREAM_NOISE_FLOW, k, words)
         for lo in range(0, u.size, step):
             total = u[lo : lo + step]
             for start in range(0, tau, width):
@@ -426,10 +562,11 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
                 if start:  # a later block of a path longer than one
                     total += part
 
-    def privacy(ws, k):
-        _draw(seed, STREAM_PRIVACY, k, ws[1], params.sigma_eps)
+    def privacy(ws, k, words):
+        _draw(seed, STREAM_PRIVACY, k, words, ws[1], params.sigma_eps)
 
-    return (value, noise_flow, privacy) if params.sigma_eps > 0 else (value, noise_flow)
+    draws = (STREAM_VALUE, value), (STREAM_NOISE_FLOW, noise_flow), (STREAM_PRIVACY, privacy)
+    return draws if params.sigma_eps > 0 else draws[:2]
 
 
 def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed: bool = True) -> np.ndarray:
@@ -451,8 +588,11 @@ def _assemble(paths: np.ndarray, params: MarketParams, eq: Equilibrium, observed
 def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: int, first: int = 0) -> np.ndarray:
     """Paths first..m-1 of chunk k as the centred rows (u, eps, x, y,
     y_tilde, q, w) of `_assemble`, of a new (7, m - first) array."""
-    draws = [lambda ws, _, draw=draw: draw(ws, k) for draw in _path_draws(params, seed)]
-    return _run_chunks(m, m, draws, lambda ws: [(m, _assemble(ws[:, 0, first:].copy(), params, eq))])[1]
+
+    def finish(ws: np.ndarray) -> list[tuple]:
+        return [(m, _assemble(ws[:, 0, first:].copy(), params, eq))]
+
+    return _run_chunks(m, m, seed, _path_draws(params, seed), finish, k)[1]
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
@@ -503,7 +643,8 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     def finish(ws: np.ndarray) -> list[tuple]:
         return _stats_of(_assemble(ws, params, eq))
 
-    n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed), finish)
+    draws = _path_draws(params, cfg.seed)
+    n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, draws, finish)
     stats = SampleStats(  # the rows (y_tilde, q, w, pnl_noise, pnl_informed, -pnl_maker)
         pnl_informed=RunningMoments(n, means[4], m2[4]),
         pnl_noise=RunningMoments(n, means[3], m2[3]),
@@ -528,7 +669,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     def finish(ws: np.ndarray) -> list[tuple]:
         return _per_chunk(_row_moments(_pnl(_assemble(ws, params, eq, observed=False))))
 
-    n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed, bp.tau), finish)
+    n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, _path_draws(params, cfg.seed, bp.tau), finish)
     means[2] = -means[2]  # _pnl leaves the maker's P&L negated
     return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
 
@@ -741,7 +882,8 @@ def verify_best_response(
             ws[0] += ws[1]
         return _per_chunk(_row_moments(ws[:1]))
 
-    n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, _path_draws(params, cfg.seed)[1:], finish)
+    draws = _path_draws(params, cfg.seed)[1:]  # no value stream
+    n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, draws, finish)
     z_se = RunningMoments(n, z_mean, z_m2).se
 
     # per-path profit at candidate x is (v - p0 - lam*x)*x - lam*x*z_i

@@ -707,6 +707,28 @@ class TestWorkerPool:
             runs.append(simulate(UNIT, UNIT_EQ, POOL_CFG).stats)
         assert runs == [runs[0]] * 4
 
+    def test_chunks_are_seeded_a_block_at_a_time(self, monkeypatch):
+        # 1250 chunks: five blocks of state words, each made once, whatever the
+        # thread count; a run of one chunk, or a path replay, makes none
+        blocks, real = [], montecarlo._seed_words
+
+        def seed_words(seed, streams, chunks):
+            blocks.append((list(streams), chunks))
+            return real(seed, streams, chunks)
+
+        monkeypatch.setattr(montecarlo, "_seed_words", seed_words)
+        cfg = SimConfig(20_000, 37, chunk_size=16)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PRIVACY_LAB_THREADS", threads)
+            blocks.clear()
+            sample = simulate(UNIT, UNIT_EQ, cfg)
+            starts = range(0, 1250, 256)
+            assert blocks == [([0, 1, 2], range(lo, min(lo + 256, 1250))) for lo in starts]
+            blocks.clear()
+            sample.path(19_999)
+            simulate(UNIT, UNIT_EQ, SimConfig(1000, 37))
+            assert blocks == []
+
     def test_finish_runs_once_per_group(self, monkeypatch):
         # 48 chunks of 4096 and one of 3392: groups of 16, 16, 16 and 1
         calls = []
@@ -745,8 +767,8 @@ class TestWorkerPool:
         class Stream:
             """A chunk's generator whose draws are watched."""
 
-            def __init__(self, seed, stream, k):
-                self.rng, self.key = _chunk_rng(seed, stream, k), (stream, k)
+            def __init__(self, seed, stream, k, words=None):
+                self.rng, self.key = _chunk_rng(seed, stream, k, words), (stream, k)
 
             def standard_normal(self, *args, **kwargs):
                 with task(f"draw {self.key}", stage == "draw" and self.key == (1, 1)):

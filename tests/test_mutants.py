@@ -172,13 +172,13 @@ def increments_not_summed(params, seed, tau=1):
 
 def increments_scaled_by_sqrt_tau(params, seed, tau=1):
     """The summed noise flow of each batch times sqrt(tau)."""
-    value, noise_flow = _path_draws(params, seed, tau)  # a batched run draws no privacy stream
+    value, (stream, noise_flow) = _path_draws(params, seed, tau)  # a batched run draws no privacy stream
 
-    def scaled(ws, k):
-        noise_flow(ws, k)
+    def scaled(ws, k, words):
+        noise_flow(ws, k, words)
         ws[0] *= math.sqrt(tau)
 
-    return value, scaled
+    return value, (stream, scaled)
 
 
 MUTANTS = [

@@ -34,6 +34,10 @@ ODD = SimConfig(100_000, 19, chunk_size=3000)  # groups of 21, 12 and 1
 PAIRS = SimConfig(150_000, 23, chunk_size=32_768)  # groups of 2, 2 and 1
 WIDE = SimConfig(140_000, 29, chunk_size=65_537)  # two chunks wider than a workspace and one narrower
 SMALL = SimConfig(100_000, 31, chunk_size=4096)  # groups of 16, 8 and a last chunk of 1696
+# the runner's seeding, recorded when every generator was built by SeedSequence
+# itself: more chunks than one block of state words, and a seed of two 32-bit words
+MANY = SimConfig(20_000, 37, chunk_size=16)  # 1250 chunks, in five blocks
+BIG_SEED = SimConfig(100_000, 2**40 + 3)  # two chunks
 
 
 def hexed(obj):
@@ -81,6 +85,8 @@ RUNS = {
     "best_small": lambda: verify_best_response(
         NOISY, solve_closed_form(NOISY), v=6.5, grid_halfwidth=0.5, n_grid=5, cfg=SMALL
     ),
+    "many_chunks": lambda: simulate(NOISY, solve_closed_form(NOISY), MANY).stats,
+    "big_seed": lambda: simulate(NOISY, solve_closed_form(NOISY), BIG_SEED).stats,
     "paths_grouped": lambda: [
         simulate(NOISY, solve_closed_form(NOISY), NARROW).path(150_499),
         simulate(QUIET, solve_closed_form(QUIET), ODD).path(64_123),
@@ -455,6 +461,48 @@ PINNED = {
         "x_star": "0x1.1b7c0eed1ea38p+0",
         "grid_step": "0x1.1b7c0eed1ea38p-2",
         "n_paths": 100000,
+    },
+    "many_chunks": {
+        "pnl_informed": {"n": 20000, "mean": "0x1.81d101d64de24p+0", "m2": "0x1.034c01c79b2a3p+17"},
+        "pnl_noise": {"n": 20000, "mean": "-0x1.582821ed0c6d2p-2", "m2": "0x1.581c9420ecb9ap+14"},
+        "pnl_maker": {"n": 20000, "mean": "-0x1.2bc6f95b0ac7fp+0", "m2": "0x1.07e8c4b0f00cdp+17"},
+        "signal_value": {
+            "n": 20000,
+            "mean_x": "0x1.bc32595ae13a9p-10",
+            "mean_y": "-0x1.f5d40c830b4bcp-8",
+            "m2_x": "0x1.55fa278432cbfp+16",
+            "m2_y": "0x1.3df44211522ebp+16",
+            "c_xy": "0x1.d3f49da754a2dp+15",
+        },
+        "price_value": {
+            "n": 20000,
+            "mean_x": "0x1.3f828afcdf3d3p+2",
+            "mean_y": "0x1.4012cd9134b56p+2",
+            "m2_x": "0x1.3df44211522ebp+16",
+            "m2_y": "0x1.39bd92a38ee55p+15",
+            "c_xy": "0x1.3cf08198e1ed3p+15",
+        },
+    },
+    "big_seed": {
+        "pnl_informed": {"n": 100000, "mean": "0x1.7b64d3f7800ffp+0", "m2": "0x1.3eb75af12f8b4p+19"},
+        "pnl_noise": {"n": 100000, "mean": "-0x1.4c0ae8adb688cp-2", "m2": "0x1.a774074b07839p+16"},
+        "pnl_maker": {"n": 100000, "mean": "-0x1.286219cc126dcp+0", "m2": "0x1.4654d711f11cep+19"},
+        "signal_value": {
+            "n": 100000,
+            "mean_x": "0x1.9b0fdc299f00ap-9",
+            "mean_y": "0x1.0ba2dbea7a0d1p-8",
+            "m2_x": "0x1.acf18252e44b4p+18",
+            "m2_y": "0x1.88e5c5990f1d2p+18",
+            "c_xy": "0x1.22a72383a2892p+18",
+        },
+        "price_value": {
+            "n": 100000,
+            "mean_x": "0x1.4042e8b6fa9e8p+2",
+            "mean_y": "0x1.4022cd0048a80p+2",
+            "m2_x": "0x1.88e5c5990f1d2p+18",
+            "m2_y": "0x1.8986ab3b9b6d0p+17",
+            "c_xy": "0x1.89b5bf1fe63d5p+17",
+        },
     },
     "paths_grouped": [
         {

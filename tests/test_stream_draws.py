@@ -6,6 +6,10 @@ from `_chunk_rng`.  An `ast` guard keeps draw closures from coming back in
 `simulate_batched`, `verify_best_response` or anywhere else in the package.
 A known-answer table pins the first draws of a few streams, so a numpy whose
 `SeedSequence`, `PCG64` or `standard_normal` changed fails there by name.
+The runner starts most generators from state words that `_seed_words`
+computes for a block of chunks at once, replaying `SeedSequence`'s mixing;
+a property holds those words to numpy's, at every 32-bit word boundary of
+the seed and the chunk index.
 """
 
 import ast
@@ -13,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from privacy_lab.montecarlo import _chunk_rng
+from privacy_lab.montecarlo import _chunk_rng, _seed_words
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privacy_lab"
 
@@ -95,3 +101,41 @@ def test_streams_draw_their_known_answers(triple):
         f"numpy {np.__version__} draws other numbers for _chunk_rng{triple}; the pcg64-seedseq-v1 streams, every "
         "pinned Monte Carlo bit and every simulate golden file rest on these"
     )
+
+
+@pytest.mark.parametrize("triple", KNOWN_DRAWS)
+def test_block_words_draw_the_known_answers(triple):
+    seed, stream, k = triple
+    words = _seed_words(seed, (stream,), range(k, k + 1))[0, 0]
+    got = tuple(x.hex() for x in _chunk_rng(seed, stream, k, words).standard_normal(4).tolist())
+    assert got == KNOWN_DRAWS[triple]
+
+
+SEEDS = (0, 2**32 - 1, 2**32, 2**64, 10**40)  # one to five 32-bit words
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**160)),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+    st.one_of(st.integers(0, 2**32 + 4), st.integers(0, 2**70)),
+    st.integers(1, 3),
+)
+# chunks 0, then 2**32 - 1 and 2**32, either side of a second word, at every seed width
+@example(SEEDS[0], [0, 1, 2], 0, 1)
+@example(SEEDS[1], [0, 1, 2], 0, 1)
+@example(SEEDS[2], [0, 1, 2], 0, 1)
+@example(SEEDS[3], [0, 1, 2], 0, 1)
+@example(SEEDS[4], [0, 1, 2], 0, 1)
+@example(SEEDS[0], [0, 1, 2], 2**32 - 1, 2)
+@example(SEEDS[1], [0, 1, 2], 2**32 - 1, 2)
+@example(SEEDS[2], [0, 1, 2], 2**32 - 1, 2)
+@example(SEEDS[3], [0, 1, 2], 2**32 - 1, 2)
+@example(SEEDS[4], [0, 1, 2], 2**32 - 1, 2)
+@example(7, [2, 0], 2**64 - 1, 2)  # a chunk index of a third word
+def test_seed_words_are_seedsequences(seed, streams, first, count):
+    chunks = range(first, first + count)
+    got = _seed_words(seed, streams, chunks)
+    expected = [[np.random.SeedSequence((seed, s, k)).generate_state(4, np.uint64) for k in chunks] for s in streams]
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tolist() == np.array(expected).tolist()
