@@ -6,12 +6,14 @@ an independent PCG64 generator seeded with ``SeedSequence((seed, stream, k))``;
 streams are 0 = terminal value, 1 = noise flow, 2 = privacy noise.  The
 generator starts from that sequence's four 64-bit state words, which
 `_seed_words` computes for every stream and a block of chunks at once by
-replaying SeedSequence's mixing exactly (a run of one chunk asks SeedSequence
-itself), so the scheme's name and every bit are unchanged.  Within a
-chunk, draws come out of ``standard_normal`` in path order.  Results therefore
-depend only on (seed, chunk_size), never on thread count or execution order:
-per-chunk summaries are folded in ascending chunk index, and chunks and
-streams are independent by construction.
+replaying SeedSequence's mixing exactly; a block of one chunk, as in a run
+of one chunk or a path replay, asks SeedSequence itself.  So the scheme's
+name and every bit are unchanged.  Only the runner knows this scheme: it
+builds each generator and hands it to the draw of its (stream, chunk) pair.
+Within a chunk, draws come out of ``standard_normal`` in path order.
+Results therefore depend only on (seed, chunk_size), never on thread count
+or execution order: per-chunk summaries are folded in ascending chunk index,
+and chunks and streams are independent by construction.
 
 A chunk's summary is one tuple (n, means, m2, co-moments), made by
 `_per_chunk` from `_row_moments`' blocks and folded by `_merge`, the one-pass
@@ -97,15 +99,13 @@ def _require_paths(n: int, needed: int) -> None:
         raise ParamError("n_paths", f"n_paths must be >= {needed} for this estimate, got {n}")
 
 
-def _chunk_rng(seed: int, stream: int, chunk: int, words: np.ndarray | None = None) -> np.random.Generator:
-    """The generator of (stream, chunk): PCG64 started from the four state
-    words of SeedSequence((seed, stream, chunk)).  `words` holds them when
-    the runner has computed them, with a block of chunks, by `_seed_words`;
-    without it SeedSequence makes them here.  Either way the generator, the
-    scheme ``RNG_SCHEME`` and every draw are those of
-    ``PCG64(SeedSequence((seed, stream, chunk)))``."""
-    seq = np.random.SeedSequence((seed, stream, chunk)) if words is None else _StateWords(words)
-    return np.random.Generator(np.random.PCG64(seq))
+def _chunk_rng(words: np.ndarray) -> np.random.Generator:
+    """The generator of one (stream, chunk) pair: PCG64 started from the four
+    state words `_seed_words` made for it, so the generator, the scheme
+    ``RNG_SCHEME`` and every draw are those of
+    ``PCG64(SeedSequence((seed, stream, chunk)))``.  Only the runner builds
+    one, and hands it to the pair's draw."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 class _StateWords(ISeedSequence):
@@ -121,6 +121,7 @@ class _StateWords(ISeedSequence):
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): its pool of four
 # 32-bit words, the hash multipliers of mixing (A) and of output (B), and mix's
+# two multipliers, _MIX_L and _MIX_R
 _POOL = 4
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -173,27 +174,22 @@ _OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POO
 
 def _seed_words(seed: int, streams, chunks: range) -> np.ndarray:
     """SeedSequence((seed, stream, k)).generate_state(4, np.uint64) for every
-    stream and every k in `chunks`, as a (streams, chunks, 4) uint64 array:
-    numpy's entropy mixing and output replayed exactly in uint32 arithmetic,
-    each step at once over every (stream, chunk) pair."""
-    key, parts, lo = _words32(seed), [], chunks.start
-    while lo < chunks.stop:  # the chunks whose index has as many 32-bit words as lo's
-        hi = min(chunks.stop, 1 << 32 * len(_words32(lo)))
-        parts.append(_pool_state(key, streams, lo, hi))
-        lo = hi
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _pool_state(key: list[int], streams, lo: int, hi: int) -> np.ndarray:
-    """`_seed_words` of chunks lo..hi-1, whose indices have the same number of 32-bit words."""
-    width = len(_words32(lo))
-    size = len(key) + 1 + width  # words of entropy: the seed's, the stream and the chunk index's
-    entropy = np.zeros((max(size, _POOL), len(streams), hi - lo), np.uint32)  # beyond `size`, the pool's zero padding
-    entropy[: len(key)] = np.array(key, np.uint32)[:, None, None]
+    stream and every k in `chunks`, as a (streams, chunks, 4) uint64 array.
+    For one chunk SeedSequence makes them, given (seed, stream, k) as the
+    32-bit words it reads them as: an array of those costs it half the time
+    of the three ints.  For more, numpy's entropy mixing and output are replayed exactly in uint32
+    arithmetic, each step at once over every (stream, chunk) pair; the chunks
+    must then differ only in the lowest 32-bit word of their index, as a
+    runner's block of chunks does."""
+    key, chunk = _words32(seed), _words32(chunks.start)
+    if len(chunks) == 1:
+        seqs = (np.random.SeedSequence(np.array([*key, s, *chunk], np.uint32)) for s in streams)
+        return np.concatenate([seq.generate_state(4, np.uint64) for seq in seqs]).reshape(len(streams), 1, 4)
+    head = np.array([*key, 0, *chunk], np.uint32)  # (seed, stream 0, the first chunk)
+    entropy = np.zeros((max(len(head), _POOL), len(streams), len(chunks)), np.uint32)  # beyond, the pool's zero padding
+    entropy[: len(head)] = head[:, None, None]
     entropy[len(key)] = np.array(streams, np.uint32)[:, None]
-    ks = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-    for i in range(width):
-        entropy[len(key) + 1 + i] = (ks >> 32 * i & _MASK32).astype(np.uint32)
+    entropy[len(key) + 1] += np.arange(len(chunks), dtype=np.uint32)  # the chunk index's lowest word
     entropy = entropy.reshape(len(entropy), -1)
     xa, ma = _hash_steps(_INIT_A, _MULT_A, _POOL * len(entropy))
     pool = _hashed(entropy[:_POOL], xa[:_POOL], ma[:_POOL])
@@ -207,7 +203,7 @@ def _pool_state(key: list[int], streams, lo: int, hi: int) -> np.ndarray:
     xb, mb = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
     state = _hashed(np.concatenate((pool, pool)), xb, mb)  # eight 32-bit words, cycling through the pool
     words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-    return words.reshape(len(streams), hi - lo, 4)
+    return words.reshape(len(streams), len(chunks), 4)
 
 
 # the largest PRIVACY_LAB_THREADS: a run submits up to cap - 1 helpers at once,
@@ -265,7 +261,7 @@ _WORKSPACE_ROWS = 7  # the path rows of _chunk_paths; the finish reuses spent on
 _WORKSPACE_SIZE = _WORKSPACE_ROWS * DEFAULT_CHUNK_SIZE
 _idle_workspaces: list[np.ndarray] = []
 
-_SEED_BLOCK = 256  # chunks whose state words are computed at once: 24 KiB at three streams
+_SEED_BLOCK = 256  # chunks whose state words are computed at once, from one multiple of it on: 24 KiB at three streams
 
 
 def _run_chunks(n: int, width: int, seed: int, draws, finish, k0: int = 0):
@@ -273,39 +269,38 @@ def _run_chunks(n: int, width: int, seed: int, draws, finish, k0: int = 0):
     summaries `finish` makes of chunks k0, k0 + 1, ... of n paths, width to
     a chunk but the last, and return the fold: a tuple whose [0] counts its
     paths, as each summary's does.  Each `(stream, draw)` in `draws` has
-    `draw(ws, k, words)` fill its rows of chunk k's block of a group's
+    `draw(ws, rng)` fill its rows of a chunk's block of a group's
     (g, _WORKSPACE_ROWS, m) workspace, laid out as the run reaches it, from
-    `_chunk_rng(seed, stream, k, words)`; `finish` reads it as a
+    rng, the generator of (stream, chunk) that the runner builds by
+    `_chunk_rng` and hands it; `finish` reads the workspace as a
     (_WORKSPACE_ROWS, g, m) view and returns the g summaries, folded once
-    every earlier group's are.  `words` are the stream's state words for
-    chunk k, which `_seed_words` computes for every stream and up to
-    _SEED_BLOCK chunks at once, under the runner's lock as the layout reaches
-    them and the first block before any helper starts; in a run of one chunk
-    they are None, since its few generators cost less built one by one.  The
-    caller and its helpers take (chunk, draw) pairs in order, so a slower
-    thread runs fewer; once the caller finds none left, it cancels helpers
-    not yet started.  If a draw or a finish raises, no thread takes another
-    pair, and the first error is re-raised once every started helper is done.
-    Raises AssertionError when the fold does not count n paths.
+    every earlier group's are.  The runner is the one code that knows the
+    seeding: `_seed_words` makes the state words of every stream and a block
+    of chunks at once, cut at the multiples of _SEED_BLOCK, so no block
+    spans a 32-bit word of the chunk index, and a run of one chunk asks for
+    a block of one, whose words SeedSequence makes.  Each block is made
+    under the runner's lock as the layout reaches it.  The caller and its
+    helpers take (chunk, draw) pairs in order, so a slower thread runs
+    fewer; once the caller finds none left, it cancels helpers not yet
+    started.  If a draw or a finish raises, no
+    thread takes another pair, and the first error is re-raised once every
+    started helper is done.  Raises AssertionError when the fold does not
+    count n paths.
     """
     cap = _thread_cap()
     per = max(1, DEFAULT_CHUNK_SIZE // width)  # full chunks to a group
     chunks = -(-n // width)
 
     # each chunk's state words, a row per stream, a block of chunks at a time
-    # and the first now, before any helper waits on it
-    if chunks == 1:
-        rows = iter([(None,) * len(draws)])
-    else:
-        blocks = (
-            _seed_words(seed, [s for s, _ in draws], range(lo, min(lo + _SEED_BLOCK, k0 + chunks))).transpose(1, 0, 2)
-            for lo in range(k0, k0 + chunks, _SEED_BLOCK)
-        )
-        rows = itertools.chain.from_iterable(itertools.chain([next(blocks)], blocks))
+    streams, end = [s for s, _ in draws], k0 + chunks
+    cuts = itertools.chain([k0], range(k0 - k0 % _SEED_BLOCK + _SEED_BLOCK, end, _SEED_BLOCK), [end])
+    blocks = (_seed_words(seed, streams, range(lo, hi)).transpose(1, 0, 2) for lo, hi in itertools.pairwise(cuts))
+    rows = itertools.chain.from_iterable(blocks)
 
     def tasks():
-        # (group, block index, chunk index, draw, words) in order; a group is [its
-        # workspace, its draws not yet completed, its summaries once finished]
+        # (group, the chunk's index in it, draw, the state words of the draw's
+        # generator) in order; a group is [its workspace, its draws not yet
+        # completed, its summaries once finished]
         lo = 0
         while lo < n:
             m = min(width, n - lo)  # a short last chunk is a group of its own
@@ -318,7 +313,7 @@ def _run_chunks(n: int, width: int, seed: int, draws, finish, k0: int = 0):
             groups.append(group)
             for j in range(count):
                 for (_, draw), words in zip(draws, next(rows)):
-                    yield group, j, k0 + lo // width + j, draw, words
+                    yield group, j, draw, words
             lo += count * m
 
     groups, todo, lock, stop, total = [], tasks(), threading.Lock(), False, None  # groups in flight, in order
@@ -331,8 +326,8 @@ def _run_chunks(n: int, width: int, seed: int, draws, finish, k0: int = 0):
                     task = None if stop else next(todo, None)
                 if task is None:
                     return
-                group, j, k, draw, words = task
-                draw(group[0][j], k, words)
+                group, j, draw, words = task
+                draw(group[0][j], _chunk_rng(words))
                 with lock:
                     group[1] -= 1
                     last = group[1] == 0
@@ -519,20 +514,20 @@ class WelfareEstimate:
     n: int
 
 
-def _draw(seed: int, stream: int, k: int, words, row: np.ndarray, scale: float) -> None:
-    """Fill `row` with `scale` times the first standard normals of (stream,
-    chunk k), whose state words are `words` (see `_chunk_rng`)."""
-    _chunk_rng(seed, stream, k, words).standard_normal(row.size, out=row)
+def _draw(rng: np.random.Generator, row: np.ndarray, scale: float) -> None:
+    """Fill `row` with `scale` times the first standard normals of `rng`."""
+    rng.standard_normal(row.size, out=row)
     row *= scale
 
 
 _INCREMENT_BLOCK = 1 << 15  # floats of noise increments drawn at a time, well inside a core's cache
 
 
-def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
+def _path_draws(params: MarketParams, tau: int = 1) -> tuple:
     """The draws of a chunk's paths, a (stream, draw) pair per seeded stream,
-    each `draw(ws, k, words)` of `_run_chunks` filling its row u, eps or
-    w = v - p0 of the (u, eps, x, y, y_tilde, q, w) rows.
+    each `draw(ws, rng)` of `_run_chunks` filling its row u, eps or
+    w = v - p0 of the (u, eps, x, y, y_tilde, q, w) rows from the generator
+    of its stream and chunk, which the runner hands it.
 
     At tau > 1 the noise flow sums tau increments per path, drawn in stream
     order into the four rows between eps and w, clear of the other draws, in
@@ -540,18 +535,17 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
     numpy sums its row, or a longer path block by block.
     """
 
-    def value(ws, k, words):
-        _draw(seed, STREAM_VALUE, k, words, ws[6], params.sigma_v)
+    def value(ws, rng):
+        _draw(rng, ws[6], params.sigma_v)
 
-    def noise_flow(ws, k, words):
+    def noise_flow(ws, rng):
         if tau == 1:
-            return _draw(seed, STREAM_NOISE_FLOW, k, words, ws[0], params.sigma_u)
+            return _draw(rng, ws[0], params.sigma_u)
         u, spare = ws[0], ws[2:6].reshape(-1)
         width = min(tau, _INCREMENT_BLOCK)  # increments of one path drawn at a time
         if spare.size < width:  # a chunk of a few paths
             spare = np.empty(width)
         step = max(1, min(spare.size, _INCREMENT_BLOCK) // tau)  # paths drawn at a time
-        rng = _chunk_rng(seed, STREAM_NOISE_FLOW, k, words)
         for lo in range(0, u.size, step):
             total = u[lo : lo + step]
             for start in range(0, tau, width):
@@ -562,8 +556,8 @@ def _path_draws(params: MarketParams, seed: int, tau: int = 1) -> tuple:
                 if start:  # a later block of a path longer than one
                     total += part
 
-    def privacy(ws, k, words):
-        _draw(seed, STREAM_PRIVACY, k, words, ws[1], params.sigma_eps)
+    def privacy(ws, rng):
+        _draw(rng, ws[1], params.sigma_eps)
 
     draws = (STREAM_VALUE, value), (STREAM_NOISE_FLOW, noise_flow), (STREAM_PRIVACY, privacy)
     return draws if params.sigma_eps > 0 else draws[:2]
@@ -592,7 +586,7 @@ def _chunk_paths(params: MarketParams, eq: Equilibrium, seed: int, k: int, m: in
     def finish(ws: np.ndarray) -> list[tuple]:
         return [(m, _assemble(ws[:, 0, first:].copy(), params, eq))]
 
-    return _run_chunks(m, m, seed, _path_draws(params, seed), finish, k)[1]
+    return _run_chunks(m, m, seed, _path_draws(params), finish, k)[1]
 
 
 def _pnl(paths: np.ndarray) -> np.ndarray:
@@ -643,8 +637,7 @@ def simulate(params: MarketParams, eq: Equilibrium, cfg: SimConfig) -> PathSampl
     def finish(ws: np.ndarray) -> list[tuple]:
         return _stats_of(_assemble(ws, params, eq))
 
-    draws = _path_draws(params, cfg.seed)
-    n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, draws, finish)
+    n, means, m2, (c_price, c_signal) = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, _path_draws(params), finish)
     stats = SampleStats(  # the rows (y_tilde, q, w, pnl_noise, pnl_informed, -pnl_maker)
         pnl_informed=RunningMoments(n, means[4], m2[4]),
         pnl_noise=RunningMoments(n, means[3], m2[3]),
@@ -669,7 +662,7 @@ def simulate_batched(bp: BatchParams, eq: Equilibrium, cfg: SimConfig) -> Welfar
     def finish(ws: np.ndarray) -> list[tuple]:
         return _per_chunk(_row_moments(_pnl(_assemble(ws, params, eq, observed=False))))
 
-    n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, _path_draws(params, cfg.seed, bp.tau), finish)
+    n, means, m2, _ = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, _path_draws(params, bp.tau), finish)
     means[2] = -means[2]  # _pnl leaves the maker's P&L negated
     return _welfare_estimate(*(RunningMoments(n, mean, q) for mean, q in zip(means, m2)))
 
@@ -882,7 +875,7 @@ def verify_best_response(
             ws[0] += ws[1]
         return _per_chunk(_row_moments(ws[:1]))
 
-    draws = _path_draws(params, cfg.seed)[1:]  # no value stream
+    draws = _path_draws(params)[1:]  # no value stream
     n, (z_mean,), (z_m2,), _ = _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.seed, draws, finish)
     z_se = RunningMoments(n, z_mean, z_m2).se
 

@@ -35,12 +35,17 @@ from privacy_lab import (
     welfare_decomposition,
 )
 from privacy_lab import montecarlo
-from privacy_lab.montecarlo import RunningCross, RunningMoments, _chunk_paths, _chunk_rng, _merge, _ols, _per_chunk
-from privacy_lab.montecarlo import _row_moments, _stats_of
+from privacy_lab.montecarlo import RunningCross, RunningMoments, _assemble, _chunk_paths, _chunk_rng, _merge, _ols
+from privacy_lab.montecarlo import _path_draws, _per_chunk, _row_moments, _run_chunks, _stats_of
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT = MarketParams(1.0, 1.0, 1.0)
 UNIT_EQ = solve_closed_form(UNIT)
+
+
+def scheme_rng(seed, stream, k):
+    """The generator of (stream, chunk k) as the pcg64-seedseq-v1 scheme defines it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, k))))
 
 
 class TestConfigValidation:
@@ -469,8 +474,8 @@ class TestBatchedSimulation:
         parts = []
         for k in range(-(-cfg.n_paths // cfg.chunk_size)):
             m = min(cfg.chunk_size, cfg.n_paths - k * cfg.chunk_size)
-            w = p.sigma_v * _chunk_rng(cfg.seed, 0, k).standard_normal(m)
-            u = (p.sigma_u * _chunk_rng(cfg.seed, 1, k).standard_normal((m, tau))).sum(axis=1)
+            w = p.sigma_v * scheme_rng(cfg.seed, 0, k).standard_normal(m)
+            u = (p.sigma_u * scheme_rng(cfg.seed, 1, k).standard_normal((m, tau))).sum(axis=1)
             x = eq.beta * w
             y = x + u
             q = eq.lam * y
@@ -709,7 +714,7 @@ class TestWorkerPool:
 
     def test_chunks_are_seeded_a_block_at_a_time(self, monkeypatch):
         # 1250 chunks: five blocks of state words, each made once, whatever the
-        # thread count; a run of one chunk, or a path replay, makes none
+        # thread count; a path replay, or a run of one chunk, one block of one
         blocks, real = [], montecarlo._seed_words
 
         def seed_words(seed, streams, chunks):
@@ -727,7 +732,20 @@ class TestWorkerPool:
             blocks.clear()
             sample.path(19_999)
             simulate(UNIT, UNIT_EQ, SimConfig(1000, 37))
-            assert blocks == []
+            assert blocks == [([0, 1, 2], range(1249, 1250)), ([0, 1, 2], range(0, 1))]
+
+    def test_a_run_whose_chunk_indices_cross_2_to_the_32(self, monkeypatch):
+        # the chunk index gains a second 32-bit word at 2**32: chunks 2**32 - 3
+        # to 2**32 + 2 of a run there are seeded as each chunk on its own is
+        k0, seed = 2**32 - 3, 41
+
+        def finish(ws):
+            return _stats_of(_assemble(ws, UNIT, UNIT_EQ))
+
+        alone = [_stats_of(_chunk_paths(UNIT, UNIT_EQ, seed, k, 16)[:, None])[0] for k in range(k0, k0 + 6)]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PRIVACY_LAB_THREADS", threads)
+            assert _run_chunks(6 * 16, 16, seed, _path_draws(UNIT), finish, k0) == functools.reduce(_merge, alone)
 
     def test_finish_runs_once_per_group(self, monkeypatch):
         # 48 chunks of 4096 and one of 3392: groups of 16, 16, 16 and 1
@@ -764,14 +782,16 @@ class TestWorkerPool:
                 with lock:
                     running[0] -= 1
 
+        failing = np.random.SeedSequence((cfg.seed, 1, 1)).generate_state(4, np.uint64)  # stream 1's, of chunk 1
+
         class Stream:
             """A chunk's generator whose draws are watched."""
 
-            def __init__(self, seed, stream, k, words=None):
-                self.rng, self.key = _chunk_rng(seed, stream, k, words), (stream, k)
+            def __init__(self, words):
+                self.rng, self.fails = _chunk_rng(words), np.array_equal(words, failing)
 
             def standard_normal(self, *args, **kwargs):
-                with task(f"draw {self.key}", stage == "draw" and self.key == (1, 1)):
+                with task("draw", stage == "draw" and self.fails):
                     return self.rng.standard_normal(*args, **kwargs)
 
         def stats_of(*args):

@@ -165,17 +165,17 @@ def targets_1_01(sigma_v, sigma_u, sigma_eps, lam, beta):
     return tuple(1.01 * t for t in _play_forms(sigma_v, sigma_u, sigma_eps, lam, beta))
 
 
-def increments_not_summed(params, seed, tau=1):
+def increments_not_summed(params, tau=1):
     """Each batch's noise flow is one increment, not the sum of tau."""
-    return _path_draws(params, seed)
+    return _path_draws(params)
 
 
-def increments_scaled_by_sqrt_tau(params, seed, tau=1):
+def increments_scaled_by_sqrt_tau(params, tau=1):
     """The summed noise flow of each batch times sqrt(tau)."""
-    value, (stream, noise_flow) = _path_draws(params, seed, tau)  # a batched run draws no privacy stream
+    value, (stream, noise_flow) = _path_draws(params, tau)  # a batched run draws no privacy stream
 
-    def scaled(ws, k, words):
-        noise_flow(ws, k, words)
+    def scaled(ws, rng):
+        noise_flow(ws, rng)
         ws[0] *= math.sqrt(tau)
 
     return value, (stream, scaled)
